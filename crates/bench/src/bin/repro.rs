@@ -291,10 +291,9 @@ fn main() {
 
 /// `repro --scale huge`: the million-node gossip throughput bench. No
 /// artifact pipeline — one simulation driven straight through
-/// `--hours` of gossip. Writes `scale_gossip.csv` (deterministic and
-/// shard-invariant; the trailing `threads` column echoes
-/// `--net-threads`) to `--out`, and with `--metrics` the BENCH record
-/// whose `scale` section the CI smoke job reads.
+/// `--hours` of gossip. Writes the deterministic `scale_gossip.csv` to
+/// `--out`, and with `--metrics` the BENCH record whose `scale` section
+/// the CI smoke job reads.
 fn run_huge_bench(opts: &bp_bench::cli::CliOptions) {
     if !opts.ids.is_empty() {
         die("artifact ids cannot be combined with --scale huge");
@@ -314,8 +313,8 @@ fn run_huge_bench(opts: &bp_bench::cli::CliOptions) {
     ]);
     let config = opts.config;
     eprintln!(
-        "# huge gossip bench: 1,000,000 nodes, {} h, {} shard(s), {} net thread(s), seed {}",
-        config.day_hours, config.shards, config.net_threads, config.seed
+        "# huge gossip bench: 1,000,000 nodes, {} h, seed {}",
+        config.day_hours, config.seed
     );
     let registry = opts.metrics.as_ref().map(|_| btcpart::obs::Registry::new());
     let report = bp_bench::scale::run_huge(&config, registry.as_ref());

@@ -75,6 +75,9 @@ where
         .map_err(|e| format!("invalid value for {flag}: {raw} ({e})"))
 }
 
+/// Upper bound of `--hours`: one simulated year.
+const MAX_HOURS: u64 = 8760;
+
 /// Parses `repro` arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     // Phase 1: presets. `--quick` selects the base config no matter
@@ -125,29 +128,14 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 huge = false;
                 config.scale = scale;
             }
-            "--shards" => {
-                let n: usize = parse_value(arg, iter.next())?;
-                // Mirrors the NetConfig::validate bound so the error
-                // surfaces at parse time, not minutes into a run.
-                if n == 0 || n > 4096 {
-                    return Err(format!("--shards must be in 1..=4096, got {n}"));
-                }
-                config.shards = n;
-            }
-            "--net-threads" => {
-                let n: usize = parse_value(arg, iter.next())?;
-                // Mirrors the NetConfig::validate bound so the error
-                // surfaces at parse time, not minutes into a run.
-                if n == 0 || n > 4096 {
-                    return Err(format!("--net-threads must be in 1..=4096, got {n}"));
-                }
-                config.net_threads = n;
-            }
             "--seed" => config.seed = parse_value(arg, iter.next())?,
             "--hours" => {
                 let hours: u64 = parse_value(arg, iter.next())?;
-                if hours == 0 {
-                    return Err("--hours must be at least 1".to_string());
+                // At most one simulated year: the pipeline multiplies
+                // hours into seconds and minutes, so an unbounded value
+                // would overflow there instead of failing here.
+                if !(1..=MAX_HOURS).contains(&hours) {
+                    return Err(format!("--hours must be in 1..={MAX_HOURS}, got {hours}"));
                 }
                 config.day_hours = hours;
                 config.general_hours = hours * 2;
@@ -227,13 +215,11 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 
 /// Every flag `repro` understands, in display order. [`usage`] lists all
 /// of them; a test pins the two in sync with the parser.
-pub const FLAGS: [&str; 21] = [
+pub const FLAGS: [&str; 19] = [
     "--quick",
     "--scale",
     "--seed",
     "--hours",
-    "--shards",
-    "--net-threads",
     "--jobs",
     "--timings",
     "--metrics",
@@ -255,8 +241,8 @@ pub const FLAGS: [&str; 21] = [
 pub fn usage() -> String {
     format!(
         "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro [--quick] [--scale F|huge] [--seed S] [--hours H] [--shards N]\n\
-         \x20             [--net-threads N] [--jobs N] [--timings] [--metrics DIR] [--trace DIR]\n\
+         usage: repro [--quick] [--scale F|huge] [--seed S] [--hours H] [--jobs N]\n\
+         \x20             [--timings] [--metrics DIR] [--trace DIR]\n\
          \x20             [--cache DIR] [--detect DIR] [--detect-matrix]\n\
          \x20             [--serve PORT | --serve-bench]\n\
          \x20             [--serve-conns N] [--serve-mode open|closed]\n\
@@ -267,13 +253,7 @@ pub fn usage() -> String {
          \x20              or 'huge' for the million-node gossip throughput bench\n\
          \x20              (writes scale_gossip.csv; BENCH gains a `scale` section)\n\
          --seed S       snapshot / simulation seed\n\
-         --hours H      one-day crawl hours (the general crawl gets 2×H)\n\
-         --shards N     calendar-wheel shards in 1..=4096 (default 1); output is\n\
-         \x20              byte-identical at any value\n\
-         --net-threads N  conservative-window simulation workers in 1..=4096\n\
-         \x20              (default 1 = the classic serial drain); workers drain\n\
-         \x20              whole shards, so pair with --shards >= N; output is\n\
-         \x20              byte-identical at any value\n\
+         --hours H      one-day crawl hours in 1..={MAX_HOURS} (the general crawl gets 2×H)\n\
          --jobs N       worker threads (default: one per core; output is identical)\n\
          --timings      print per-job wall times and write timings.csv to --out\n\
          --metrics DIR  write metrics.json, metrics.csv and BENCH_pipeline.json\n\
@@ -413,9 +393,7 @@ mod tests {
         for flag in FLAGS {
             let args = match flag {
                 "--scale" => argv(&[flag, "0.5"]),
-                "--seed" | "--hours" | "--jobs" | "--shards" | "--net-threads" => {
-                    argv(&[flag, "1"])
-                }
+                "--seed" | "--hours" | "--jobs" => argv(&[flag, "1"]),
                 "--metrics" | "--trace" | "--cache" | "--detect" | "--out" | "--serve-out" => {
                     argv(&[flag, "dir"])
                 }
@@ -441,51 +419,16 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses_and_validates() {
-        let opts = parse_args(&argv(&["--quick", "--shards", "8", "all"])).unwrap();
-        assert_eq!(opts.config.shards, 8);
-        // Default: the unsharded wheel.
-        assert_eq!(parse_args(&argv(&["all"])).unwrap().config.shards, 1);
-        // The NetConfig bound is enforced at parse time, naming the flag.
-        for bad in ["0", "4097"] {
-            let err = parse_args(&argv(&["--shards", bad])).unwrap_err();
-            assert!(
-                err.contains("--shards") && err.contains("1..=4096"),
-                "{err}"
-            );
+    fn hours_are_bounded_at_parse_time() {
+        let opts = parse_args(&argv(&["--hours", "8760", "all"])).unwrap();
+        assert_eq!(opts.config.day_hours, MAX_HOURS);
+        assert_eq!(opts.config.general_hours, 2 * MAX_HOURS);
+        // Values the pipeline would overflow on fail here instead,
+        // naming the flag and the range.
+        for bad in ["0", "8761", "18446744073709551615"] {
+            let err = parse_args(&argv(&["--hours", bad, "all"])).unwrap_err();
+            assert!(err.contains("--hours") && err.contains("1..=8760"), "{err}");
         }
-        assert!(parse_args(&argv(&["--shards"])).is_err());
-    }
-
-    #[test]
-    fn net_threads_flag_parses_and_validates() {
-        let opts = parse_args(&argv(&["--quick", "--net-threads", "8", "all"])).unwrap();
-        assert_eq!(opts.config.net_threads, 8);
-        // Default: the classic serial drain.
-        assert_eq!(parse_args(&argv(&["all"])).unwrap().config.net_threads, 1);
-        // The NetConfig bound is enforced at parse time, naming the flag.
-        for bad in ["0", "4097"] {
-            let err = parse_args(&argv(&["--net-threads", bad])).unwrap_err();
-            assert!(
-                err.contains("--net-threads") && err.contains("1..=4096"),
-                "{err}"
-            );
-        }
-        assert!(parse_args(&argv(&["--net-threads"])).is_err());
-        // Composes with --shards and --scale huge for the CI identity
-        // and throughput checks.
-        let opts = parse_args(&argv(&[
-            "--scale",
-            "huge",
-            "--shards",
-            "8",
-            "--net-threads",
-            "8",
-        ]))
-        .unwrap();
-        assert!(opts.huge);
-        assert_eq!(opts.config.shards, 8);
-        assert_eq!(opts.config.net_threads, 8);
     }
 
     #[test]
@@ -502,10 +445,6 @@ mod tests {
         assert_eq!(opts.config.scale, 0.5);
         let opts = parse_args(&argv(&["--scale", "0.5", "--scale", "huge"])).unwrap();
         assert!(opts.huge);
-        // Composes with --shards for the CI identity check.
-        let opts = parse_args(&argv(&["--scale", "huge", "--shards", "8"])).unwrap();
-        assert!(opts.huge);
-        assert_eq!(opts.config.shards, 8);
     }
 
     #[test]

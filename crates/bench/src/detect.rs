@@ -13,7 +13,7 @@
 //! cadence (60 s sample ticks after the standard 1,200 s warmup), with
 //! the cut applied at ¼ of the run and healed at ¾. The whole harness
 //! is deterministic: same config → byte-identical CSV and per-scenario
-//! `trace_<name>.bin` files at any `--shards` value.
+//! `trace_<name>.bin` files.
 
 use crate::{measurement_lab, ReproConfig};
 use bp_detect::score::{roc_rows, ROC_HEADER};
@@ -84,7 +84,7 @@ pub fn run_scenario(config: &ReproConfig, name: &str) -> Vec<TraceRecord> {
 
 /// Applies the named cut. Group assignments are pure functions of the
 /// node→AS join and the simulation's own gateway flags, so the
-/// partition shape is identical across shard counts.
+/// partition shape is deterministic.
 fn apply_cut(sim: &mut Simulation, index: &AsSlotIndex, name: &str) {
     match name {
         // A half split along AS-slot parity — the paper's wide
@@ -258,15 +258,5 @@ mod tests {
     #[ignore = "diagnostic dump"]
     fn probe_tiny_matrix() {
         println!("{}", run_detect_matrix(&tiny()).csv);
-    }
-
-    #[test]
-    fn matrix_is_shard_invariant() {
-        let base = tiny();
-        let sharded = ReproConfig { shards: 4, ..base };
-        let a = run_detect_matrix(&base);
-        let b = run_detect_matrix(&sharded);
-        assert_eq!(a.csv, b.csv);
-        assert_eq!(a.traces, b.traces);
     }
 }

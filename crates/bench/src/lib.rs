@@ -34,17 +34,6 @@ pub struct ReproConfig {
     /// Simulated hours behind the one-day crawls (Figure 6(b), Figure 8,
     /// Tables V and VII).
     pub day_hours: u64,
-    /// Calendar-wheel shard count threaded into every simulation
-    /// (`repro --shards N`). Pure mechanism: artifacts, metrics and
-    /// traces are byte-identical at any value, which is why this field
-    /// is deliberately absent from the artifact-cache keys — a warm
-    /// cache hits across shard counts.
-    pub shards: usize,
-    /// Conservative-window worker count threaded into every simulation
-    /// (`repro --net-threads N`). Pure mechanism, exactly like `shards`:
-    /// artifacts, metrics and traces are byte-identical at any value, so
-    /// this field is likewise absent from the artifact-cache keys.
-    pub net_threads: usize,
 }
 
 impl ReproConfig {
@@ -55,8 +44,6 @@ impl ReproConfig {
             seed: 20_180_228,
             general_hours: 48,
             day_hours: 24,
-            shards: 1,
-            net_threads: 1,
         }
     }
 
@@ -67,8 +54,6 @@ impl ReproConfig {
             seed: 20_180_228,
             general_hours: 4,
             day_hours: 2,
-            shards: 1,
-            net_threads: 1,
         }
     }
 }
@@ -81,20 +66,12 @@ pub fn measurement_net_config(seed: u64) -> NetConfig {
     }
 }
 
-/// Builds a lab with the measurement network profile. The shard and
-/// worker counts ride along into the simulation's event queue;
-/// everything the lab computes is byte-identical at any
-/// `config.shards` / `config.net_threads`.
+/// Builds a lab with the measurement network profile.
 pub fn measurement_lab(config: &ReproConfig) -> Lab {
-    let net = NetConfig {
-        shards: config.shards,
-        net_threads: config.net_threads,
-        ..measurement_net_config(config.seed.wrapping_add(1))
-    };
     Scenario::new()
         .scale(config.scale)
         .seed(config.seed)
-        .net_config(net)
+        .net_config(measurement_net_config(config.seed.wrapping_add(1)))
         .build()
 }
 
@@ -277,10 +254,13 @@ pub fn generate_cached(
 /// null for every run but `repro --serve-bench` — which in turn has no
 /// task DAG, so its `report` and `scale` are null.
 ///
-/// pipeline-v7: adds the top-level `net_threads` field (the
-/// conservative-window worker count behind `repro --net-threads`) and
-/// the `threads` / `events_per_sec_per_thread` fields inside the
-/// `scale` section.
+/// pipeline-v7: added a top-level simulation worker count next to the
+/// shard count, and per-thread fields inside the `scale` section.
+///
+/// pipeline-v8: drops the shard and worker counts again, top level and
+/// in the `scale` section (the simulator runs one serial event queue),
+/// and adds `nproc`, the host's available parallelism, so every record
+/// names its core count.
 pub fn bench_json(
     profile: &str,
     config: &ReproConfig,
@@ -290,12 +270,11 @@ pub fn bench_json(
     serve: Option<&serve::ServeReport>,
 ) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"schema\": \"bp-bench/pipeline-v7\",\n");
+    let mut out = String::from("{\n  \"schema\": \"bp-bench/pipeline-v8\",\n");
     let _ = writeln!(out, "  \"profile\": \"{profile}\",");
     let _ = writeln!(out, "  \"scale_factor\": {},", config.scale);
     let _ = writeln!(out, "  \"seed\": {},", config.seed);
-    let _ = writeln!(out, "  \"shards\": {},", config.shards);
-    let _ = writeln!(out, "  \"net_threads\": {},", config.net_threads);
+    let _ = writeln!(out, "  \"nproc\": {},", pipeline::default_jobs());
     match scale {
         None => out.push_str("  \"scale\": null,\n"),
         Some(s) => {

@@ -5,12 +5,8 @@
 //! drives it straight through `hours` of simulated gossip, reporting
 //! wall-clock throughput (events/sec), the peak resident set, and a
 //! deterministic per-hour progress artifact (`scale_gossip.csv`). Every
-//! simulation-derived number is byte-identical at any shard or
-//! `net_threads` count — only the wall-time and RSS figures vary run to
-//! run — which is what the CI shard-identity and thread-identity checks
-//! pin. The CSV's trailing `threads` column is a deliberate config echo
-//! (it records which worker count produced the timing figures); the
-//! simulation-derived columns to its left never move.
+//! simulation-derived number is seed-deterministic — only the wall-time
+//! and RSS figures vary run to run.
 
 use crate::ReproConfig;
 use btcpart::mining::PoolCensus;
@@ -20,18 +16,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Result of one scale-bench run: the simulation-derived figures (all
-/// shard-invariant and seed-deterministic) plus the measured wall time
-/// and peak RSS (which are not).
+/// seed-deterministic) plus the measured wall time and peak RSS (which
+/// are not).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleReport {
     /// Nodes in the generated snapshot.
     pub nodes: usize,
     /// Participating (up) nodes in the simulation.
     pub participants: usize,
-    /// Calendar-wheel shards the run used.
-    pub shards: usize,
-    /// Conservative-window workers the run used (`--net-threads`).
-    pub threads: usize,
     /// Simulated hours of gossip.
     pub hours: u64,
     /// Events scheduled by the simulation (gossip volume).
@@ -40,10 +32,6 @@ pub struct ScaleReport {
     pub wall_ms: f64,
     /// Throughput: events scheduled per wall-clock second.
     pub events_per_sec: f64,
-    /// [`events_per_sec`](Self::events_per_sec) divided by the worker
-    /// count — the parallel-efficiency figure the BENCH scale section
-    /// tracks across thread counts.
-    pub events_per_sec_per_thread: f64,
     /// Peak resident set (`VmHWM`) in MiB; 0 where unavailable.
     pub rss_peak_mb: u64,
     /// Peak RSS sampled after each simulated hour — the growth trend
@@ -62,28 +50,24 @@ impl ScaleReport {
     /// [`bench_json`](crate::bench_json).
     pub fn json_section(&self) -> String {
         format!(
-            "{{\"nodes\": {}, \"participants\": {}, \"shards\": {}, \"threads\": {}, \
-             \"hours\": {}, \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.1}, \
-             \"events_per_sec_per_thread\": {:.1}, \
+            "{{\"nodes\": {}, \"participants\": {}, \"hours\": {}, \"events\": {}, \
+             \"wall_ms\": {:.3}, \"events_per_sec\": {:.1}, \
              \"rss_peak_mb\": {}, \"memory_budget_mb\": {}}}",
             self.nodes,
             self.participants,
-            self.shards,
-            self.threads,
             self.hours,
             self.events,
             self.wall_ms,
             self.events_per_sec,
-            self.events_per_sec_per_thread,
             self.rss_peak_mb,
             self.memory_budget_mb
         )
     }
 }
 
-/// Runs the million-node bench with the repro seed, day-hours and shard
-/// count. `reg` (from `repro --metrics`) receives the simulation's
-/// counters under `net.scale`.
+/// Runs the million-node bench with the repro seed and day-hours. `reg`
+/// (from `repro --metrics`) receives the simulation's counters under
+/// `net.scale`.
 pub fn run_huge(config: &ReproConfig, reg: Option<&bp_obs::Registry>) -> ScaleReport {
     run_profile(
         SnapshotConfig::huge().with_seed(config.seed),
@@ -107,8 +91,6 @@ pub fn run_profile(
     let snapshot = Snapshot::generate(snap_config);
     let net = NetConfig {
         seed: config.seed.wrapping_add(1),
-        shards: config.shards,
-        net_threads: config.net_threads,
         sampling: SamplingMode::PartialShuffle,
         ..NetConfig::paper()
     };
@@ -116,7 +98,7 @@ pub fn run_profile(
     let mut sim = Simulation::new(&snapshot, &census, net);
     let participants = sim.node_count();
 
-    let mut csv = String::from("hour,network_best,blocks_mined,stale_forks,events,threads\n");
+    let mut csv = String::from("hour,network_best,blocks_mined,stale_forks,events\n");
     let mut rss_hourly_mb = Vec::with_capacity(config.day_hours as usize);
     let start = Instant::now();
     for hour in 1..=config.day_hours {
@@ -124,12 +106,11 @@ pub fn run_profile(
         let stats = sim.stats();
         let _ = writeln!(
             csv,
-            "{hour},{},{},{},{},{}",
+            "{hour},{},{},{},{}",
             sim.network_best().0,
             stats.blocks_mined,
             stats.stale_forks,
             sim.queue_stats().scheduled,
-            config.net_threads,
         );
         rss_hourly_mb.push(peak_rss_mb());
     }
@@ -144,13 +125,10 @@ pub fn run_profile(
     ScaleReport {
         nodes: snapshot.node_count(),
         participants,
-        shards: config.shards,
-        threads: config.net_threads,
         hours: config.day_hours,
         events,
         wall_ms,
         events_per_sec,
-        events_per_sec_per_thread: events_per_sec / config.net_threads.max(1) as f64,
         rss_peak_mb: peak_rss_mb(),
         rss_hourly_mb,
         memory_budget_mb: profile.memory_budget_mb(),
@@ -181,7 +159,7 @@ pub fn peak_rss_mb() -> u64 {
 mod tests {
     use super::*;
 
-    fn tiny_threaded(shards: usize, threads: usize) -> ScaleReport {
+    fn tiny() -> ScaleReport {
         let snap = SnapshotConfig {
             scale: 0.015,
             tail_as_count: 30,
@@ -191,60 +169,23 @@ mod tests {
         };
         let config = ReproConfig {
             day_hours: 1,
-            shards,
-            net_threads: threads,
             ..ReproConfig::quick()
         };
         run_profile(snap, ScaleProfile::Quick, &config, None)
     }
 
-    fn tiny(shards: usize) -> ScaleReport {
-        tiny_threaded(shards, 1)
-    }
-
-    #[test]
-    fn report_is_shard_invariant_where_it_must_be() {
-        let one = tiny(1);
-        let four = tiny(4);
-        assert_eq!(one.csv, four.csv);
-        assert_eq!(one.events, four.events);
-        assert_eq!(one.nodes, four.nodes);
-        assert_eq!(one.participants, four.participants);
-        assert!(one.events > 0);
-        assert!(one.events_per_sec > 0.0);
-        assert_eq!(four.shards, 4);
-    }
-
-    #[test]
-    fn report_is_thread_invariant_outside_the_config_echo() {
-        let serial = tiny_threaded(4, 1);
-        let threaded = tiny_threaded(4, 2);
-        // The trailing `threads` column is the only thing allowed to
-        // move: strip it and the per-hour rows must match byte for byte.
-        let strip = |csv: &str| -> Vec<String> {
-            csv.lines()
-                .map(|l| l.rsplit_once(',').expect("threads column").0.to_string())
-                .collect()
-        };
-        assert_eq!(strip(&serial.csv), strip(&threaded.csv));
-        assert_eq!(serial.events, threaded.events);
-        assert_eq!(threaded.threads, 2);
-        assert!(
-            (threaded.events_per_sec_per_thread - threaded.events_per_sec / 2.0).abs() < 1e-6,
-            "per-thread throughput should be events_per_sec / threads"
-        );
-    }
-
     #[test]
     fn csv_has_one_row_per_hour_plus_header() {
-        let r = tiny(2);
+        let r = tiny();
         assert_eq!(r.csv.lines().count(), 1 + r.hours as usize);
         assert!(r.csv.starts_with("hour,network_best,"));
+        assert!(r.events > 0);
+        assert!(r.events_per_sec > 0.0);
     }
 
     #[test]
     fn json_section_carries_the_budget_and_throughput() {
-        let r = tiny(1);
+        let r = tiny();
         let json = r.json_section();
         assert!(json.contains("\"events_per_sec\": "));
         assert!(json.contains(&format!(

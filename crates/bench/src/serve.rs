@@ -56,9 +56,10 @@ pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
 
 /// The serve-query cache-key function for `config`: the artifact-cache
 /// [`KeyBuilder`] over the schema tag, crate version, the substrate
-/// configuration, and the canonical query encoding. The shard count is
-/// deliberately absent — responses are byte-identical at any value, so
-/// a warm store hits across shard counts, exactly like the task cache.
+/// configuration, and the canonical query encoding. The worker count
+/// is deliberately absent — responses are byte-identical at any value,
+/// so a warm store hits across worker counts, exactly like the task
+/// cache.
 pub fn serve_key_fn(config: &ReproConfig) -> impl Fn(&Query) -> u128 + Send + Sync + 'static {
     let config = *config;
     move |query: &Query| {
@@ -302,16 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_keys_distinguish_configs_but_not_shards() {
+    fn serve_keys_distinguish_configs() {
         let q = Query::PartitionCost { target_as: 24940 };
         let base = tiny();
         let key = serve_key_fn(&base)(&q);
-        let resharded = ReproConfig { shards: 8, ..base };
-        assert_eq!(
-            key,
-            serve_key_fn(&resharded)(&q),
-            "shards leaked into the key"
-        );
         let rescaled = ReproConfig {
             scale: 0.03,
             ..base

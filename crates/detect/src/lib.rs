@@ -13,8 +13,8 @@
 //!
 //! Everything is integer / fixed-point arithmetic over an already
 //! deterministic record stream, so the alert stream is byte-identical at
-//! any `--jobs`/`--shards` and between the online tap and offline
-//! replay. Detectors emit alerts as ordinary trace records
+//! any `--jobs` and between the online tap and offline replay. Detectors
+//! emit alerts as ordinary trace records
 //! ([`bp_obs::trace::TraceCategory::Detect`] kinds), so every existing
 //! trace tool (summary, filter, diff, jsonl) works on alert streams too.
 //!

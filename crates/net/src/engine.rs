@@ -5,22 +5,16 @@
 //! ordering of simultaneous events deterministic, which keeps whole
 //! simulations reproducible from a seed.
 //!
-//! Three queue implementations share that contract:
+//! Two queue implementations share that contract:
 //!
-//! * [`EventQueue`] — the production single-wheel queue, a bucketed
-//!   calendar (timing wheel). Scheduling appends to a per-slot bucket in
-//!   O(1); a bucket is sorted once when the clock reaches its slot, so
-//!   the per-event cost is a small sort share instead of a `log n` heap
-//!   walk over hundreds of thousands of pending events (the measured
-//!   high-water mark of a paper-profile crawl is ≈300 k).
-//! * [`ShardedQueue`] — N calendar wheels, one per node-range shard,
-//!   merged at pop time into exactly the `(time, seq)` order of the
-//!   single wheel. Conservative lookahead (the minimum link latency)
-//!   keeps the merge cheap: cross-shard arrivals cannot land closer than
-//!   `now + lookahead`, so a cached pop boundary survives long pop runs
-//!   from one shard before another shard has to be consulted.
+//! * [`EventQueue`] — the production queue, a bucketed calendar (timing
+//!   wheel). Scheduling appends to a per-slot bucket in O(1); a bucket is
+//!   sorted once when the clock reaches its slot, so the per-event cost
+//!   is a small sort share instead of a `log n` heap walk over hundreds
+//!   of thousands of pending events (the measured high-water mark of a
+//!   paper-profile crawl is ≈300 k).
 //! * [`HeapQueue`] — the original binary-heap queue, kept as the reference
-//!   model. The property tests drive all implementations with identical
+//!   model. The property tests drive both implementations with identical
 //!   schedules and assert the pop sequences match exactly.
 
 use std::cmp::Reverse;
@@ -324,13 +318,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.schedule_keyed(at, seq, event);
-    }
-
-    /// Core insert with a caller-assigned sequence number; `at` must
-    /// already be clamped to the owning clock. [`ShardedQueue`] routes
-    /// through this so every shard shares one global `(time, seq)` space.
-    fn schedule_keyed(&mut self, at: SimTime, seq: u64, event: E) {
         self.len += 1;
         self.stats.scheduled += 1;
         let slot = slot_of(at);
@@ -434,21 +421,14 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self` because the calendar positions itself lazily;
     /// the observable queue state is unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| at)
-    }
-
-    /// The `(time, seq)` key of the next pending event, positioning the
-    /// wheel lazily like [`Self::peek_time`]. The sharded merge compares
-    /// these keys across shards.
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         if self.len == 0 {
             return None;
         }
         self.position();
         if self.next_is_active() {
-            self.active.front().map(|&(at, seq, _)| (at, seq))
+            self.active.front().map(|&(at, _, _)| at)
         } else {
-            self.late.peek().map(|Reverse((at, seq, _))| (*at, *seq))
+            self.late.peek().map(|Reverse((at, _, _))| *at)
         }
     }
 
@@ -458,600 +438,6 @@ impl<E> EventQueue<E> {
     /// `run_for_secs`) measures from the deadline rather than from the
     /// last event — otherwise simulated time stalls whenever events are
     /// sparse.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
-
-    /// Drains every event strictly below `horizon` into `out`, in the
-    /// exact `(time, seq)` order [`Self::pop`] would yield them,
-    /// advancing the shard clock the same way. The epoch executor calls
-    /// this on every shard concurrently — each shard's sub-horizon run
-    /// is final because handlers only fire *after* the drain.
-    fn drain_below(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, u64, E)>) {
-        while self.len > 0 {
-            if self.active.is_empty() && self.late.is_empty() {
-                // Cheap lower bound on the head without positioning:
-                // wheel events sit strictly beyond the current slot and
-                // the overflow heap is time-ordered. Epochs are narrower
-                // than a calendar slot, so this keeps idle shards O(1)
-                // per epoch instead of walking the ring every window.
-                let bound = if self.wheel_len > 0 {
-                    SimTime((self.cur_slot + 1) << SLOT_SHIFT)
-                } else if let Some(Reverse((t, _, _))) = self.overflow.peek() {
-                    *t
-                } else {
-                    unreachable!("len > 0 with every structure empty");
-                };
-                if bound >= horizon {
-                    return;
-                }
-            }
-            self.position();
-            let head_time = if self.next_is_active() {
-                self.active.front().expect("positioned").0
-            } else {
-                self.late.peek().expect("positioned").0 .0
-            };
-            if head_time >= horizon {
-                return;
-            }
-            let entry = if self.next_is_active() {
-                self.active.pop_front().expect("positioned")
-            } else {
-                let Reverse((at, seq, EventBox(event))) = self.late.pop().expect("positioned");
-                (at, seq, event)
-            };
-            self.len -= 1;
-            self.now = entry.0;
-            out.push(entry);
-        }
-    }
-}
-
-/// A payload-free replica of the [`EventQueue`] slot state machine.
-///
-/// A [`ShardedQueue`] classifies each event against its own shard's
-/// wheel, so the per-shard `late`/`wheel`/`overflow` splits depend on the
-/// shard count — but the exported `net.*.queue.*` counters are part of
-/// the deterministic metrics surface and must stay byte-identical to the
-/// unsharded wheel at any `--shards N`. The shadow runs the single-wheel
-/// classifier over the global (shard-invariant) schedule/position/pop
-/// sequence, tracking only per-slot occupancy counts, and yields exactly
-/// the [`QueueStats`] the unsharded [`EventQueue`] would have produced.
-#[derive(Debug)]
-struct ShadowWheel {
-    /// Occupancy of each ring slot (events the single wheel would hold).
-    counts: Vec<u32>,
-    /// Events the single wheel would keep in `active` + `late`.
-    near: usize,
-    /// Events in wheel buckets (mirror of `EventQueue::wheel_len`).
-    wheel_len: usize,
-    /// Times of events beyond the horizon (payload-free overflow heap;
-    /// cascade counting and the empty-wheel jump only need times).
-    overflow: BinaryHeap<Reverse<SimTime>>,
-    cur_slot: u64,
-    stats: QueueStats,
-}
-
-impl ShadowWheel {
-    fn new() -> Self {
-        Self {
-            counts: vec![0; SLOT_COUNT as usize],
-            near: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            cur_slot: 0,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Mirror of [`EventQueue::schedule`] classification; `at` must
-    /// already be clamped to the global clock.
-    fn on_schedule(&mut self, at: SimTime) {
-        self.stats.scheduled += 1;
-        let slot = slot_of(at);
-        if slot <= self.cur_slot {
-            self.stats.late += 1;
-            self.near += 1;
-        } else if slot < self.cur_slot + SLOT_COUNT {
-            self.stats.wheel += 1;
-            self.wheel_len += 1;
-            self.counts[(slot % SLOT_COUNT) as usize] += 1;
-        } else {
-            self.stats.overflow += 1;
-            self.overflow.push(Reverse(at));
-        }
-    }
-
-    /// Mirror of [`EventQueue::position`]: advance `cur_slot`, cascading
-    /// overflow and adopting buckets, until a poppable event is near.
-    /// Caller must ensure at least one event is pending.
-    fn position(&mut self) {
-        while self.near == 0 {
-            self.cur_slot += 1;
-            if self.wheel_len == 0 {
-                if let Some(Reverse(t)) = self.overflow.peek() {
-                    self.cur_slot = self.cur_slot.max(slot_of(*t));
-                }
-            }
-            while let Some(Reverse(t)) = self.overflow.peek() {
-                if slot_of(*t) >= self.cur_slot + SLOT_COUNT {
-                    break;
-                }
-                let Reverse(t) = self.overflow.pop().expect("peeked");
-                self.stats.cascaded += 1;
-                self.wheel_len += 1;
-                self.counts[(slot_of(t) % SLOT_COUNT) as usize] += 1;
-            }
-            let bucket = &mut self.counts[(self.cur_slot % SLOT_COUNT) as usize];
-            if *bucket > 0 {
-                self.near += *bucket as usize;
-                self.wheel_len -= *bucket as usize;
-                *bucket = 0;
-            }
-        }
-    }
-
-    fn on_pop(&mut self) {
-        self.near -= 1;
-    }
-}
-
-/// Merge-layer diagnostics of a [`ShardedQueue`].
-///
-/// These depend on the shard count (they describe how much work the
-/// merge did, not what the simulation computed), so the simulator
-/// exports them as *volatile* counters, excluded from the deterministic
-/// metrics surface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Head reads served from the cached `(active, boundary)` pair.
-    pub fast: u64,
-    /// Full head rescans across every shard.
-    pub rescans: u64,
-    /// Cross-shard schedules that undercut the cached boundary and
-    /// shrank it (forcing an earlier rescan than the cache hoped for).
-    pub shrinks: u64,
-    /// Cross-shard schedules that landed inside `now + lookahead` —
-    /// violations of the conservative-lookahead contract. Zero whenever
-    /// every cross-shard delay honours the configured minimum latency.
-    /// Under the epoch executor this counts reinjections: mid-epoch
-    /// schedules that undercut the open horizon and took the serialized
-    /// slow path.
-    pub horizon_breaches: u64,
-    /// Conservative-window epochs opened by [`ShardedQueue::begin_epoch`]
-    /// (the parallel executor; zero under the classic serial drain).
-    pub epochs: u64,
-}
-
-/// N [`EventQueue`] wheels (one per node-range shard) merged into the
-/// exact global `(time, seq)` pop order of a single wheel.
-///
-/// Scheduling stamps each event with a *global* sequence number and
-/// routes it to its target's shard, where the per-shard calendar wheel
-/// files it in O(1). Popping takes the minimum head key across shards —
-/// but not by scanning every shard per pop: a rescan caches the winning
-/// shard plus a `boundary` (the runner-up head key), and subsequent pops
-/// stay inside the cached shard while its head is ≤ the boundary. The
-/// cache is kept *exact* (not heuristic) by shrinking the boundary
-/// whenever a schedule lands in a non-active shard below it; the
-/// conservative lookahead — the minimum cross-shard link latency,
-/// passed by the simulator — is what makes those shrinks rare, because
-/// a cross-shard arrival cannot land below `now + lookahead`. Each
-/// shard's wheel therefore positions/sorts independently of the others
-/// up to that horizon, which is what lets shards advance in parallel
-/// without ever breaking the single-wheel pop order.
-///
-/// The exported [`QueueStats`] come from a count-only shadow wheel
-/// driven by the shard-invariant global op sequence, so `stats()` is
-/// byte-identical to the unsharded [`EventQueue`] for any shard count.
-#[derive(Debug)]
-pub struct ShardedQueue<E> {
-    shards: Vec<EventQueue<E>>,
-    now: SimTime,
-    len: usize,
-    seq: u64,
-    lookahead_ms: u64,
-    shadow: ShadowWheel,
-    /// Shard the merge is currently draining.
-    active: usize,
-    /// Upper bound `(time, seq)` on keys poppable from `active` without
-    /// consulting the other shards (the runner-up head at last rescan,
-    /// shrunk by any cross-shard schedule that lands below it).
-    boundary: (SimTime, u64),
-    /// Whether `active`/`boundary` are valid.
-    batch: bool,
-    merge: MergeStats,
-    epoch: EpochState<E>,
-}
-
-/// Retention threshold for the per-shard epoch buffers, mirroring the
-/// wheel's [`SLOT_RETAIN_CAP`] policy: steady-state buffers keep their
-/// allocation across epochs, mega-wave footprints are released when the
-/// buffer drains. Epoch buffers are per *shard*, not per ring slot, so
-/// the threshold can be far more generous than the wheel's.
-const EPOCH_RETAIN_CAP: usize = 64 * 1024;
-
-/// In-flight state of one conservative-window epoch (see
-/// [`ShardedQueue::begin_epoch`]). The buffers persist across epochs so
-/// steady-state windows allocate nothing.
-#[derive(Debug)]
-struct EpochState<E> {
-    on: bool,
-    horizon: SimTime,
-    /// Per-shard drained runs, sorted *descending* by `(time, seq)` so
-    /// the merge head is `last()` and popping it moves the payload out
-    /// in O(1); empty between epochs.
-    runs: Vec<Vec<(SimTime, u64, E)>>,
-    /// Per-shard events scheduled mid-epoch at or beyond the horizon,
-    /// bulk-inserted into the shard wheels at the barrier commit.
-    staged: Vec<Vec<(SimTime, u64, E)>>,
-    /// Events scheduled mid-epoch *below* the horizon — breaches of the
-    /// conservative-lookahead promise. They join the live merge (the
-    /// serialized slow path) so the pop order stays exact for any delay
-    /// pattern; the wheels stay untouched until the commit.
-    reinject: BinaryHeap<Reverse<(SimTime, u64, EventBox<E>)>>,
-}
-
-impl<E> EpochState<E> {
-    fn new(shards: usize) -> Self {
-        Self {
-            on: false,
-            horizon: SimTime::ZERO,
-            runs: (0..shards).map(|_| Vec::new()).collect(),
-            staged: (0..shards).map(|_| Vec::new()).collect(),
-            reinject: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> ShardedQueue<E> {
-    /// Creates an empty queue of `shards` wheels at time zero.
-    ///
-    /// `lookahead_ms` is the conservative lookahead: the caller promises
-    /// cross-shard events are scheduled at least this far in the future
-    /// (the simulator passes its minimum link latency). The merge stays
-    /// exact even when the promise is broken — breaches only cost merge
-    /// efficiency and are counted in [`MergeStats::horizon_breaches`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize, lookahead_ms: u64) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        Self {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-            now: SimTime::ZERO,
-            len: 0,
-            seq: 0,
-            lookahead_ms,
-            shadow: ShadowWheel::new(),
-            active: 0,
-            boundary: (SimTime(u64::MAX), u64::MAX),
-            batch: false,
-            merge: MergeStats::default(),
-            epoch: EpochState::new(shards),
-        }
-    }
-
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured conservative lookahead in milliseconds.
-    pub fn lookahead_ms(&self) -> u64 {
-        self.lookahead_ms
-    }
-
-    /// Scheduling counters — byte-identical to the single-wheel
-    /// [`EventQueue::stats`] for the same schedule, at any shard count.
-    pub fn stats(&self) -> QueueStats {
-        self.shadow.stats
-    }
-
-    /// Merge-layer diagnostics (shard-count-dependent; volatile).
-    pub fn merge_stats(&self) -> MergeStats {
-        self.merge
-    }
-
-    /// Schedules `event` at absolute time `at` on `shard`.
-    ///
-    /// Events scheduled in the past are clamped to `now` (they fire
-    /// next), exactly as in the unsharded wheel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn schedule(&mut self, at: SimTime, shard: usize, event: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        self.shadow.on_schedule(at);
-        if self.epoch.on {
-            if at < self.epoch.horizon {
-                // Lookahead-promise breach: the event lands inside the
-                // open window, so it joins the live merge instead of the
-                // barrier commit — exact order, serialized slow path.
-                self.merge.horizon_breaches += 1;
-                self.epoch
-                    .reinject
-                    .push(Reverse((at, seq, EventBox(event))));
-            } else {
-                self.epoch.staged[shard].push((at, seq, event));
-            }
-            return;
-        }
-        if shard != self.active {
-            if at.0 < self.now.0 + self.lookahead_ms {
-                self.merge.horizon_breaches += 1;
-            }
-            if self.batch && (at, seq) < self.boundary {
-                self.merge.shrinks += 1;
-                self.boundary = (at, seq);
-            }
-        }
-        self.shards[shard].schedule_keyed(at, seq, event);
-    }
-
-    /// Schedules `event` on `shard`, `delay_ms` milliseconds from now.
-    pub fn schedule_in(&mut self, delay_ms: u64, shard: usize, event: E) {
-        self.schedule(self.now + delay_ms, shard, event);
-    }
-
-    /// The key of the globally next event, refreshing the batch cache if
-    /// needed. Caller must ensure `len > 0`.
-    fn head_key(&mut self) -> (SimTime, u64) {
-        if self.batch {
-            if let Some(key) = self.shards[self.active].peek_key() {
-                if key <= self.boundary {
-                    self.merge.fast += 1;
-                    return key;
-                }
-            }
-        }
-        self.rescan()
-    }
-
-    /// Scans every shard head: the minimum becomes the active shard, the
-    /// runner-up becomes the pop boundary. Exact for any event pattern —
-    /// pops only drain the active shard, and any schedule that could
-    /// undercut the boundary shrinks it on the spot.
-    fn rescan(&mut self) -> (SimTime, u64) {
-        self.merge.rescans += 1;
-        let mut best: Option<((SimTime, u64), usize)> = None;
-        let mut runner_up = (SimTime(u64::MAX), u64::MAX);
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let Some(key) = shard.peek_key() else {
-                continue;
-            };
-            match &mut best {
-                Some((bk, bi)) => {
-                    if key < *bk {
-                        runner_up = *bk;
-                        (*bk, *bi) = (key, i);
-                    } else if key < runner_up {
-                        runner_up = key;
-                    }
-                }
-                None => best = Some((key, i)),
-            }
-        }
-        let (key, idx) = best.expect("len > 0 implies a non-empty shard");
-        self.active = idx;
-        self.boundary = runner_up;
-        self.batch = true;
-        key
-    }
-
-    /// Pops the globally next event, advancing the clock to its time.
-    ///
-    /// Inside an open epoch (between [`Self::begin_epoch`] and
-    /// [`Self::commit_epoch`]) this yields only events strictly below
-    /// the horizon — `None` once the epoch is exhausted, even when
-    /// later events remain in the wheels.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.epoch.on {
-            return self.epoch_pop();
-        }
-        self.shadow.position();
-        let (at, _) = self.head_key();
-        let (popped_at, event) = self.shards[self.active].pop().expect("head_key found it");
-        debug_assert_eq!(popped_at, at);
-        self.len -= 1;
-        self.now = popped_at;
-        self.shadow.on_pop();
-        Some((popped_at, event))
-    }
-
-    /// Opens a conservative-window epoch: every event strictly below
-    /// `horizon` is drained out of the shard wheels — by `workers`
-    /// scoped threads, one contiguous shard range each — into per-shard
-    /// sorted runs, parallelizing the wheel's positioning, cascade and
-    /// bucket-sort work. Until [`Self::commit_epoch`] closes the epoch,
-    /// [`Self::pop`] merges those runs (plus any mid-epoch reinjections)
-    /// in the global `(time, seq)` order, and [`Self::schedule`] stages
-    /// new events for the barrier commit instead of touching the wheels.
-    /// The pop/schedule stream the caller observes is byte-identical to
-    /// the non-epoch path for any `workers`.
-    ///
-    /// The caller picks `horizon ≤ head_time + lookahead` so that the
-    /// drained runs are final: handlers run only after the drain, and
-    /// anything they schedule inside the open window falls back to the
-    /// serialized reinjection heap (counted in
-    /// [`MergeStats::horizon_breaches`]) rather than corrupting order.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if an epoch is already open.
-    pub fn begin_epoch(&mut self, horizon: SimTime, workers: usize)
-    where
-        E: Send,
-    {
-        debug_assert!(!self.epoch.on, "epoch already open");
-        self.epoch.on = true;
-        self.epoch.horizon = horizon;
-        self.merge.epochs += 1;
-        fn drain<E>(horizon: SimTime, qs: &mut [EventQueue<E>], rs: &mut [Vec<(SimTime, u64, E)>]) {
-            for (q, run) in qs.iter_mut().zip(rs.iter_mut()) {
-                q.drain_below(horizon, run);
-                // Descending, so the merge pops heads off the back.
-                run.reverse();
-            }
-        }
-        let workers = workers.clamp(1, self.shards.len());
-        let chunk = self.shards.len().div_ceil(workers);
-        let runs = &mut self.epoch.runs;
-        if workers == 1 {
-            drain(horizon, &mut self.shards, runs);
-        } else {
-            std::thread::scope(|scope| {
-                let mut chunks = self.shards.chunks_mut(chunk).zip(runs.chunks_mut(chunk));
-                let (head_q, head_r) = chunks.next().expect("at least one shard");
-                for (qs, rs) in chunks {
-                    scope.spawn(move || drain(horizon, qs, rs));
-                }
-                // The first chunk runs on the calling thread.
-                drain(horizon, head_q, head_r);
-            });
-        }
-        // Shard heads moved wholesale; the serial merge cache is stale.
-        self.batch = false;
-    }
-
-    /// Whether the open epoch still has events to pop. Callers drive the
-    /// epoch with `while q.epoch_pending() { q.pop() }` so queue-depth
-    /// sampling can happen at exactly the serial loop's pop points.
-    pub fn epoch_pending(&self) -> bool {
-        debug_assert!(self.epoch.on, "no epoch open");
-        self.epoch_head().is_some()
-    }
-
-    /// Closes the epoch: every staged event is bulk-inserted into its
-    /// shard wheel — by `workers` scoped threads again — under the
-    /// globally-stamped `(time, seq)` keys assigned at schedule time, so
-    /// subsequent pops observe exactly the single-wheel order.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if no epoch is open or epoch events were left
-    /// unpopped.
-    pub fn commit_epoch(&mut self, workers: usize)
-    where
-        E: Send,
-    {
-        debug_assert!(self.epoch.on, "no epoch open");
-        debug_assert!(
-            self.epoch_head().is_none(),
-            "epoch closed with events left unpopped"
-        );
-        self.epoch.on = false;
-        fn commit<E>(qs: &mut [EventQueue<E>], ss: &mut [Vec<(SimTime, u64, E)>]) {
-            for (q, staged) in qs.iter_mut().zip(ss.iter_mut()) {
-                for (at, seq, event) in staged.drain(..) {
-                    q.schedule_keyed(at, seq, event);
-                }
-                if staged.capacity() > EPOCH_RETAIN_CAP {
-                    *staged = Vec::new();
-                }
-            }
-        }
-        let workers = workers.clamp(1, self.shards.len());
-        let chunk = self.shards.len().div_ceil(workers);
-        let staged = &mut self.epoch.staged;
-        if workers == 1 {
-            commit(&mut self.shards, staged);
-        } else {
-            std::thread::scope(|scope| {
-                let mut chunks = self.shards.chunks_mut(chunk).zip(staged.chunks_mut(chunk));
-                let (head_q, head_s) = chunks.next().expect("at least one shard");
-                for (qs, ss) in chunks {
-                    scope.spawn(move || commit(qs, ss));
-                }
-                commit(head_q, head_s);
-            });
-        }
-        for run in &mut self.epoch.runs {
-            debug_assert!(run.is_empty(), "epoch run left undrained");
-            if run.capacity() > EPOCH_RETAIN_CAP {
-                *run = Vec::new();
-            }
-        }
-        self.batch = false;
-    }
-
-    /// The `(time, seq)` head of the open epoch and where it lives:
-    /// `Some(shard)` for a drained run, `None` for the reinjection heap.
-    fn epoch_head(&self) -> Option<((SimTime, u64), Option<usize>)> {
-        let mut best: Option<((SimTime, u64), Option<usize>)> = None;
-        for (i, run) in self.epoch.runs.iter().enumerate() {
-            if let Some(&(at, seq, _)) = run.last() {
-                if best.is_none_or(|(k, _)| (at, seq) < k) {
-                    best = Some(((at, seq), Some(i)));
-                }
-            }
-        }
-        if let Some(Reverse((at, seq, _))) = self.epoch.reinject.peek() {
-            if best.is_none_or(|(k, _)| (*at, *seq) < k) {
-                best = Some(((*at, *seq), None));
-            }
-        }
-        best
-    }
-
-    /// Epoch-mode [`Self::pop`]: merge the per-shard runs with the
-    /// reinjection heap, preserving the shadow's op sequence exactly.
-    fn epoch_pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, src) = self.epoch_head()?;
-        self.shadow.position();
-        let (at, _seq, event) = match src {
-            Some(i) => self.epoch.runs[i].pop().expect("head observed"),
-            None => {
-                let Reverse((at, seq, EventBox(event))) =
-                    self.epoch.reinject.pop().expect("head observed");
-                (at, seq, event)
-            }
-        };
-        self.len -= 1;
-        self.now = at;
-        self.shadow.on_pop();
-        Some((at, event))
-    }
-
-    /// The time of the globally next event without popping it.
-    ///
-    /// Takes `&mut self` because shard wheels position lazily; the
-    /// observable queue state is unchanged.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        debug_assert!(!self.epoch.on, "peek_time inside an open epoch");
-        if self.len == 0 {
-            return None;
-        }
-        self.shadow.position();
-        Some(self.head_key().0)
-    }
-
-    /// Advances the clock to `t` without processing anything (no-op if
-    /// `t` is in the past); see [`EventQueue::advance_to`].
     pub fn advance_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
@@ -1251,149 +637,6 @@ mod tests {
         }
     }
 
-    /// Drives a [`ShardedQueue`] (random shard routing), the single
-    /// calendar wheel and the heap reference with identical schedules:
-    /// pop order must match the reference exactly and the shadow stats
-    /// must match the single wheel byte-for-byte, at every shard count.
-    #[test]
-    fn sharded_queue_matches_single_wheel_and_heap() {
-        for shards in [1usize, 2, 3, 8] {
-            for seed in 0..4u64 {
-                let mut rng = StdRng::seed_from_u64(0x5AAD_0000 + seed);
-                let mut sharded: ShardedQueue<usize> = ShardedQueue::new(shards, 30);
-                let mut cal: EventQueue<usize> = EventQueue::new();
-                let mut heap: HeapQueue<usize> = HeapQueue::new();
-                let mut payload = 0usize;
-                for _ in 0..1_500 {
-                    match rng.random_range(0..10u32) {
-                        0..=5 => {
-                            for _ in 0..rng.random_range(1..8usize) {
-                                let at = match rng.random_range(0..4u32) {
-                                    0 => rng.random_range(0..1_000u64),
-                                    1 => cal.now().0 + rng.random_range(0..200u64),
-                                    2 => cal.now().0 + rng.random_range(0..500_000u64),
-                                    _ => cal.now().0 + rng.random_range(0..20_000_000u64),
-                                };
-                                let shard = rng.random_range(0..shards);
-                                sharded.schedule(SimTime(at), shard, payload);
-                                cal.schedule(SimTime(at), payload);
-                                heap.schedule(SimTime(at), payload);
-                                payload += 1;
-                            }
-                        }
-                        6..=8 => {
-                            for _ in 0..rng.random_range(1..6usize) {
-                                assert_eq!(
-                                    sharded.pop(),
-                                    heap.pop(),
-                                    "shards {shards} seed {seed}"
-                                );
-                                cal.pop();
-                            }
-                        }
-                        _ => {
-                            let t = SimTime(cal.now().0 + rng.random_range(0..2_000_000u64));
-                            sharded.advance_to(t);
-                            cal.advance_to(t);
-                            heap.advance_to(t);
-                        }
-                    }
-                    assert_eq!(sharded.len(), heap.len());
-                    assert_eq!(sharded.now(), heap.now());
-                    assert_eq!(
-                        sharded.stats(),
-                        cal.stats(),
-                        "shadow diverged from the single wheel (shards {shards} seed {seed})"
-                    );
-                }
-                while let Some(expect) = heap.pop() {
-                    assert_eq!(
-                        sharded.pop(),
-                        Some(expect),
-                        "shards {shards} seed {seed} drain"
-                    );
-                    cal.pop();
-                }
-                assert!(sharded.is_empty());
-                assert_eq!(sharded.stats(), cal.stats());
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_shadow_equals_its_own_wheel() {
-        // With one shard the shadow and the shard classify the same
-        // events against the same slot cursor — their stats must agree.
-        let mut q: ShardedQueue<u8> = ShardedQueue::new(1, 5);
-        q.schedule(SimTime(50), 0, 0);
-        q.schedule(SimTime(10_000), 0, 1);
-        q.schedule(SimTime(50_000_000), 0, 2);
-        while q.pop().is_some() {}
-        assert_eq!(q.stats(), q.shards[0].stats());
-        assert_eq!(q.stats().cascaded, 1);
-    }
-
-    #[test]
-    fn lookahead_respecting_streams_never_breach_the_horizon() {
-        // Model the simulator's contract: every cross-shard delivery
-        // carries at least the minimum link latency. Peek-then-pop each
-        // event (as run_until does) and fan deliveries out to other
-        // shards at exactly the lookahead and beyond — breaches stay 0
-        // and the pop order stays the reference order.
-        const LOOKAHEAD: u64 = 30;
-        let mut rng = StdRng::seed_from_u64(0x10CA_4EAD);
-        let mut q: ShardedQueue<u64> = ShardedQueue::new(4, LOOKAHEAD);
-        let mut reference: HeapQueue<u64> = HeapQueue::new();
-        for shard in 0..4usize {
-            // Seed beyond the lookahead — at t = 0 even the initial events
-            // would otherwise sit inside every other shard's horizon.
-            q.schedule(SimTime(LOOKAHEAD + shard as u64), shard, shard as u64);
-            reference.schedule(SimTime(LOOKAHEAD + shard as u64), shard as u64);
-        }
-        let mut budget = 4_000u32;
-        while let Some(t) = q.peek_time() {
-            assert_eq!(reference.peek_time(), Some(t));
-            let (at, ev) = q.pop().unwrap();
-            assert_eq!(reference.pop(), Some((at, ev)));
-            if budget > 0 {
-                budget -= 1;
-                for _ in 0..rng.random_range(0..3u32) {
-                    let delay = LOOKAHEAD + rng.random_range(0..400u64);
-                    let shard = rng.random_range(0..4usize);
-                    q.schedule_in(delay, shard, ev);
-                    reference.schedule_in(delay, ev);
-                }
-            }
-        }
-        assert!(reference.is_empty());
-        assert_eq!(q.merge_stats().horizon_breaches, 0);
-        // The batch cache did its job: most head reads were cache hits.
-        let m = q.merge_stats();
-        assert!(
-            m.fast > m.rescans,
-            "merge degenerated: {} fast vs {} rescans",
-            m.fast,
-            m.rescans
-        );
-    }
-
-    #[test]
-    fn cross_shard_schedule_below_boundary_stays_exact() {
-        // Force the degenerate case the boundary shrink exists for: the
-        // cached boundary is far away, then a cross-shard event lands
-        // under the active head. It must still pop first.
-        let mut q: ShardedQueue<&str> = ShardedQueue::new(2, 1_000);
-        q.schedule(SimTime(5_000), 0, "active-head");
-        q.schedule(SimTime(9_000), 1, "other-head");
-        assert_eq!(q.peek_time(), Some(SimTime(5_000))); // batch: active=0, boundary=9_000
-        q.schedule(SimTime(100), 1, "undercut");
-        assert_eq!(q.pop(), Some((SimTime(100), "undercut")));
-        assert_eq!(q.pop(), Some((SimTime(5_000), "active-head")));
-        assert_eq!(q.pop(), Some((SimTime(9_000), "other-head")));
-        assert!(q.merge_stats().shrinks >= 1);
-        assert!(q.merge_stats().horizon_breaches >= 1);
-    }
-
     #[test]
     fn stats_classify_scheduling_paths() {
         let mut q: EventQueue<u8> = EventQueue::new();
@@ -1405,60 +648,6 @@ mod tests {
         assert_eq!(s.late, 1);
         assert_eq!(s.wheel, 1);
         assert_eq!(s.overflow, 1);
-    }
-
-    /// One conservative-window epoch: events below the horizon pop in
-    /// exact `(time, seq)` order; an event exactly *on* the horizon
-    /// stays in its wheel for the next window.
-    #[test]
-    fn epoch_pops_below_the_horizon_and_keeps_the_boundary_event() {
-        for workers in [1usize, 2, 8] {
-            let mut q: ShardedQueue<&str> = ShardedQueue::new(4, 30);
-            q.schedule(SimTime(10), 1, "b");
-            q.schedule(SimTime(5), 3, "a");
-            q.schedule(SimTime(10), 0, "c"); // tie: schedule order wins
-            q.schedule(SimTime(35), 2, "on-horizon");
-            q.schedule(SimTime(80), 2, "beyond");
-            q.begin_epoch(SimTime(35), workers);
-            assert_eq!(q.pop(), Some((SimTime(5), "a")));
-            assert_eq!(q.pop(), Some((SimTime(10), "b")));
-            assert_eq!(q.pop(), Some((SimTime(10), "c")));
-            assert!(!q.epoch_pending(), "horizon event leaked into the epoch");
-            assert_eq!(q.pop(), None, "epoch exhausted must yield None");
-            q.commit_epoch(workers);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop(), Some((SimTime(35), "on-horizon")));
-            assert_eq!(q.pop(), Some((SimTime(80), "beyond")));
-            assert_eq!(q.merge_stats().epochs, 1);
-        }
-    }
-
-    /// Mid-epoch schedules at or beyond the horizon are staged and only
-    /// become poppable after the barrier commit; schedules that undercut
-    /// the horizon reinject into the live merge (the breach slow path)
-    /// and pop in exact order within the same window.
-    #[test]
-    fn epoch_stages_commits_and_reinjects_in_exact_order() {
-        let mut q: ShardedQueue<&str> = ShardedQueue::new(2, 30);
-        q.schedule(SimTime(5), 0, "first");
-        q.schedule(SimTime(20), 1, "second");
-        q.begin_epoch(SimTime(35), 2);
-        assert_eq!(q.pop(), Some((SimTime(5), "first")));
-        // Handler-style reactions: one lands beyond the horizon
-        // (staged), one undercuts it (reinjected breach), one lands
-        // exactly between the reinjection and the drained run head.
-        q.schedule(SimTime(40), 1, "staged");
-        let breaches_before = q.merge_stats().horizon_breaches;
-        q.schedule(SimTime(12), 0, "breach");
-        assert_eq!(q.merge_stats().horizon_breaches, breaches_before + 1);
-        q.schedule(SimTime(12), 1, "breach-tie");
-        assert_eq!(q.pop(), Some((SimTime(12), "breach")));
-        assert_eq!(q.pop(), Some((SimTime(12), "breach-tie")));
-        assert_eq!(q.pop(), Some((SimTime(20), "second")));
-        assert_eq!(q.pop(), None, "staged event visible before commit");
-        q.commit_epoch(2);
-        assert_eq!(q.pop(), Some((SimTime(40), "staged")));
-        assert!(q.is_empty());
     }
 
     /// A burst far above [`SLOT_RETAIN_CAP`] must not leave its capacity

@@ -38,10 +38,7 @@ pub mod sim;
 pub mod view;
 
 pub use dense::DenseSet;
-pub use engine::{
-    EventQueue, HeapQueue, MergeStats, QueueStats, ShardedQueue, SimTime, WHEEL_SLOT_MS,
-    WHEEL_SPAN_MS,
-};
+pub use engine::{EventQueue, HeapQueue, QueueStats, SimTime, WHEEL_SLOT_MS, WHEEL_SPAN_MS};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{BlockIndex, BlockMeta};
 pub use sim::{

@@ -23,7 +23,7 @@
 //!   connections.
 
 use crate::dense::DenseSetPool;
-use crate::engine::{ShardedQueue, SimTime};
+use crate::engine::{EventQueue, SimTime};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::index::{BlockIndex, NO_BLOCK};
 use crate::view::{NodeView, ViewOutcome};
@@ -87,18 +87,6 @@ pub enum SamplingMode {
 pub struct NetConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Calendar-wheel shards for the event queue (1 = unsharded). Pure
-    /// mechanism: results are byte-identical at every shard count; only
-    /// the volatile merge counters differ.
-    pub shards: usize,
-    /// Worker threads for the conservative-window epoch executor
-    /// (1 = the classic serial event loop). Pure mechanism, exactly like
-    /// `shards`: every observable — results, metrics, traces — is
-    /// byte-identical at any thread count; only wall time and the
-    /// volatile merge counters vary. Workers drain whole shards, so
-    /// threads beyond `shards` idle: pair `net_threads: N` with
-    /// `shards >= N`.
-    pub net_threads: usize,
     /// Construction sampler (see [`SamplingMode`]).
     pub sampling: SamplingMode,
     /// Outbound peer connections per node (Bitcoin default: 8).
@@ -146,8 +134,6 @@ impl NetConfig {
     pub fn paper() -> Self {
         Self {
             seed: 0xB17C017,
-            shards: 1,
-            net_threads: 1,
             sampling: SamplingMode::Rejection,
             out_degree: 8,
             relay_mode: RelayMode::Diffusion,
@@ -169,8 +155,6 @@ impl NetConfig {
     pub fn fast_test() -> Self {
         Self {
             seed: 7,
-            shards: 1,
-            net_threads: 1,
             sampling: SamplingMode::Rejection,
             out_degree: 8,
             relay_mode: RelayMode::Diffusion,
@@ -233,15 +217,6 @@ impl NetConfig {
         }
         if self.churn_period_secs == 0 {
             return Err("churn_period_secs must be >= 1".to_string());
-        }
-        if self.shards == 0 || self.shards > 4096 {
-            return Err(format!("shards must be in 1..=4096, got {}", self.shards));
-        }
-        if self.net_threads == 0 || self.net_threads > 4096 {
-            return Err(format!(
-                "net_threads must be in 1..=4096, got {}",
-                self.net_threads
-            ));
         }
         Ok(())
     }
@@ -484,15 +459,6 @@ impl TrafficStats {
 /// Bucket bounds for the reorg-depth histogram (blocks).
 pub const REORG_DEPTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
-/// Minimum pending-event backlog before the epoch executor opens a
-/// threaded window; below it each event takes the classic serial step.
-/// A conservative window is only ~tens of milliseconds of simulated
-/// time, so during sparse stretches (overnight gaps between gossip
-/// waves) an epoch would fan worker threads out for a handful of
-/// events. The switch is invisible in every output: both paths pop and
-/// handle events in the identical global order.
-const EPOCH_MIN_BACKLOG: usize = 1024;
-
 /// Hot-path observability counters, kept as plain integers so recording
 /// costs one add and never touches the RNG stream — simulation results
 /// are bit-identical whether or not anyone exports these.
@@ -569,7 +535,7 @@ impl Default for SimMetrics {
 #[derive(Debug)]
 pub struct Simulation {
     config: NetConfig,
-    queue: ShardedQueue<NetEvent>,
+    queue: EventQueue<NetEvent>,
     rng: StdRng,
     index: BlockIndex,
     arena: NodeArena,
@@ -743,10 +709,8 @@ impl Simulation {
             claimed_groups: vec![FxHashMap::default(); n],
         };
 
-        // Cross-shard deliveries all carry at least the floor latency,
-        // so the minimum link latency is a sound merge lookahead.
-        let mut queue = ShardedQueue::new(config.shards, config.min_latency_ms);
-        queue.schedule(SimTime::ZERO, 0, NetEvent::Churn);
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::ZERO, NetEvent::Churn);
         let groups = vec![0u32; n];
         let mut sim = Self {
             config,
@@ -785,13 +749,6 @@ impl Simulation {
     /// Number of participating (up) nodes.
     pub fn node_count(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Queue shard owning `node`'s deliveries: contiguous node ranges,
-    /// so a shard's wheel holds the traffic of one population slice.
-    #[inline]
-    fn shard_of(&self, node: u32) -> usize {
-        (node as u64 * self.config.shards as u64 / self.arena.len() as u64) as usize
     }
 
     /// The topology [`NodeId`] behind sim participant `node` — use this to
@@ -956,18 +913,10 @@ impl Simulation {
         &self.metrics
     }
 
-    /// Event-queue counters so far — shard-invariant: identical at any
-    /// `NetConfig::shards` (the throughput bench reads `scheduled` as
-    /// its events figure).
+    /// Event-queue counters so far (the throughput bench reads
+    /// `scheduled` as its events figure).
     pub fn queue_stats(&self) -> crate::engine::QueueStats {
         self.queue.stats()
-    }
-
-    /// Shard-merge counters of the calendar wheel. Unlike
-    /// [`Simulation::queue_stats`] these *do* vary with the shard
-    /// count; they are exported as volatile metrics only.
-    pub fn merge_stats(&self) -> crate::engine::MergeStats {
-        self.queue.merge_stats()
     }
 
     /// Exports counters, traffic and fork statistics into a metrics
@@ -991,22 +940,6 @@ impl Simulation {
         reg.add(&format!("{prefix}.queue.late"), q.late);
         reg.add(&format!("{prefix}.queue.overflow"), q.overflow);
         reg.add(&format!("{prefix}.queue.cascaded"), q.cascaded);
-        // Shard-merge counters depend on the shard count (results do
-        // not), so they are volatile: visible live, excluded from the
-        // deterministic exports the byte-identity contract covers.
-        let ms = self.queue.merge_stats();
-        reg.add_volatile(
-            &format!("{prefix}.queue.shards"),
-            self.queue.shard_count() as u64,
-        );
-        reg.add_volatile(&format!("{prefix}.queue.merge.fast"), ms.fast);
-        reg.add_volatile(&format!("{prefix}.queue.merge.rescans"), ms.rescans);
-        reg.add_volatile(&format!("{prefix}.queue.merge.shrinks"), ms.shrinks);
-        reg.add_volatile(
-            &format!("{prefix}.queue.merge.horizon_breaches"),
-            ms.horizon_breaches,
-        );
-        reg.add_volatile(&format!("{prefix}.queue.merge.epochs"), ms.epochs);
         reg.add(&format!("{prefix}.relay.announce_calls"), m.announce_calls);
         reg.add(&format!("{prefix}.relay.invs_scheduled"), m.invs_scheduled);
         reg.merge_histogram(&format!("{prefix}.reorg.depth"), &m.reorg_depth);
@@ -1200,10 +1133,8 @@ impl Simulation {
             .dense_of(&block)
             .expect("pushed block must exist in the index");
         let delay = self.config.min_latency_ms + 20;
-        let shard = self.shard_of(to);
         self.queue.schedule_in(
             delay,
-            shard,
             NetEvent::Block {
                 from: u32::MAX,
                 to,
@@ -1224,12 +1155,10 @@ impl Simulation {
             .index
             .ancestry(&tip)
             .expect("tip must exist in the index");
-        let shard = self.shard_of(to);
         for (i, meta) in ancestry.iter().rev().enumerate() {
             let delay = self.config.min_latency_ms + 20 + i as u64;
             self.queue.schedule_in(
                 delay,
-                shard,
                 NetEvent::Block {
                     from: u32::MAX,
                     to,
@@ -1242,70 +1171,16 @@ impl Simulation {
 
     /// Runs the simulation until `deadline` (inclusive). The clock ends
     /// exactly at `deadline` even when no event lands on it.
-    ///
-    /// With `NetConfig::net_threads > 1` the run advances through the
-    /// conservative-window epoch executor instead of the classic serial
-    /// loop; the two produce byte-identical results (events pop, handlers
-    /// fire, and the RNG draws in exactly the same order either way).
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.config.net_threads > 1 {
-            self.run_epochs_until(deadline);
-        } else {
-            while let Some(at) = self.queue.peek_time() {
-                if at > deadline {
-                    break;
-                }
-                self.metrics.queue_depth_hwm = self.metrics.queue_depth_hwm.max(self.queue.len());
-                let (_, event) = self.queue.pop().expect("peeked event exists");
-                self.handle(event);
-            }
-        }
-        self.queue.advance_to(deadline);
-    }
-
-    /// The conservative-window epoch executor (`net_threads > 1`).
-    ///
-    /// Each iteration opens an epoch of width = the wheel's lookahead
-    /// (the minimum link latency): worker threads drain every shard's
-    /// wheel up to the horizon in parallel — the expensive positioning,
-    /// cascade and bucket-sort mechanics — and the logic pass then runs
-    /// the handlers serially in the merged global `(time, seq)` order,
-    /// so every RNG draw, trace record, metric increment and node
-    /// mutation happens exactly as in the serial loop. New schedules are
-    /// staged per shard and bulk-committed by the workers at the epoch
-    /// barrier; the rare schedule that undercuts the horizon (e.g. a
-    /// sub-lookahead mining interval) takes the queue's serialized
-    /// reinjection path, which keeps the order exact for any delay
-    /// pattern. Byte-identity to the serial loop holds by construction
-    /// at every `shards`/`net_threads` combination.
-    fn run_epochs_until(&mut self, deadline: SimTime) {
-        let workers = self.config.net_threads.min(self.queue.shard_count());
-        // `max(1)` keeps zero-lookahead configs progressing: their epoch
-        // is a single millisecond and mid-window schedules reinject.
-        let width = self.queue.lookahead_ms().max(1);
-        while let Some(t0) = self.queue.peek_time() {
-            if t0 > deadline {
+        while let Some(at) = self.queue.peek_time() {
+            if at > deadline {
                 break;
             }
-            let horizon = SimTime(deadline.0.saturating_add(1).min(t0.0.saturating_add(width)));
-            if self.queue.len() < EPOCH_MIN_BACKLOG || horizon <= t0 {
-                // Sparse stretch (or a saturated clock): a scoped thread
-                // fan-out per window costs more than it saves, so take
-                // one classic serial step. The pop/handle order is the
-                // same either way.
-                self.metrics.queue_depth_hwm = self.metrics.queue_depth_hwm.max(self.queue.len());
-                let (_, event) = self.queue.pop().expect("peeked event exists");
-                self.handle(event);
-                continue;
-            }
-            self.queue.begin_epoch(horizon, workers);
-            while self.queue.epoch_pending() {
-                self.metrics.queue_depth_hwm = self.metrics.queue_depth_hwm.max(self.queue.len());
-                let (_, event) = self.queue.pop().expect("epoch head pending");
-                self.handle(event);
-            }
-            self.queue.commit_epoch(workers);
+            self.metrics.queue_depth_hwm = self.metrics.queue_depth_hwm.max(self.queue.len());
+            let (_, event) = self.queue.pop().expect("peeked event exists");
+            self.handle(event);
         }
+        self.queue.advance_to(deadline);
     }
 
     /// Runs for `secs` simulated seconds.
@@ -1329,9 +1204,8 @@ impl Simulation {
         let (dt_secs, _) = self.arrivals.next_block(&mut self.rng);
         // Round, don't truncate: truncation shaved up to 1 ms off every
         // inter-block gap, biasing the mining process slightly fast.
-        // Global events (Mine, Churn) live on shard 0.
         self.queue
-            .schedule_in((dt_secs * 1000.0).round() as u64, 0, NetEvent::Mine);
+            .schedule_in((dt_secs * 1000.0).round() as u64, NetEvent::Mine);
     }
 
     fn handle(&mut self, event: NetEvent) {
@@ -1478,9 +1352,7 @@ impl Simulation {
         scratch.extend_from_slice(self.arena.peers(from));
         for &to in &scratch {
             let delay = self.edge_delay(from, to);
-            let shard = self.shard_of(to);
-            self.queue
-                .schedule_in(delay, shard, NetEvent::Tx { from, to, tx });
+            self.queue.schedule_in(delay, NetEvent::Tx { from, to, tx });
         }
         self.announce_scratch = scratch;
     }
@@ -1540,10 +1412,8 @@ impl Simulation {
                 if let Some(peer) = self.pick_peer(i as u32) {
                     let tip = self.arena.views[peer as usize].best_dense();
                     let delay = self.edge_delay(peer, i as u32);
-                    let shard = self.shard_of(i as u32);
                     self.queue.schedule_in(
                         delay,
-                        shard,
                         NetEvent::Inv {
                             from: peer,
                             to: i as u32,
@@ -1556,7 +1426,7 @@ impl Simulation {
         self.trace(TraceKind::Churn, u32::MAX, went_offline, came_online);
         self.prune_finalized();
         self.queue
-            .schedule_in(self.config.churn_period_secs * 1000, 0, NetEvent::Churn);
+            .schedule_in(self.config.churn_period_secs * 1000, NetEvent::Churn);
     }
 
     /// Drops relay bookkeeping for blocks buried deeper than the
@@ -1718,9 +1588,8 @@ impl Simulation {
             RelayMode::Diffusion => {
                 for &to in &scratch {
                     let delay = self.edge_delay(from, to);
-                    let shard = self.shard_of(to);
                     self.queue
-                        .schedule_in(delay, shard, NetEvent::Inv { from, to, block });
+                        .schedule_in(delay, NetEvent::Inv { from, to, block });
                 }
             }
             RelayMode::Trickle { interval_ms } => {
@@ -1732,9 +1601,8 @@ impl Simulation {
                 for (k, &to) in scratch.iter().enumerate() {
                     let jitter = self.rng.random_range(0..interval_ms.max(1));
                     let delay = self.config.min_latency_ms + (k as u64 + 1) * interval_ms + jitter;
-                    let shard = self.shard_of(to);
                     self.queue
-                        .schedule_in(delay, shard, NetEvent::Inv { from, to, block });
+                        .schedule_in(delay, NetEvent::Inv { from, to, block });
                 }
             }
         }
@@ -1762,10 +1630,8 @@ impl Simulation {
                 delay += (self.rng.random::<f64>() * 2.0 * mean) as u64;
             }
         }
-        let shard = self.shard_of(peer);
         self.queue.schedule_in(
             delay,
-            shard,
             NetEvent::GetData {
                 from: node,
                 to: peer,
@@ -1820,10 +1686,8 @@ impl Simulation {
             // fetched it yet; retry shortly, bounded so requests to
             // permanently blockless peers eventually give up.
             if retries < 40 {
-                let shard = self.shard_of(to);
                 self.queue.schedule_in(
                     30_000,
-                    shard,
                     NetEvent::GetData {
                         from,
                         to,
@@ -1836,10 +1700,8 @@ impl Simulation {
         }
         self.trace(TraceKind::GetData, from, block as u64, to as u64);
         let delay = self.transfer_delay(from);
-        let shard = self.shard_of(from);
         self.queue.schedule_in(
             delay,
-            shard,
             NetEvent::Block {
                 from: to,
                 to: from,
@@ -2223,6 +2085,37 @@ mod tests {
     }
 
     #[test]
+    fn queue_counters_are_pinned() {
+        // Literal counters of a half-hour run: the queue classifies every
+        // schedule deterministically, so any drift in the wheel (or in
+        // what the simulator schedules) shows up here. Seed 2019 covers
+        // the overflow-cascade path.
+        let snap = tiny_snapshot();
+        let census = PoolCensus::paper_table_iv();
+        // (seed, scheduled, wheel, late, overflow, cascaded, depth_hwm)
+        let expected = [
+            (7u64, 39_809u64, 34_230u64, 5_578u64, 1u64, 0u64, 4_137usize),
+            (11, 10_083, 8_601, 1_481, 1, 0, 3_776),
+            (2019, 10_034, 8_594, 1_438, 2, 2, 3_758),
+        ];
+        for (seed, scheduled, wheel, late, overflow, cascaded, hwm) in expected {
+            let config = NetConfig {
+                seed,
+                ..NetConfig::fast_test()
+            };
+            let mut s = Simulation::new(&snap, &census, config);
+            s.run_for_secs(1800);
+            let q = s.queue_stats();
+            assert_eq!(
+                (q.scheduled, q.wheel, q.late, q.overflow, q.cascaded),
+                (scheduled, wheel, late, overflow, cascaded),
+                "seed {seed}"
+            );
+            assert_eq!(s.metrics().queue_depth_hwm, hwm, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn validate_rejects_out_of_range_configs() {
         assert!(NetConfig::paper().validate().is_ok());
         assert!(NetConfig::fast_test().validate().is_ok());
@@ -2280,99 +2173,6 @@ mod tests {
             ..NetConfig::fast_test()
         };
         let _ = Simulation::new(&snap, &PoolCensus::paper_table_iv(), config);
-    }
-
-    #[test]
-    fn sharded_runs_are_byte_identical_to_unsharded() {
-        // Sharding is pure mechanism: the merged pop order equals the
-        // single wheel's, so every observable — results, metrics, the
-        // trace stream — must be identical at any shard count.
-        let snap = tiny_snapshot();
-        let census = PoolCensus::paper_table_iv();
-        let config = NetConfig {
-            zombie_fraction: 0.1,
-            failure_rate: 0.05,
-            ..NetConfig::fast_test()
-        };
-        let mut one = Simulation::new(&snap, &census, config.clone());
-        let mut four = Simulation::new(
-            &snap,
-            &census,
-            NetConfig {
-                shards: 4,
-                ..config
-            },
-        );
-        one.set_tracer(Tracer::new());
-        four.set_tracer(Tracer::new());
-        one.run_for_secs(1800);
-        four.run_for_secs(1800);
-        assert_eq!(one.network_best(), four.network_best());
-        assert_eq!(one.lags(), four.lags());
-        assert_eq!(one.stats(), four.stats());
-        assert_eq!(one.traffic(), four.traffic());
-        assert_eq!(one.metrics(), four.metrics());
-        // Queue stats come from the shard-invariant shadow classifier.
-        assert_eq!(one.queue.stats(), four.queue.stats());
-        let a = one.take_tracer().unwrap().into_records();
-        let b = four.take_tracer().unwrap().into_records();
-        assert_eq!(
-            bp_obs::trace::first_divergence(&a, &b),
-            None,
-            "trace diverged across shard counts"
-        );
-    }
-
-    #[test]
-    fn threaded_runs_are_byte_identical_to_serial() {
-        // The epoch executor is pure mechanism, exactly like sharding:
-        // handlers fire in the identical global (time, seq) order, so
-        // every observable — results, metrics (including the queue-depth
-        // high-water mark), the trace stream — must match the serial
-        // engine at any shards × net_threads combination.
-        let snap = tiny_snapshot();
-        let census = PoolCensus::paper_table_iv();
-        let config = NetConfig {
-            zombie_fraction: 0.1,
-            failure_rate: 0.05,
-            ..NetConfig::fast_test()
-        };
-        let mut serial = Simulation::new(&snap, &census, config.clone());
-        serial.set_tracer(Tracer::new());
-        serial.run_for_secs(1800);
-        let baseline = serial.take_tracer().unwrap().into_records();
-        for (shards, net_threads) in [(1usize, 2usize), (4, 2), (4, 8), (8, 3)] {
-            let mut threaded = Simulation::new(
-                &snap,
-                &census,
-                NetConfig {
-                    shards,
-                    net_threads,
-                    ..config.clone()
-                },
-            );
-            threaded.set_tracer(Tracer::new());
-            threaded.run_for_secs(1800);
-            assert_eq!(serial.network_best(), threaded.network_best());
-            assert_eq!(serial.lags(), threaded.lags());
-            assert_eq!(serial.stats(), threaded.stats());
-            assert_eq!(serial.traffic(), threaded.traffic());
-            assert_eq!(serial.metrics(), threaded.metrics());
-            assert_eq!(serial.queue_stats(), threaded.queue_stats());
-            let records = threaded.take_tracer().unwrap().into_records();
-            assert_eq!(
-                bp_obs::trace::first_divergence(&baseline, &records),
-                None,
-                "trace diverged at shards={shards} net_threads={net_threads}"
-            );
-            // The run was long/dense enough to actually open epochs (the
-            // backlog guard serial-steps sparse stretches), so the path
-            // under test really ran.
-            assert!(
-                threaded.merge_stats().epochs > 0,
-                "epoch executor never engaged at shards={shards} net_threads={net_threads}"
-            );
-        }
     }
 
     #[test]

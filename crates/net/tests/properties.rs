@@ -4,8 +4,8 @@
 use bp_chain::Height;
 use bp_mining::PoolCensus;
 use bp_net::{
-    BlockIndex, EventQueue, HeapQueue, NetConfig, NodeView, ShardedQueue, SimTime, Simulation,
-    WHEEL_SLOT_MS, WHEEL_SPAN_MS,
+    BlockIndex, EventQueue, HeapQueue, NetConfig, NodeView, SimTime, Simulation, WHEEL_SLOT_MS,
+    WHEEL_SPAN_MS,
 };
 use bp_topology::{Snapshot, SnapshotConfig};
 use proptest::prelude::*;
@@ -117,48 +117,6 @@ proptest! {
                 break;
             }
         }
-    }
-
-    /// Events aimed exactly at the shard-merge lookahead boundary pop in
-    /// the same `(time, seq)` order as the unsharded queue, at every
-    /// shard count. Deliveries are jittered ±3 ms around `now +
-    /// lookahead` (the tightest cross-shard arrival the simulator's
-    /// contract allows, probed from both sides) and routed to a
-    /// pseudo-random shard, with interleaved pops so the boundary is hit
-    /// while the batch cache holds different active shards.
-    #[test]
-    fn shard_lookahead_boundary_matches_unsharded_order(
-        shards_ix in 0usize..3,
-        lookahead in prop_oneof![Just(1u64), Just(30), Just(501)],
-        deltas in proptest::collection::vec(-3i64..=3, 1..32),
-        routes in proptest::collection::vec(any::<u8>(), 32),
-        pops_between in 0u8..4,
-    ) {
-        let shards = [1usize, 2, 8][shards_ix];
-        let mut sharded: ShardedQueue<u64> = ShardedQueue::new(shards, lookahead);
-        let mut single: EventQueue<u64> = EventQueue::new();
-        for (i, d) in deltas.iter().enumerate() {
-            let at = (sharded.now().0 + lookahead).saturating_add_signed(*d);
-            let shard = routes[i % routes.len()] as usize % shards;
-            sharded.schedule(SimTime(at), shard, i as u64);
-            single.schedule(SimTime(at), i as u64);
-            for _ in 0..pops_between {
-                prop_assert_eq!(sharded.peek_time(), single.peek_time());
-                let (a, b) = (sharded.pop(), single.pop());
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(sharded.now(), single.now());
-            }
-        }
-        loop {
-            let (a, b) = (sharded.pop(), single.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        // The shadow classifier replayed the same schedule: its counters
-        // are those of the unsharded wheel, byte for byte.
-        prop_assert_eq!(sharded.stats(), single.stats());
     }
 
     /// Events always pop in non-decreasing time order, with FIFO order
@@ -304,110 +262,5 @@ proptest! {
             (behind as f64) < 0.1 * n as f64,
             "{behind}/{n} nodes stuck after heal (seed {seed})"
         );
-    }
-}
-
-proptest! {
-    // Each case drives two full queue protocols (serial and epoch) with
-    // per-epoch scoped thread spawns; a bounded case count keeps the
-    // suite's wall time proportionate while still sweeping every
-    // shard × worker × lookahead combination.
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The epoch executor's protocol — `begin_epoch` / pop-until-
-    /// exhausted / `commit_epoch` at conservative-window horizons —
-    /// reproduces the serial engine's exact `(time, seq)` pop order at
-    /// 1/2/8 workers, under reactive schedules that land *exactly on*
-    /// the horizon boundary (delay == lookahead stays for the next
-    /// window) and *below* it (the reinjection breach path pops within
-    /// the open window). The shadow's queue stats must match the serial
-    /// run byte-for-byte too.
-    #[test]
-    fn epoch_protocol_matches_serial_pop_order(
-        shards_ix in 0usize..3,
-        workers_ix in 0usize..3,
-        lookahead in prop_oneof![Just(1u64), Just(30), Just(200)],
-        initial in proptest::collection::vec((0u64..400, any::<u8>()), 1..24),
-        reactions in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u64>()), 0..3),
-            4,
-        ),
-        deadline in 400u64..1_200,
-    ) {
-        let shards = [1usize, 2, 8][shards_ix];
-        let workers = [1usize, 2, 8][workers_ix];
-        // Reactions stop once this many events exist: the tables can
-        // have branching factor > 1, and an uncapped run would grow
-        // exponentially until the deadline.
-        const EVENT_BUDGET: u64 = 256;
-
-        // Drives one queue to `deadline`: pops trigger deterministic
-        // reactions (a pure function of the generated tables), so the
-        // serial and epoch runs face identical workloads. Mode splits
-        // reactions between arbitrary delays (breaches included) and
-        // delays pinned to the horizon boundary ± 3 ms.
-        let drive = |epoch_workers: Option<usize>| {
-            let mut q: ShardedQueue<u64> = ShardedQueue::new(shards, lookahead);
-            let mut payload = 0u64;
-            for &(t, route) in &initial {
-                q.schedule(SimTime(t), route as usize % shards, payload);
-                payload += 1;
-            }
-            let mut out = Vec::new();
-            let react = |q: &mut ShardedQueue<u64>, popped: u64, payload: &mut u64| {
-                for &(mode, val) in &reactions[popped as usize % reactions.len()] {
-                    if *payload >= EVENT_BUDGET {
-                        return;
-                    }
-                    let delay = if mode % 2 == 0 {
-                        val % 400
-                    } else {
-                        (lookahead + val % 7).saturating_sub(3)
-                    };
-                    let shard = (val as usize) % shards;
-                    q.schedule_in(delay, shard, *payload);
-                    *payload += 1;
-                }
-            };
-            match epoch_workers {
-                None => {
-                    while let Some(t) = q.peek_time() {
-                        if t.0 > deadline {
-                            break;
-                        }
-                        let (at, p) = q.pop().unwrap();
-                        out.push((at.0, p));
-                        react(&mut q, p, &mut payload);
-                    }
-                }
-                Some(w) => {
-                    while let Some(t0) = q.peek_time() {
-                        if t0.0 > deadline {
-                            break;
-                        }
-                        let horizon = (deadline + 1).min(t0.0 + lookahead.max(1));
-                        q.begin_epoch(SimTime(horizon), w);
-                        while q.epoch_pending() {
-                            let (at, p) = q.pop().unwrap();
-                            out.push((at.0, p));
-                            react(&mut q, p, &mut payload);
-                        }
-                        q.commit_epoch(w);
-                    }
-                }
-            }
-            // Drain what's left beyond the deadline: the full remaining
-            // order must match as well.
-            q.advance_to(SimTime(deadline));
-            while let Some((at, p)) = q.pop() {
-                out.push((at.0, p));
-            }
-            (out, q.stats())
-        };
-
-        let (serial_order, serial_stats) = drive(None);
-        let (epoch_order, epoch_stats) = drive(Some(workers));
-        prop_assert_eq!(serial_order, epoch_order);
-        prop_assert_eq!(serial_stats, epoch_stats);
     }
 }

@@ -6,14 +6,13 @@
 //!   merged trace) — and the two alert streams are byte-identical;
 //! * the tapped record stream, and therefore the alert stream, is
 //!   byte-identical across worker counts;
-//! * scenario traces are byte-identical across shard counts;
 //! * replaying a matrix trace through the engine reproduces the alert
 //!   stream embedded in it, byte for byte;
 //! * the scored matrix meets the headline gates at test scale: zero
 //!   false alerts for every detector in every scenario, and the wide
 //!   partitions are detected inside their attack windows.
 
-use bp_bench::detect::{run_detect_matrix, run_scenario, SCENARIOS};
+use bp_bench::detect::{run_detect_matrix, SCENARIOS};
 use bp_bench::pipeline::{run_pipeline_traced, TraceHub};
 use bp_bench::ReproConfig;
 use bp_detect::{DetectConfig, DetectEngine, OnlineTap};
@@ -85,21 +84,6 @@ fn tapped_stream_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn scenario_traces_are_byte_identical_across_shards() {
-    let base = test_config();
-    let sharded = ReproConfig { shards: 8, ..base };
-    for name in ["benign", "cut_half"] {
-        let a = run_scenario(&base, name);
-        let b = run_scenario(&sharded, name);
-        assert_eq!(
-            encode_records(&a),
-            encode_records(&b),
-            "{name} diverges between --shards 1 and --shards 8"
-        );
-    }
-}
-
-#[test]
 fn matrix_traces_replay_to_their_embedded_alerts() {
     let result = run_detect_matrix(&test_config());
     for (file, bytes) in &result.traces {
@@ -117,6 +101,11 @@ fn matrix_traces_replay_to_their_embedded_alerts() {
             encode_records(&embedded),
             "{file} does not reproduce its own alert stream"
         );
+        // The wide partition reliably alerts at this scale, which keeps
+        // the replay identity non-vacuous.
+        if file == "trace_cut_half.bin" {
+            assert!(!embedded.is_empty(), "{file} carries no alerts");
+        }
     }
 }
 

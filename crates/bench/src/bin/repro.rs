@@ -25,8 +25,8 @@
 
 use bp_bench::cache::ArtifactStore;
 use bp_bench::cli::{parse_args, usage};
-use bp_bench::pipeline::{default_jobs, TraceHub, STREAM_RANK_DETECT};
-use bp_bench::{bench_json, generate_cached, ARTIFACT_IDS};
+use bp_bench::pipeline::{default_jobs, run_pipeline, TraceHub, STREAM_RANK_DETECT};
+use bp_bench::{bench_json, ARTIFACT_IDS};
 use bp_detect::{DetectConfig, DetectEngine, OnlineTap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -151,7 +151,7 @@ fn main() {
     let mut store = opts.cache.as_ref().map(|dir| {
         ArtifactStore::open(dir).unwrap_or_else(|e| die(&format!("--cache {dir}: {e}")))
     });
-    let (artifacts, report) = generate_cached(
+    let (artifacts, report) = run_pipeline(
         &config,
         &opts.ids,
         jobs,

@@ -626,6 +626,16 @@ impl ArtifactStore {
 
 fn read_blob(path: &std::path::Path, entry: &IndexEntry) -> Result<Vec<u8>, String> {
     let mut file = fs::File::open(path).map_err(|e| e.to_string())?;
+    // Offset and length both come from disk: check the entry fits in the
+    // blob file before allocating its length.
+    let file_len = file.metadata().map_err(|e| e.to_string())?.len();
+    let end = entry
+        .offset
+        .checked_add(8)
+        .and_then(|start| start.checked_add(entry.len));
+    if end.is_none_or(|end| end > file_len) {
+        return Err("blob entry runs past the end of the blob file".to_string());
+    }
     file.seek(SeekFrom::Start(entry.offset))
         .map_err(|e| e.to_string())?;
     let mut prefix = [0u8; 8];
@@ -1020,6 +1030,37 @@ mod tests {
         store.flush().unwrap();
         let mut store = ArtifactStore::open(&dir).unwrap();
         assert_eq!(store.lookup(Key(9)).as_deref(), Some(&[5u8, 6][..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_longer_than_the_blob_file_is_a_miss() {
+        // An 88-byte store whose index row and blob prefix agree on a
+        // 2^40-byte blob: the lookup must miss, not allocate a terabyte.
+        let dir = tmpdir("oversized");
+        let huge = 1u64 << 40;
+        let mut blobs = BLOB_MAGIC.to_vec();
+        blobs.extend_from_slice(&STORE_SCHEMA.to_le_bytes());
+        blobs.extend_from_slice(&0u32.to_le_bytes());
+        blobs.extend_from_slice(&huge.to_le_bytes());
+        let mut index = INDEX_MAGIC.to_vec();
+        index.extend_from_slice(&STORE_SCHEMA.to_le_bytes());
+        index.extend_from_slice(&1u32.to_le_bytes());
+        index.extend_from_slice(&7u128.to_le_bytes());
+        index.extend_from_slice(&BLOB_HEADER_BYTES.to_le_bytes());
+        index.extend_from_slice(&huge.to_le_bytes());
+        index.extend_from_slice(&0u128.to_le_bytes());
+        assert_eq!(blobs.len() + index.len(), 88);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("blobs.bin"), &blobs).unwrap();
+        fs::write(dir.join("index.bin"), &index).unwrap();
+
+        let mut ro = ArtifactStore::open_read_only(&dir).unwrap();
+        assert_eq!(ro.len(), 1);
+        assert!(ro.lookup(Key(7)).is_none());
+        let mut store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.lookup(Key(7)).is_none());
+        assert!(store.is_empty(), "oversized entry evicted");
         let _ = fs::remove_dir_all(&dir);
     }
 

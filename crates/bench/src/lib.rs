@@ -78,20 +78,13 @@ pub fn measurement_lab(config: &ReproConfig) -> Lab {
 /// Runs the one-day, 1-minute-sampled crawl shared by Figure 6(b,c),
 /// Table V, Table VII and Figure 8.
 pub fn day_crawl(config: &ReproConfig) -> (CrawlResult, Lab) {
-    day_crawl_metered(config, None)
+    day_crawl_instrumented(config, None, false)
 }
 
-/// [`day_crawl`], recording crawler sampling cost into `reg` when given.
-pub fn day_crawl_metered(
-    config: &ReproConfig,
-    reg: Option<&bp_obs::Registry>,
-) -> (CrawlResult, Lab) {
-    day_crawl_instrumented(config, reg, false)
-}
-
-/// [`day_crawl_metered`], optionally installing a flight recorder into
-/// the simulation before it runs (`repro --trace`). The tracer stays
-/// inside the returned lab's simulation — callers lift it out with
+/// [`day_crawl`], recording crawler sampling cost into `reg` when given
+/// and optionally installing a flight recorder into the simulation
+/// before it runs (`repro --trace`). The tracer stays inside the
+/// returned lab's simulation — callers lift it out with
 /// `lab.sim.take_tracer()`. It is installed before the warmup so the
 /// trace carries every block accept, which is what lets `trace timeline`
 /// rebuild the crawler's lag series from the trace alone. The crawl
@@ -194,49 +187,19 @@ pub fn generate_with_report(
     ids: &[String],
     jobs: usize,
 ) -> (Vec<Artifact>, RunReport) {
-    pipeline::run_pipeline(config, ids, jobs)
+    pipeline::run_pipeline(config, ids, jobs, None, None, None)
 }
 
 /// [`generate_with_report`], recording run metrics into `reg`
 /// (`repro --metrics`). Artifacts are byte-identical with or without a
-/// registry — see [`pipeline::run_pipeline_metered`].
+/// registry — see [`pipeline::run_pipeline`].
 pub fn generate_with_metrics(
     config: &ReproConfig,
     ids: &[String],
     jobs: usize,
     reg: &bp_obs::Registry,
 ) -> (Vec<Artifact>, RunReport) {
-    pipeline::run_pipeline_metered(config, ids, jobs, Some(reg))
-}
-
-/// The full instrumented entry point behind `repro`: optional metrics
-/// registry, optional flight-recorder hub. Artifacts are byte-identical
-/// for any combination — see [`pipeline::run_pipeline_traced`].
-pub fn generate_instrumented(
-    config: &ReproConfig,
-    ids: &[String],
-    jobs: usize,
-    reg: Option<&bp_obs::Registry>,
-    trace: Option<&pipeline::TraceHub>,
-) -> (Vec<Artifact>, RunReport) {
-    pipeline::run_pipeline_traced(config, ids, jobs, reg, trace)
-}
-
-/// [`generate_instrumented`] with an optional content-addressed
-/// artifact store (`repro --cache DIR`): tasks whose cache key resolves
-/// replay their stored results instead of recomputing, with
-/// byte-identical artifacts, metrics and traces — see
-/// [`pipeline::run_pipeline_cached`]. The caller flushes the store
-/// after exporting.
-pub fn generate_cached(
-    config: &ReproConfig,
-    ids: &[String],
-    jobs: usize,
-    reg: Option<&bp_obs::Registry>,
-    trace: Option<&pipeline::TraceHub>,
-    store: Option<&mut cache::ArtifactStore>,
-) -> (Vec<Artifact>, RunReport) {
-    pipeline::run_pipeline_cached(config, ids, jobs, reg, trace, store)
+    pipeline::run_pipeline(config, ids, jobs, Some(reg), None, None)
 }
 
 /// Renders the `BENCH_pipeline.json` benchmark record: the run profile,

@@ -25,7 +25,7 @@
 use crate::cache::{
     self, ArtifactStore, CacheClass, CacheMeta, CacheSummary, Decision, Envelope, ObsEffects,
 };
-use crate::dag::{Dag, DagRun, TaskAction, TaskCtx, TaskOutput};
+use crate::dag::{Dag, DagRun, TaskAction, TaskCtx, TaskOutput, TaskTiming};
 use crate::{day_crawl_instrumented, general_crawl_metered, measurement_lab, ReproConfig};
 use bp_obs::Tracer;
 use btcpart::attacks::countermeasures::BlockAwareTradeoff;
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 /// per pipeline run and handed to jobs by reference. The fields are
 /// write-once cells so each shared-build task can publish its input
 /// from whichever worker runs it while tasks that do not need it are
-/// already running (see [`run_pipeline_metered`]).
+/// already running (see [`run_pipeline`]).
 #[derive(Debug, Default)]
 pub struct SharedInputs {
     /// Snapshot + census without a simulation (spatial/logical jobs).
@@ -742,161 +742,40 @@ fn selected_jobs<'a>(ids: &[String]) -> Vec<&'a JobSpec> {
         .collect()
 }
 
-/// Computes exactly the shared inputs the selected jobs need. With more
-/// than one worker the three builds (static snapshot, day crawl,
-/// general crawl) run concurrently — they are independent seeded
+/// Computes exactly the shared inputs the selected jobs need, by
+/// running the shared-build tasks of the pipeline's DAG with no jobs
+/// attached. With more than one worker the builds (static snapshot, day
+/// crawl, general crawl) run concurrently — they are independent seeded
 /// computations.
 pub fn build_shared_inputs(
     config: &ReproConfig,
     needs: Needs,
     workers: usize,
 ) -> (SharedInputs, Vec<StageTiming>) {
-    build_shared_inputs_metered(config, needs, workers, None)
-}
-
-/// [`build_shared_inputs`], recording crawl metrics into `reg` when
-/// given. After the builds finish, each crawl simulation's counters are
-/// exported under the `net.day.*` / `net.general.*` prefixes.
-pub fn build_shared_inputs_metered(
-    config: &ReproConfig,
-    needs: Needs,
-    workers: usize,
-    reg: Option<&bp_obs::Registry>,
-) -> (SharedInputs, Vec<StageTiming>) {
     let shared = SharedInputs::default();
-    let timings = build_shared_barrier(&shared, config, needs, workers, reg, None);
+    let DagParts {
+        dag, shared_tasks, ..
+    } = build_dag(config, &[], &shared, needs, false, false);
+    let workers = workers.clamp(1, dag.len().max(1));
+    let timings = shared_stage_timings(&shared_tasks, &dag.execute(workers).timings);
     (shared, timings)
 }
 
-/// One precomputed shared input, tagged by kind.
-enum SharedPart {
-    Static((Snapshot, PoolCensus)),
-    Day((CrawlResult, Lab)),
-    General((CrawlResult, Lab)),
-}
-
-/// A shared-input builder. Observability is passed at *call* time — the
-/// barrier path hands the run's global registry, while the DAG path
-/// hands the building task's scoped cell (so crawl metrics become that
-/// task's cacheable effects). The `bool` asks the day crawl to install
-/// a flight recorder.
-type SharedBuilder =
-    Box<dyn for<'r> Fn(Option<&'r bp_obs::Registry>, bool) -> SharedPart + Send + Sync>;
-
-/// The builders for exactly the inputs `needs` asks for, in the fixed
-/// `static` / `day_crawl` / `general_crawl` stage order.
-fn shared_builders(config: &ReproConfig, needs: Needs) -> Vec<(&'static str, SharedBuilder)> {
-    let mut builders: Vec<(&'static str, SharedBuilder)> = Vec::new();
-    if needs.static_env {
-        let c = *config;
-        builders.push((
-            "static",
-            Box::new(move |_, _| {
-                SharedPart::Static(Scenario::new().scale(c.scale).seed(c.seed).build_static())
-            }),
-        ));
-    }
-    if needs.day {
-        let c = *config;
-        builders.push((
-            "day_crawl",
-            Box::new(move |reg, trace_day| {
-                SharedPart::Day(day_crawl_instrumented(&c, reg, trace_day))
-            }),
-        ));
-    }
-    if needs.general {
-        let c = *config;
-        builders.push((
-            "general_crawl",
-            Box::new(move |reg, _| SharedPart::General(general_crawl_metered(&c, reg))),
-        ));
-    }
-    builders
-}
-
-/// Stores a finished shared part into `shared`, exporting the crawl
-/// simulation's counters first when a registry is given (counter keys
-/// are prefix-disjoint, so export order cannot affect the snapshot).
-/// A traced day crawl's flight recorder is lifted out of the simulation
-/// into `hub` here, before any job can see the shared input.
-fn publish_part(
-    shared: &SharedInputs,
-    part: SharedPart,
-    reg: Option<&bp_obs::Registry>,
-    hub: Option<&TraceHub>,
-) {
-    match part {
-        SharedPart::Static(v) => shared.set_static_env(v),
-        SharedPart::Day(mut v) => {
-            if let Some(reg) = reg {
-                v.1.sim.export_metrics(reg, "net.day");
-            }
-            if let Some(hub) = hub {
-                if let Some(tracer) = v.1.sim.take_tracer() {
-                    hub.set_day(tracer);
-                }
-            }
-            shared.set_day(v);
-        }
-        SharedPart::General(v) => {
-            if let Some(reg) = reg {
-                v.1.sim.export_metrics(reg, "net.general");
-            }
-            shared.set_general(v);
-        }
-    }
-}
-
-/// Builds every needed shared input into `shared` and returns the stage
-/// timings; does not return until all builds finish (the barrier form —
-/// [`run_pipeline_metered`] overlaps builds with jobs instead when it
-/// has more than one worker).
-fn build_shared_barrier(
-    shared: &SharedInputs,
-    config: &ReproConfig,
-    needs: Needs,
-    workers: usize,
-    reg: Option<&bp_obs::Registry>,
-    hub: Option<&TraceHub>,
+/// One [`StageTiming`] per shared-build task, in build order.
+fn shared_stage_timings(
+    shared_tasks: &[(&'static str, usize)],
+    timings: &[TaskTiming],
 ) -> Vec<StageTiming> {
-    let builders = shared_builders(config, needs);
-    let timed = |id: &str, f: &SharedBuilder| -> (SharedPart, StageTiming) {
-        let start = Instant::now();
-        let part = f(reg, hub.is_some());
-        (
-            part,
-            StageTiming {
-                id: id.to_string(),
-                wall: start.elapsed(),
-                artifacts: 0,
-                body_bytes: 0,
-                csv_bytes: 0,
-            },
-        )
-    };
-
-    let results: Vec<(SharedPart, StageTiming)> = if workers <= 1 || builders.len() <= 1 {
-        builders.iter().map(|(id, f)| timed(id, f)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = builders
-                .iter()
-                .map(|(id, f)| scope.spawn(move || timed(id, f)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+    shared_tasks
+        .iter()
+        .map(|&(id, idx)| StageTiming {
+            id: id.to_string(),
+            wall: timings[idx].wall,
+            artifacts: 0,
+            body_bytes: 0,
+            csv_bytes: 0,
         })
-    };
-
-    let mut timings = Vec::new();
-    for (part, timing) in results {
-        publish_part(shared, part, reg, hub);
-        if let Some(reg) = reg {
-            reg.record_span(&format!("pipeline.shared.{}", timing.id), timing.wall);
-        }
-        timings.push(timing);
-    }
-    timings
+        .collect()
 }
 
 /// Runs one job by id against precomputed shared inputs. Returns `None`
@@ -915,22 +794,9 @@ pub fn run_job(config: &ReproConfig, id: &str, shared: &SharedInputs) -> Option<
 
 /// Generates the artifacts selected by `ids` (every known id if the
 /// selection contains `"all"`) on `workers` threads, returning both the
-/// artifacts — in [`ARTIFACT_IDS`](crate::ARTIFACT_IDS) presentation order, byte-identical
-/// for any worker count — and the [`RunReport`] describing the run.
-pub fn run_pipeline(
-    config: &ReproConfig,
-    ids: &[String],
-    workers: usize,
-) -> (Vec<Artifact>, RunReport) {
-    run_pipeline_metered(config, ids, workers, None)
-}
-
-/// [`run_pipeline`], recording metrics into `reg` when given: crawl
-/// simulation counters (`net.day.*` / `net.general.*`), per-stage spans
-/// (`pipeline.shared.<id>` / `pipeline.job.<id>`), scheduler counters
-/// (`pipeline.tasks.{spawned,claimed,max_ready}`), and pipeline-level
-/// totals (`pipeline.jobs`, `pipeline.artifacts`, byte counts). The
-/// artifacts are byte-identical with or without a registry.
+/// artifacts — in [`ARTIFACT_IDS`](crate::ARTIFACT_IDS) presentation
+/// order, byte-identical for any worker count — and the [`RunReport`]
+/// describing the run.
 ///
 /// The whole selection — shared builds included — compiles into one
 /// fine-grained task DAG executed on a single worker pool: the two
@@ -942,44 +808,30 @@ pub fn run_pipeline(
 /// the seeded config, fan-out results merge in their serial
 /// accumulation order, and job results are reassembled in presentation
 /// order.
-pub fn run_pipeline_metered(
-    config: &ReproConfig,
-    ids: &[String],
-    workers: usize,
-    reg: Option<&bp_obs::Registry>,
-) -> (Vec<Artifact>, RunReport) {
-    run_pipeline_traced(config, ids, workers, reg, None)
-}
-
-/// [`run_pipeline_metered`], additionally recording a deterministic event
-/// trace into `hub` when given (`repro --trace`). The traced components
-/// each record into their own single-threaded [`Tracer`]; the hub merges
-/// the streams in a fixed order, so [`TraceHub::merged`] is byte-identical
-/// for any worker count, and artifacts/metrics are byte-identical with or
-/// without a hub.
-pub fn run_pipeline_traced(
-    config: &ReproConfig,
-    ids: &[String],
-    workers: usize,
-    reg: Option<&bp_obs::Registry>,
-    hub: Option<&TraceHub>,
-) -> (Vec<Artifact>, RunReport) {
-    run_pipeline_cached(config, ids, workers, reg, hub, None)
-}
-
-/// [`run_pipeline_traced`] with an optional content-addressed artifact
-/// store (`repro --cache DIR`). When a store is given, every task's key
-/// is derived from its label, logic version, config slice and
-/// dependency keys; tasks whose key resolves from the store are
-/// *replayed* — their stored output feeds dependents and their stored
-/// metric/trace effects are injected — instead of run, and their whole
-/// upstream subgraph is skipped unless a running task needs it. A warm
-/// run therefore produces byte-identical artifacts, metrics and traces
-/// while doing none of the simulation work.
 ///
-/// The store is *not* flushed here — callers flush after exporting so a
-/// crashed run never commits a partial index.
-pub fn run_pipeline_cached(
+/// Three optional layers ride along, none of which changes an artifact
+/// byte:
+///
+/// * `reg` (`repro --metrics`) records crawl simulation counters
+///   (`net.day.*` / `net.general.*`), per-stage spans
+///   (`pipeline.shared.<id>` / `pipeline.job.<id>`), scheduler counters
+///   (`pipeline.tasks.{spawned,claimed,max_ready}`) and pipeline totals
+///   (`pipeline.jobs`, `pipeline.artifacts`, byte counts).
+/// * `hub` (`repro --trace`) records a deterministic event trace. The
+///   traced components each record into their own single-threaded
+///   [`Tracer`]; the hub merges the streams in a fixed order, so
+///   [`TraceHub::merged`] is byte-identical for any worker count.
+/// * `store` (`repro --cache DIR`) is a content-addressed artifact
+///   store. Every task's key is derived from its label, logic version,
+///   config slice and dependency keys; tasks whose key resolves are
+///   *replayed* — their stored output feeds dependents and their stored
+///   metric/trace effects are injected — instead of run, and their whole
+///   upstream subgraph is skipped unless a running task needs it. A warm
+///   run therefore produces byte-identical artifacts, metrics and traces
+///   while doing none of the simulation work. The store is *not* flushed
+///   here — callers flush after exporting so a crashed run never commits
+///   a partial index.
+pub fn run_pipeline(
     config: &ReproConfig,
     ids: &[String],
     workers: usize,
@@ -1097,16 +949,7 @@ pub fn run_pipeline_cached(
         }
     }
 
-    let shared_timings: Vec<StageTiming> = shared_tasks
-        .iter()
-        .map(|&(id, idx)| StageTiming {
-            id: id.to_string(),
-            wall: timings[idx].wall,
-            artifacts: 0,
-            body_bytes: 0,
-            csv_bytes: 0,
-        })
-        .collect();
+    let shared_timings = shared_stage_timings(&shared_tasks, &timings);
 
     // A job's wall is the summed serial cost of its member tasks, so
     // `serial_estimate()` keeps meaning "what one thread would pay".
@@ -1350,50 +1193,60 @@ fn build_dag<'a>(
     let mut b = DagBuilder::new(metrics_on, trace_on);
     let scale_seed = cfg(&[canonical_f64_bits(config.scale), config.seed]);
 
-    let mut shared_tasks: Vec<(&'static str, usize)> = Vec::new();
-    let (mut static_task, mut day_task, mut general_task) = (None, None, None);
-    for (id, builder) in shared_builders(config, needs) {
-        let (rank, slice, observable) = match id {
-            "static" => (RANK_STATIC, scale_seed.clone(), false),
-            "day_crawl" => (
-                RANK_DAY,
-                cfg(&[
-                    canonical_f64_bits(config.scale),
-                    config.seed,
-                    config.day_hours,
-                ]),
-                true,
-            ),
-            _ => (
-                RANK_GENERAL,
-                cfg(&[
-                    canonical_f64_bits(config.scale),
-                    config.seed,
-                    config.general_hours,
-                ]),
-                true,
-            ),
-        };
-        // Shared inputs are volatile: live simulation state cannot be
-        // persisted, but their crawl metrics and day trace *can* — a
-        // warm run replays those effects without simulating.
-        let meta = CacheMeta::volatile(LV_SHARED, slice, observable);
-        let idx = b.push(id, None, rank, vec![], meta, move |_, obs| {
-            publish_part(
-                shared,
-                builder(obs.metrics, obs.trace.is_some()),
-                obs.metrics,
-                obs.trace,
-            );
-            Box::new(()) as TaskOutput
-        });
-        match id {
-            "static" => static_task = Some(idx),
-            "day_crawl" => day_task = Some(idx),
-            _ => general_task = Some(idx),
-        }
-        shared_tasks.push((id, idx));
-    }
+    let crawl_slice = |hours| cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
+    let static_task = needs.static_env.then(|| {
+        push_shared(
+            &mut b,
+            "static",
+            RANK_STATIC,
+            scale_seed.clone(),
+            false,
+            move |_| {
+                let env = Scenario::new().scale(config.scale).seed(config.seed);
+                shared.set_static_env(env.build_static());
+            },
+        )
+    });
+    let day_task = needs.day.then(|| {
+        let slice = crawl_slice(config.day_hours);
+        push_shared(&mut b, "day_crawl", RANK_DAY, slice, true, move |obs| {
+            let (crawl, mut lab) = day_crawl_instrumented(config, obs.metrics, obs.trace.is_some());
+            if let Some(reg) = obs.metrics {
+                lab.sim.export_metrics(reg, "net.day");
+            }
+            if let Some(hub) = obs.trace {
+                if let Some(tracer) = lab.sim.take_tracer() {
+                    hub.set_day(tracer);
+                }
+            }
+            shared.set_day((crawl, lab));
+        })
+    });
+    let general_task = needs.general.then(|| {
+        let slice = crawl_slice(config.general_hours);
+        push_shared(
+            &mut b,
+            "general_crawl",
+            RANK_GENERAL,
+            slice,
+            true,
+            move |obs| {
+                let (crawl, lab) = general_crawl_metered(config, obs.metrics);
+                if let Some(reg) = obs.metrics {
+                    lab.sim.export_metrics(reg, "net.general");
+                }
+                shared.set_general((crawl, lab));
+            },
+        )
+    });
+    let shared_tasks = [
+        ("static", static_task),
+        ("day_crawl", day_task),
+        ("general_crawl", general_task),
+    ]
+    .into_iter()
+    .filter_map(|(id, idx)| Some((id, idx?)))
+    .collect();
     let deps_for = |needs: Needs| -> Vec<usize> {
         let mut deps = Vec::new();
         if needs.static_env {
@@ -1461,6 +1314,30 @@ fn build_dag<'a>(
         shared_tasks,
         artifact_tasks,
     }
+}
+
+/// Pushes the shared-build task `id`, which runs `build` to publish its
+/// input into the run's [`SharedInputs`]. A crawl build exports its
+/// simulation's counters into the task's scoped registry (counter keys
+/// are prefix-disjoint, so export order cannot affect the snapshot),
+/// and a traced day crawl's flight recorder is lifted into the task's
+/// hub, before any job can see the input. Shared inputs are volatile:
+/// live simulation state cannot be persisted, but their crawl metrics
+/// and day trace *can* — a warm run replays those effects without
+/// simulating.
+fn push_shared<'a>(
+    b: &mut DagBuilder<'a>,
+    id: &'static str,
+    rank: u8,
+    slice: Vec<u8>,
+    observable: bool,
+    build: impl Fn(ObsCtx<'_>) + Send + Sync + 'a,
+) -> usize {
+    let meta = CacheMeta::volatile(LV_SHARED, slice, observable);
+    b.push(id, None, rank, vec![], meta, move |_, obs| {
+        build(obs);
+        Box::new(()) as TaskOutput
+    })
 }
 
 /// `ablations` fan-out: one task per `(case, seed)` simulation of the
@@ -1810,8 +1687,8 @@ mod tests {
         let ids = ["table1", "fig6_general", "fig6_day", "table6", "ablations"]
             .map(String::from)
             .to_vec();
-        let (serial, serial_report) = run_pipeline(&config, &ids, 1);
-        let (overlapped, overlapped_report) = run_pipeline(&config, &ids, 4);
+        let (serial, serial_report) = run_pipeline(&config, &ids, 1, None, None, None);
+        let (overlapped, overlapped_report) = run_pipeline(&config, &ids, 4, None, None, None);
         assert_eq!(serial.len(), overlapped.len());
         for (a, b) in serial.iter().zip(overlapped.iter()) {
             assert_eq!(a.id, b.id);
@@ -1848,7 +1725,7 @@ mod tests {
             ..ReproConfig::quick()
         };
         let ids = vec!["table1".to_string(), "table2".to_string()];
-        let (artifacts, report) = run_pipeline(&config, &ids, 2);
+        let (artifacts, report) = run_pipeline(&config, &ids, 2, None, None, None);
         assert_eq!(artifacts.len(), 2);
         assert_eq!(report.jobs.len(), 2);
         assert!(report.jobs.iter().all(|j| j.body_bytes > 0));
@@ -1862,41 +1739,22 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_is_deterministic_and_output_invariant() {
-        let config = ReproConfig {
-            scale: 0.02,
-            day_hours: 1,
-            general_hours: 1,
-            ..ReproConfig::quick()
+    fn trace_hub_merges_in_rank_order_and_is_repeatable() {
+        let stream = |kind, n| {
+            let mut tracer = Tracer::new();
+            for t in 0..n {
+                tracer.record(kind, t, 0, 0, 0);
+            }
+            tracer
         };
-        // One job per traced stream: day crawl, grid sim, model sweep.
-        let ids = ["fig6_day", "table6", "fig7"].map(String::from).to_vec();
-        let (plain, _) = run_pipeline(&config, &ids, 2);
-
-        let hub1 = TraceHub::new();
-        let (serial, _) = run_pipeline_traced(&config, &ids, 1, None, Some(&hub1));
-        let hub4 = TraceHub::new();
-        let (overlapped, _) = run_pipeline_traced(&config, &ids, 4, None, Some(&hub4));
-
-        // Tracing must not change any artifact, and worker count must not
-        // change the trace.
-        for (a, b) in plain.iter().zip(serial.iter()) {
-            assert_eq!(a.body, b.body, "tracing changed {}", a.id);
-            assert_eq!(a.csv, b.csv, "tracing changed csv of {}", a.id);
-        }
-        let r1 = hub1.merged().into_records();
-        let r4 = hub4.merged().into_records();
-        assert!(!r1.is_empty());
-        assert_eq!(
-            bp_obs::trace::first_divergence(&r1, &r4),
-            None,
-            "trace diverges across worker counts"
-        );
-        for (a, b) in serial.iter().zip(overlapped.iter()) {
-            assert_eq!(a.body, b.body);
-        }
-        // merged() is repeatable (the hub keeps its streams).
-        assert_eq!(hub1.merged().len(), r1.len());
+        let hub = TraceHub::new();
+        hub.set_model(stream(bp_obs::TraceKind::ModelBisect, 2));
+        hub.set_day(stream(bp_obs::TraceKind::Mine, 3));
+        let merged = hub.merged().into_records();
+        assert_eq!(merged.len(), 5);
+        assert_eq!(merged[0].kind, bp_obs::TraceKind::Mine, "day stream first");
+        // The hub keeps its streams, so merging again gives the same trace.
+        assert_eq!(hub.merged().into_records(), merged);
     }
 
     #[test]

@@ -658,16 +658,20 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<TraceRecord>, u64), String> {
             bytes.len()
         ));
     }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice")) as usize;
+    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
     let body = &bytes[header_bytes..];
-    if body.len() != count * RECORD_BYTES {
+    // The count comes from disk: a product that overflows cannot match
+    // any real body, and must not wrap around to one that does.
+    let promised = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(RECORD_BYTES));
+    if promised != Some(body.len()) {
         return Err(format!(
-            "header promises {count} records ({} bytes) but body is {} bytes",
-            count * RECORD_BYTES,
+            "header promises {count} records but body is {} bytes",
             body.len()
         ));
     }
-    let mut records = Vec::with_capacity(count);
+    let mut records = Vec::with_capacity(body.len() / RECORD_BYTES);
     for (seq, chunk) in body.chunks(RECORD_BYTES).enumerate() {
         records.push(TraceRecord::decode(chunk).map_err(|e| format!("record {seq}: {e}"))?);
     }
@@ -684,32 +688,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<TraceRecord>, u64), String> {
 /// Returns a message on a bad magic, a truncated file, a record-count
 /// mismatch, or any malformed record (with its sequence number).
 pub fn decode_records(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(format!(
-            "file is {} bytes, smaller than the {HEADER_BYTES}-byte header",
-            bytes.len()
-        ));
-    }
-    if &bytes[..8] == MAGIC_V2 {
-        return decode_trace(bytes).map(|(records, _)| records);
-    }
-    if &bytes[..8] != MAGIC {
-        return Err("bad magic: not a bp-obs trace file".to_string());
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice")) as usize;
-    let body = &bytes[HEADER_BYTES..];
-    if body.len() != count * RECORD_BYTES {
-        return Err(format!(
-            "header promises {count} records ({} bytes) but body is {} bytes",
-            count * RECORD_BYTES,
-            body.len()
-        ));
-    }
-    let mut records = Vec::with_capacity(count);
-    for (seq, chunk) in body.chunks(RECORD_BYTES).enumerate() {
-        records.push(TraceRecord::decode(chunk).map_err(|e| format!("record {seq}: {e}"))?);
-    }
-    Ok(records)
+    decode_trace(bytes).map(|(records, _)| records)
 }
 
 /// Renders records as line-delimited JSON, one object per record, with
@@ -1048,6 +1027,21 @@ mod tests {
         let mut bin = encode_records(&records);
         bin.truncate(bin.len() - 1);
         assert!(decode_records(&bin).unwrap_err().contains("body"));
+    }
+
+    #[test]
+    fn record_count_that_overflows_the_body_size_is_rejected() {
+        // 2^59 records * 32 bytes wraps to 0 in 64-bit arithmetic, which
+        // used to pass the body check and then overflow Vec::with_capacity.
+        let mut bin = MAGIC.to_vec();
+        bin.extend_from_slice(&(1u64 << 59).to_le_bytes());
+        assert_eq!(bin, b"BPTRACE1\0\0\0\0\0\0\0\x08");
+        assert!(decode_trace(&bin).unwrap_err().contains("body"));
+        assert!(decode_records(&bin).unwrap_err().contains("body"));
+        let mut v2 = MAGIC_V2.to_vec();
+        v2.extend_from_slice(&(1u64 << 59).to_le_bytes());
+        v2.extend_from_slice(&0u64.to_le_bytes());
+        assert!(decode_trace(&v2).unwrap_err().contains("body"));
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! The content-addressed artifact cache must be invisible in every
-//! output stream: a warm run replays cached task results byte-for-byte
-//! — artifacts, `metrics.json` / `metrics.csv` and the flight-recorder
-//! trace all match a cache-less run at any `--jobs N` — while skipping
-//! (not recomputing) at least 90% of the task graph. Key changes
-//! (config fields, seed) invalidate exactly the dependent subgraph, and
-//! corrupted or truncated store entries are detected, evicted and
-//! recomputed rather than served or panicked on.
+//! output stream while doing less work. A warm run replays every stream
+//! of the cold run's golden lines at another worker count while
+//! skipping at least 90 % of the task graph (rows B and C of the golden
+//! matrix, `tests/common/mod.rs`); key changes (config fields, seed)
+//! invalidate exactly the dependent subgraph; corrupted or truncated
+//! store entries are detected, evicted and recomputed rather than
+//! served or panicked on; and any config and selection round-trips
+//! through the store.
+
+mod common;
 
 use bp_bench::cache::ArtifactStore;
-use bp_bench::pipeline::{RunReport, TraceHub};
-use bp_bench::{generate_cached, ReproConfig};
+use bp_bench::pipeline::{run_pipeline, RunReport, TraceHub};
+use bp_bench::ReproConfig;
 use btcpart::experiments::Artifact;
 use btcpart::obs::trace::{first_divergence, TraceRecord};
 use btcpart::obs::Registry;
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 fn test_config() -> ReproConfig {
     // The quick-profile shape at a slightly smaller scale: every job
@@ -28,14 +31,6 @@ fn test_config() -> ReproConfig {
     }
 }
 
-/// A fresh per-test store directory under the system temp dir.
-fn store_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bp_cache_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 struct Run {
     artifacts: Vec<Artifact>,
     metrics_json: String,
@@ -44,18 +39,16 @@ struct Run {
     report: RunReport,
 }
 
-/// One instrumented pipeline run; `cache` opens (and flushes) a store
-/// in that directory, `None` runs cache-less.
-fn run(config: &ReproConfig, ids: &[&str], jobs: usize, cache: Option<&Path>) -> Run {
+/// One instrumented in-process pipeline run over (and flushing) the
+/// store in `dir`.
+fn run(config: &ReproConfig, ids: &[&str], jobs: usize, dir: &Path) -> Run {
     let ids: Vec<String> = ids.iter().map(|s| s.to_string()).collect();
     let reg = Registry::new();
     let hub = TraceHub::new();
-    let mut store = cache.map(|dir| ArtifactStore::open(dir).unwrap());
+    let mut store = ArtifactStore::open(dir).unwrap();
     let (artifacts, report) =
-        generate_cached(config, &ids, jobs, Some(&reg), Some(&hub), store.as_mut());
-    if let Some(store) = store.as_mut() {
-        store.flush().unwrap();
-    }
+        run_pipeline(config, &ids, jobs, Some(&reg), Some(&hub), Some(&mut store));
+    store.flush().unwrap();
     let snap = reg.snapshot();
     Run {
         artifacts,
@@ -66,67 +59,16 @@ fn run(config: &ReproConfig, ids: &[&str], jobs: usize, cache: Option<&Path>) ->
     }
 }
 
-fn assert_same_outputs(base: &Run, other: &Run, what: &str) {
-    assert_eq!(base.artifacts.len(), other.artifacts.len(), "{what}");
-    for (a, b) in base.artifacts.iter().zip(other.artifacts.iter()) {
-        assert_eq!(a.id, b.id, "artifact order differs: {what}");
-        assert_eq!(a.body, b.body, "body of {} differs: {what}", a.id);
-        assert_eq!(a.csv, b.csv, "csv of {} differs: {what}", a.id);
-    }
-    assert_eq!(
-        base.metrics_json, other.metrics_json,
-        "metrics.json: {what}"
-    );
-    assert_eq!(base.metrics_csv, other.metrics_csv, "metrics.csv: {what}");
-    assert_eq!(
-        first_divergence(&base.trace, &other.trace),
-        None,
-        "trace diverges: {what}"
-    );
-}
-
 fn cache_counts(run: &Run) -> (u64, u64, u64) {
     let summary = run.report.cache.as_ref().expect("cached run has a summary");
     (summary.hits, summary.misses, summary.skipped)
 }
 
 #[test]
-fn warm_runs_replay_byte_identically_at_any_worker_count() {
-    let config = test_config();
-    let dir = store_dir("warm_matrix");
-    let reference = run(&config, &["all"], 2, None);
-
-    let cold = run(&config, &["all"], 2, Some(&dir));
-    let (hits, misses, _) = cache_counts(&cold);
-    assert_eq!(hits, 0, "fresh store cannot hit");
-    assert!(misses > 0);
-    assert_same_outputs(&reference, &cold, "cold cached run vs cache-less run");
-
-    for jobs in [1usize, 2, 8] {
-        let warm = run(&config, &["all"], jobs, Some(&dir));
-        assert_same_outputs(&reference, &warm, &format!("warm run at jobs={jobs}"));
-        let (hits, misses, skipped) = cache_counts(&warm);
-        assert_eq!(misses, 0, "warm run at jobs={jobs} recomputed something");
-        assert!(hits > 0);
-        // The acceptance bar: a warm run skips at least 90% of tasks.
-        let total = warm.report.tasks_spawned;
-        assert!(
-            skipped * 10 >= total * 9,
-            "warm run at jobs={jobs} skipped only {skipped} of {total} tasks"
-        );
-        // Scheduler bookkeeping is a function of the graph alone, so
-        // caching must not change it.
-        assert_eq!(warm.report.tasks_spawned, reference.report.tasks_spawned);
-        assert_eq!(warm.report.tasks_claimed, reference.report.tasks_claimed);
-        assert_eq!(warm.report.max_ready, reference.report.max_ready);
-    }
-}
-
-#[test]
 fn config_changes_invalidate_only_the_dependent_subgraph() {
     let config = test_config();
-    let dir = store_dir("invalidate");
-    run(&config, &["all"], 2, Some(&dir));
+    let dir = common::scratch("invalidate");
+    run(&config, &["all"], 2, &dir);
 
     // Flipping `day_hours` re-keys the day-crawl subgraph (and with it
     // day-backed jobs like table5 and fig6_day); jobs that only consume
@@ -135,7 +77,7 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
         day_hours: 2,
         ..config
     };
-    let warm = run(&flipped, &["all"], 2, Some(&dir));
+    let warm = run(&flipped, &["all"], 2, &dir);
     let (hits, misses, _) = cache_counts(&warm);
     assert!(misses > 0, "day_hours flip must miss its subgraph");
     assert!(hits > 0, "unrelated tasks must still hit");
@@ -161,42 +103,83 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
         seed: config.seed + 1,
         ..config
     };
-    let warm = run(&reseeded, &["all"], 2, Some(&dir));
+    let warm = run(&reseeded, &["all"], 2, &dir);
     let (_, misses, _) = cache_counts(&warm);
     assert!(misses > 0, "seed flip must invalidate");
 
     // The original config still hits 100% — new keys appended, old
     // entries untouched.
-    let warm = run(&config, &["all"], 2, Some(&dir));
+    let warm = run(&config, &["all"], 2, &dir);
     let (hits, misses, _) = cache_counts(&warm);
     assert_eq!(misses, 0);
     assert!(hits > 0);
 }
 
 #[test]
+fn warm_runs_replay_byte_identically_at_any_worker_count() {
+    // Cold B at --jobs 8 and warm C at --jobs 2 over B's store both
+    // match the golden line of every stream, scheduler rows included.
+    common::assert_rows_golden(&["B", "C"]);
+    // The warm run recomputes nothing and skips at least 90 % of the
+    // graph.
+    let bench = common::read(&common::row("C").join("metrics/BENCH_pipeline.json"));
+    let bench = String::from_utf8(bench).unwrap();
+    assert_eq!(
+        common::json_u64(&bench, "misses"),
+        0,
+        "warm run recomputed something"
+    );
+    assert!(common::json_u64(&bench, "hits") > 0);
+    let (skipped, total) = (
+        common::json_u64(&bench, "skipped"),
+        common::json_u64(&bench, "tasks_spawned"),
+    );
+    assert!(
+        skipped * 10 >= total * 9,
+        "warm run skipped only {skipped} of {total} tasks"
+    );
+}
+
+#[test]
 fn corrupted_and_truncated_entries_are_evicted_and_recomputed() {
-    let config = test_config();
-    let dir = store_dir("corrupt");
-    let reference = run(&config, &["all"], 2, None);
-    run(&config, &["all"], 2, Some(&dir));
+    // Runs of the golden matrix's row B flags over a copy of B's store,
+    // so every healed run can be checked against GOLDEN.digests.
+    let root = common::scratch("cache_heal");
+    let store = root.join("store");
+    let warm_store = common::row("B").parent().unwrap().join("store_S");
+    std::fs::create_dir_all(&store).unwrap();
+    for entry in std::fs::read_dir(&warm_store).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, store.join(path.file_name().unwrap())).unwrap();
+    }
+    let run_repro = |name: &str| -> (Vec<common::Stream>, u64, u64) {
+        let dir = root.join(name);
+        let observed = ["metrics", "trace", "detect"];
+        common::run_pipeline_row(&dir, Some(&store), &observed, &["--jobs", "2", "all"]);
+        let bench = String::from_utf8(common::read(&dir.join("metrics/BENCH_pipeline.json")));
+        let bench = bench.unwrap();
+        let (hits, misses) = (
+            common::json_u64(&bench, "hits"),
+            common::json_u64(&bench, "misses"),
+        );
+        (common::pipeline_streams(&dir, ""), hits, misses)
+    };
 
     // Flip a byte in the middle of the blob file: the affected entries
     // fail their stored-hash check, get evicted, and recompute — the
-    // outputs stay byte-identical and nothing panics.
-    let blob_path = dir.join("blobs.bin");
+    // outputs stay golden and nothing panics.
+    let blob_path = store.join("blobs.bin");
     let mut blobs = std::fs::read(&blob_path).unwrap();
     let mid = blobs.len() / 2;
     blobs[mid] ^= 0xFF;
     std::fs::write(&blob_path, &blobs).unwrap();
-    let healed = run(&config, &["all"], 2, Some(&dir));
-    let (_, misses, _) = cache_counts(&healed);
+    let (streams, _, misses) = run_repro("corrupted");
     assert!(misses > 0, "corruption must force recomputation");
-    assert_same_outputs(&reference, &healed, "run over a corrupted store");
+    common::assert_golden("run over a corrupted store", &streams);
 
     // The recomputed entries were re-staged and flushed: the next run
     // is fully warm again.
-    let warm = run(&config, &["all"], 2, Some(&dir));
-    let (hits, misses, _) = cache_counts(&warm);
+    let (_, hits, misses) = run_repro("warm");
     assert_eq!(misses, 0, "healed store must be fully warm");
     assert!(hits > 0);
 
@@ -204,10 +187,10 @@ fn corrupted_and_truncated_entries_are_evicted_and_recomputed() {
     // to recomputation, never a panic or a wrong answer.
     let blobs = std::fs::read(&blob_path).unwrap();
     std::fs::write(&blob_path, &blobs[..blobs.len() / 3]).unwrap();
-    let healed = run(&config, &["all"], 2, Some(&dir));
-    let (_, misses, _) = cache_counts(&healed);
+    let (streams, _, misses) = run_repro("truncated");
     assert!(misses > 0, "truncation must force recomputation");
-    assert_same_outputs(&reference, &healed, "run over a truncated store");
+    common::assert_golden("run over a truncated store", &streams);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 proptest! {
@@ -225,9 +208,9 @@ proptest! {
             [&["all"], &["table5"], &["fig7"], &["table6", "fig4"]];
         let selection = SELECTIONS[which];
         let config = ReproConfig { seed, ..test_config() };
-        let dir = store_dir(&format!("prop_{seed}_{which}"));
-        let cold = run(&config, selection, 2, Some(&dir));
-        let warm = run(&config, selection, 2, Some(&dir));
+        let dir = common::scratch(&format!("prop_{seed}_{which}"));
+        let cold = run(&config, selection, 2, &dir);
+        let warm = run(&config, selection, 2, &dir);
         let (hits, misses, skipped) = cache_counts(&warm);
         prop_assert_eq!(misses, 0, "same config+selection must be all hits");
         prop_assert!(hits > 0);

@@ -1,72 +1,14 @@
 //! The fine-grained task DAG must be invisible in every output stream:
 //! for a quick-profile run the artifacts, the deterministic metrics
-//! exports (`metrics.json` / `metrics.csv`) and the flight-recorder
-//! trace are byte-identical at `--jobs 1`, `--jobs 2` and `--jobs 8`,
-//! and the scheduler's own counters (task count, max-ready high-water
-//! mark) match because they are replayed from the graph, not measured.
+//! exports (`metrics.json` / `metrics.csv`), the flight-recorder trace
+//! and the scheduler's own counters and task labels (the `tasks`
+//! stream) match `GOLDEN.digests` at `--jobs 1`, `--jobs 8` and
+//! `--jobs 2` (rows A, B and C of the golden matrix,
+//! `tests/common/mod.rs`), so they match each other byte for byte.
 
-use bp_bench::pipeline::TraceHub;
-use bp_bench::{generate_instrumented, ReproConfig};
-use btcpart::obs::trace::first_divergence;
-use btcpart::obs::Registry;
-
-fn test_config() -> ReproConfig {
-    // The quick-profile shape at a slightly smaller scale: every job
-    // runs, including the fan-out ones (ablations, countermeasures,
-    // table6, propagation, fifty_one).
-    ReproConfig {
-        scale: 0.03,
-        day_hours: 1,
-        general_hours: 1,
-        ..ReproConfig::quick()
-    }
-}
+mod common;
 
 #[test]
 fn quick_run_is_byte_identical_across_worker_counts() {
-    let config = test_config();
-    let ids = vec!["all".to_string()];
-
-    let mut runs = Vec::new();
-    for jobs in [1usize, 2, 8] {
-        let reg = Registry::new();
-        let hub = TraceHub::new();
-        let (artifacts, report) =
-            generate_instrumented(&config, &ids, jobs, Some(&reg), Some(&hub));
-        let snap = reg.snapshot();
-        runs.push((
-            jobs,
-            artifacts,
-            snap.to_json(),
-            snap.to_csv(),
-            hub.merged().into_records(),
-            report,
-        ));
-    }
-
-    let (_, base_artifacts, base_json, base_csv, base_trace, base_report) = &runs[0];
-    assert!(!base_trace.is_empty(), "traced run recorded nothing");
-    for (jobs, artifacts, json, csv, trace, report) in &runs[1..] {
-        assert_eq!(base_artifacts.len(), artifacts.len());
-        for (a, b) in base_artifacts.iter().zip(artifacts.iter()) {
-            assert_eq!(a.id, b.id, "artifact order differs at --jobs {jobs}");
-            assert_eq!(a.body, b.body, "body of {} differs at --jobs {jobs}", a.id);
-            assert_eq!(a.csv, b.csv, "csv of {} differs at --jobs {jobs}", a.id);
-        }
-        assert_eq!(base_json, json, "metrics.json differs at --jobs {jobs}");
-        assert_eq!(base_csv, csv, "metrics.csv differs at --jobs {jobs}");
-        assert_eq!(
-            first_divergence(base_trace, trace),
-            None,
-            "trace diverges between --jobs 1 and --jobs {jobs}"
-        );
-        // Scheduler bookkeeping is a function of the graph alone.
-        assert_eq!(base_report.tasks_spawned, report.tasks_spawned);
-        assert_eq!(base_report.tasks_claimed, report.tasks_claimed);
-        assert_eq!(base_report.max_ready, report.max_ready);
-        let labels = |r: &bp_bench::pipeline::RunReport| -> Vec<String> {
-            r.tasks.iter().map(|t| t.label.clone()).collect()
-        };
-        assert_eq!(labels(base_report), labels(report));
-    }
+    common::assert_rows_golden(&["A", "B", "C"]);
 }

@@ -1,12 +1,8 @@
-//! Determinism tests: every layer of the workspace must produce
-//! byte-identical results under the same seed, and different results
-//! under different seeds. This is what makes EXPERIMENTS.md's numbers
-//! reproducible claims rather than anecdotes.
+//! Seed sensitivity: different seeds must give different results, so a
+//! seed that silently stops reaching a layer fails here. The other half
+//! of determinism — the same seed gives the same bytes — is pinned
+//! end to end by `GOLDEN.digests` (see `tests/golden.rs`).
 
-use btcpart::attacks::temporal::grid::{GridConfig, GridSim};
-use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig};
-use btcpart::bgp::AsGraph;
-use btcpart::crawler::Crawler;
 use btcpart::mining::PoolCensus;
 use btcpart::net::{NetConfig, Simulation};
 use btcpart::topology::{Snapshot, SnapshotConfig};
@@ -22,17 +18,14 @@ fn config(seed: u64) -> SnapshotConfig {
 }
 
 #[test]
-fn snapshots_are_bit_identical_under_seed() {
+fn snapshots_differ_across_seeds() {
     let a = Snapshot::generate(config(1));
-    let b = Snapshot::generate(config(1));
-    assert_eq!(a.nodes, b.nodes);
-    assert_eq!(a.versions.versions(), b.versions.versions());
-    let c = Snapshot::generate(config(2));
-    assert_ne!(a.nodes, c.nodes);
+    let b = Snapshot::generate(config(2));
+    assert_ne!(a.nodes, b.nodes);
 }
 
 #[test]
-fn simulations_replay_exactly() {
+fn simulations_differ_across_seeds() {
     let snap = Snapshot::generate(config(3));
     let census = PoolCensus::paper_table_iv();
     let run = |net_seed: u64| {
@@ -45,61 +38,7 @@ fn simulations_replay_exactly() {
             },
         );
         sim.run_for_secs(3 * 600);
-        (sim.lags(), sim.stats(), sim.traffic())
+        sim.lags()
     };
-    let (lags_a, stats_a, traffic_a) = run(10);
-    let (lags_b, stats_b, traffic_b) = run(10);
-    assert_eq!(lags_a, lags_b);
-    assert_eq!(stats_a, stats_b);
-    assert_eq!(traffic_a, traffic_b);
-    let (lags_c, ..) = run(11);
-    assert_ne!(lags_a, lags_c);
-}
-
-#[test]
-fn crawls_and_attacks_replay_exactly() {
-    let snap = Snapshot::generate(config(4));
-    let census = PoolCensus::paper_table_iv();
-    let run = || {
-        let mut sim = Simulation::new(
-            &snap,
-            &census,
-            NetConfig {
-                seed: 20,
-                diffusion_mean_ms: 40_000.0,
-                failure_rate: 0.12,
-                ..NetConfig::paper()
-            },
-        );
-        sim.run_for_secs(3 * 600);
-        let crawl = Crawler::new(60).crawl(&mut sim, &snap, 1200);
-        let report = run_temporal_attack(
-            &mut sim,
-            TemporalAttackConfig {
-                duration_secs: 600,
-                max_targets: 40,
-                ..TemporalAttackConfig::paper()
-            },
-        );
-        (crawl.series.samples().to_vec(), report)
-    };
-    let (series_a, report_a) = run();
-    let (series_b, report_b) = run();
-    assert_eq!(series_a, series_b);
-    assert_eq!(report_a, report_b);
-}
-
-#[test]
-fn grid_and_graph_replay_exactly() {
-    let a = GridSim::new(GridConfig::figure7()).figure7_run();
-    let b = GridSim::new(GridConfig::figure7()).figure7_run();
-    assert_eq!(a, b);
-
-    let snap = Snapshot::generate(config(5));
-    let ga = AsGraph::synthetic(&snap.registry, 9);
-    let gb = AsGraph::synthetic(&snap.registry, 9);
-    for rec in snap.registry.ases() {
-        assert_eq!(ga.providers(rec.asn), gb.providers(rec.asn));
-        assert_eq!(ga.peers(rec.asn), gb.peers(rec.asn));
-    }
+    assert_ne!(run(10), run(11));
 }

@@ -1,18 +1,25 @@
-//! Serving determinism: the response stream for a fixed load script is
-//! byte-identical at any worker count, and across an engine "restart"
-//! against a warm persistent store — the two properties `repro
-//! --serve-bench` ships to CI.
+//! The query service's response stream is deterministic and survives
+//! restarts. `repro --serve-bench` at `--jobs 1`, at `--jobs 8`, over a
+//! cold `--cache` and over the same cache warm gives the golden
+//! response stream, and the warm run evaluates nothing (row F of the
+//! golden matrix, `tests/common/mod.rs`). A restarted service answers
+//! from a warm persistent store without recomputing even when it
+//! reopens the store read-only (`repro --serve` against a store a batch
+//! run produced).
+
+mod common;
 
 use bp_bench::serve::{build_substrate, run_bench, serve_key_fn, StoreBackend};
 use bp_bench::ReproConfig;
 use bp_serve::{EngineOptions, QueryEngine};
 use std::sync::Arc;
 
-fn tiny() -> ReproConfig {
+/// The golden matrix's serve config (`--quick --scale 0.02 --hours 1`).
+fn small() -> ReproConfig {
     ReproConfig {
         scale: 0.02,
-        general_hours: 1,
         day_hours: 1,
+        general_hours: 2,
         ..ReproConfig::quick()
     }
 }
@@ -21,127 +28,98 @@ fn engine(
     substrate: &Arc<bp_serve::Substrate>,
     config: &ReproConfig,
     workers: usize,
-    cache_dir: Option<&str>,
+    backend: StoreBackend,
 ) -> QueryEngine {
-    let mut engine = QueryEngine::new(
+    QueryEngine::new(
         Arc::clone(substrate),
         EngineOptions {
             workers,
             memo_shards: 16,
         },
     )
-    .with_key_fn(serve_key_fn(config));
-    if let Some(dir) = cache_dir {
-        engine = engine.with_backend(Box::new(StoreBackend::open(dir).unwrap()));
-    }
-    engine
+    .with_key_fn(serve_key_fn(config))
+    .with_backend(Box::new(backend))
+}
+
+/// Runs the bench script `repro --serve-bench` runs and returns the
+/// response stream with the run's cold-evaluation count.
+fn responses(engine: &QueryEngine, config: &ReproConfig, workers: usize) -> (Vec<u8>, u64) {
+    let mut sink = Vec::new();
+    let report = run_bench(
+        engine,
+        config,
+        "closed",
+        "zipf",
+        workers,
+        &bp_obs::Registry::new(),
+        Some(&mut sink),
+    )
+    .unwrap();
+    (sink, report.load.cold_evals)
 }
 
 #[test]
 fn response_stream_is_byte_identical_across_worker_counts() {
-    let config = tiny();
-    let substrate = build_substrate(&config);
-    let mut streams: Vec<Vec<u8>> = Vec::new();
-    for workers in [1usize, 8] {
-        let engine = engine(&substrate, &config, workers, None);
-        let mut sink = Vec::new();
-        let report = run_bench(
-            &engine,
-            &config,
-            "closed",
-            "zipf",
-            workers,
-            &bp_obs::Registry::new(),
-            Some(&mut sink),
-        )
-        .unwrap();
-        assert!(report.load.cold_queries > 0);
-        assert!(report.load.warm_queries > report.load.cold_queries);
-        streams.push(sink);
-    }
+    common::assert_rows_golden(&["F"]);
+    let serve = |run: &str| -> String {
+        let path = common::row("F")
+            .join(run)
+            .join("metrics/BENCH_pipeline.json");
+        let bench = String::from_utf8(common::read(&path)).unwrap();
+        bench[bench.find("\"serve\": {").expect("serve section")..].to_string()
+    };
+    let cold = serve("cold");
+    assert!(common::json_u64(&cold, "distinct") > 0);
+    assert!(common::json_u64(&cold, "queries") > common::json_u64(&cold, "distinct"));
+    assert!(common::json_u64(&cold, "cold_evals") > 0);
     assert_eq!(
-        streams[0], streams[1],
-        "response stream diverged between 1 and 8 workers"
+        common::json_u64(&cold, "backend_hits"),
+        0,
+        "store was not empty"
+    );
+    let warm = serve("warm");
+    assert_eq!(
+        common::json_u64(&warm, "cold_evals"),
+        0,
+        "warm run recomputed answers"
+    );
+    assert_eq!(
+        common::json_u64(&warm, "backend_hits"),
+        common::json_u64(&warm, "distinct"),
+        "not every distinct query replayed from the store"
     );
 }
 
 #[test]
 fn warm_store_replays_across_a_restart_without_recomputing() {
-    let config = tiny();
-    let dir = std::env::temp_dir().join(format!("bp-serve-restart-{}", std::process::id()));
-    let dir = dir.to_str().unwrap().to_string();
-    let _ = std::fs::remove_dir_all(&dir);
+    let config = small();
+    let dir = common::scratch("serve_restart");
+    let dir = dir.to_str().unwrap();
     let substrate = build_substrate(&config);
 
     // Cold process: compute everything, persist the memo store.
-    let cold = engine(&substrate, &config, 4, Some(&dir));
-    let mut cold_sink = Vec::new();
-    let cold_report = run_bench(
-        &cold,
-        &config,
-        "closed",
-        "zipf",
-        4,
-        &bp_obs::Registry::new(),
-        Some(&mut cold_sink),
-    )
-    .unwrap();
-    assert!(cold_report.load.cold_evals > 0);
-    assert_eq!(cold_report.load.backend_hits, 0, "store was not empty");
+    let cold = engine(&substrate, &config, 4, StoreBackend::open(dir).unwrap());
+    let (cold_stream, cold_evals) = responses(&cold, &config, 4);
+    assert!(cold_evals > 0);
     cold.flush_backend().unwrap();
     drop(cold);
 
-    // "Restarted" process: a fresh engine (empty memo) over the same
-    // store answers every distinct query from disk, byte-identically.
-    let warm = engine(&substrate, &config, 1, Some(&dir));
-    let mut warm_sink = Vec::new();
-    let warm_report = run_bench(
-        &warm,
+    // Restarted process, store opened read-only: a fresh engine (empty
+    // memo) answers every query from disk without write access.
+    let ro = engine(
+        &substrate,
         &config,
-        "closed",
-        "zipf",
         1,
-        &bp_obs::Registry::new(),
-        Some(&mut warm_sink),
-    )
-    .unwrap();
-    assert_eq!(
-        warm_report.load.cold_evals, 0,
-        "restart recomputed answers the store already held"
+        StoreBackend::open_read_only(dir).unwrap(),
     );
-    assert_eq!(
-        warm_report.load.backend_hits, cold_report.load.cold_queries as u64,
-        "not every distinct query replayed from the store"
+    let (ro_stream, ro_evals) = responses(&ro, &config, 1);
+    assert_eq!(ro_evals, 0, "read-only store missed");
+    common::assert_golden(
+        "serve restart",
+        &[
+            ("serve_responses.bin".to_string(), cold_stream),
+            ("serve_responses.bin".to_string(), ro_stream),
+        ],
     );
-    assert_eq!(
-        cold_sink, warm_sink,
-        "response stream changed across the restart"
-    );
-
-    // A read-only reopen of the store serves the same answers without
-    // write access (`--serve` against a batch-produced store).
-    let ro = QueryEngine::new(
-        Arc::clone(&substrate),
-        EngineOptions {
-            workers: 1,
-            memo_shards: 16,
-        },
-    )
-    .with_key_fn(serve_key_fn(&config))
-    .with_backend(Box::new(StoreBackend::open_read_only(&dir).unwrap()));
-    let mut ro_sink = Vec::new();
-    run_bench(
-        &ro,
-        &config,
-        "closed",
-        "zipf",
-        1,
-        &bp_obs::Registry::new(),
-        Some(&mut ro_sink),
-    )
-    .unwrap();
-    assert_eq!(ro.cold_evals(), 0, "read-only store missed");
-    assert_eq!(cold_sink, ro_sink);
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
 }

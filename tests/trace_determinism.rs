@@ -1,132 +1,87 @@
-//! The flight recorder's end-to-end contract (`repro --trace`):
+//! The flight recorder's end-to-end contract (`repro --trace`), on rows
+//! A–E of the golden matrix (`tests/common/mod.rs`) plus one in-process
+//! traced run of the subset rows' selection at a fourth worker count:
 //!
-//! * tracing a run changes no artifact byte, and metrics stay
-//!   byte-identical with tracing on;
-//! * the merged trace is byte-identical for any worker count (the
-//!   `--jobs 1` vs `--jobs 4` differential CI check in library form);
+//! * tracing a run changes no artifact byte, and the pipeline's metrics
+//!   stay byte-identical with tracing on;
+//! * the merged trace matches its golden line for any worker count;
 //! * `trace timeline` rebuilds the crawler's published block-lag series
 //!   (`fig6_day.csv`) from the trace alone, byte for byte.
 
-use bp_bench::pipeline::{run_pipeline_traced, TraceHub};
-use bp_bench::{generate_with_report, ReproConfig};
-use btcpart::obs::trace::{
-    decode_records, encode_records, first_divergence, render_jsonl, timeline, timeline_csv,
-    TraceCategory, TraceKind,
-};
+mod common;
+
+use bp_bench::cli::parse_args;
+use bp_bench::pipeline::{run_pipeline, TraceHub};
+use btcpart::obs::trace::{decode_trace, timeline, timeline_csv, TraceCategory, TraceKind};
 use btcpart::obs::Registry;
+use common::{assert_golden, assert_rows_golden_where, read, row, PIPELINE, SUBSET};
+use std::sync::OnceLock;
 
-fn test_config() -> ReproConfig {
-    ReproConfig {
-        scale: 0.02,
-        day_hours: 1,
-        general_hours: 1,
-        ..ReproConfig::quick()
-    }
-}
-
-/// One job per traced stream — day crawl (net + crawler records), fig7
-/// (grid records), table6 (model records) — plus a static job to keep
-/// the scheduler honest.
-fn traced_ids() -> Vec<String> {
-    ["table1", "fig6_day", "table6", "fig7"]
-        .map(String::from)
-        .to_vec()
+/// The subset rows' selection, traced and metered in process at
+/// `--jobs 4`: its `metrics.json`, `metrics.csv` and `trace.bin` bytes.
+fn traced_subset() -> &'static [common::Stream; 3] {
+    static RUN: OnceLock<[common::Stream; 3]> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let args: Vec<String> = PIPELINE
+            .iter()
+            .chain(&SUBSET)
+            .map(|s| s.to_string())
+            .collect();
+        let opts = parse_args(&args).unwrap();
+        let reg = Registry::new();
+        let hub = TraceHub::new();
+        run_pipeline(&opts.config, &opts.ids, 4, Some(&reg), Some(&hub), None);
+        let snap = reg.snapshot();
+        [
+            ("subset/metrics.json".into(), snap.to_json().into_bytes()),
+            ("subset/metrics.csv".into(), snap.to_csv().into_bytes()),
+            ("subset/trace.bin".into(), hub.merged().encode()),
+        ]
+    })
 }
 
 #[test]
 fn trace_is_byte_identical_across_worker_counts() {
-    let config = test_config();
-    let ids = traced_ids();
-    let hub1 = TraceHub::new();
-    let (serial, _) = run_pipeline_traced(&config, &ids, 1, None, Some(&hub1));
-    let hub4 = TraceHub::new();
-    let (parallel, _) = run_pipeline_traced(&config, &ids, 4, None, Some(&hub4));
-
-    let records1 = hub1.merged().into_records();
-    let records4 = hub4.merged().into_records();
-    assert!(!records1.is_empty(), "traced run recorded nothing");
-    assert_eq!(
-        first_divergence(&records1, &records4),
-        None,
-        "trace diverges between --jobs 1 and --jobs 4"
-    );
-    // The exported files are what CI actually compares.
-    assert_eq!(encode_records(&records1), encode_records(&records4));
-    assert_eq!(render_jsonl(&records1), render_jsonl(&records4));
-    // Artifacts agree across worker counts too, traced or not.
-    for (a, b) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(a.body, b.body, "artifact {} differs across jobs", a.id);
-    }
-    // The binary roundtrips.
-    assert_eq!(
-        decode_records(&encode_records(&records1)).unwrap(),
-        records1
-    );
+    // `all` at --jobs 8 and 2; the subset at --jobs 1 (E) and 4.
+    assert_rows_golden_where(&["B", "C"], |stream| stream == "trace.bin");
+    assert_rows_golden_where(&["E"], |stream| stream == "subset/trace.bin");
+    assert_golden("in-process subset at --jobs 4", &traced_subset()[2..]);
 }
 
 #[test]
 fn tracing_changes_no_artifact_or_metric_byte() {
-    let config = test_config();
-    let ids = traced_ids();
-    let (plain, _) = generate_with_report(&config, &ids, 2);
-
-    let reg_traced = Registry::new();
-    let hub = TraceHub::new();
-    let (traced, _) = run_pipeline_traced(&config, &ids, 2, Some(&reg_traced), Some(&hub));
-    let reg_plain = Registry::new();
-    let (_, _) = run_pipeline_traced(&config, &ids, 2, Some(&reg_plain), None);
-
-    assert_eq!(plain.len(), traced.len());
-    for (a, b) in plain.iter().zip(traced.iter()) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.body, b.body, "body of {} differs when traced", a.id);
-        assert_eq!(a.csv, b.csv, "csv of {} differs when traced", a.id);
-    }
+    // Untraced A and traced B, C and E share every artifact line.
+    assert_rows_golden_where(&["A", "B", "C"], |stream| {
+        stream == "stdout" || stream.starts_with("csv/")
+    });
+    assert_rows_golden_where(&["E"], |stream| stream.starts_with("csv/"));
     // The pipeline itself exports no trace counters (the repro binary
-    // adds them explicitly), so metrics.json is invariant under --trace.
-    assert_eq!(
-        reg_plain.snapshot().to_json(),
-        reg_traced.snapshot().to_json(),
-        "metrics.json differs when tracing is on"
-    );
+    // adds them explicitly), so a traced run's metrics match the golden
+    // lines of untraced row D.
+    assert_golden("in-process subset at --jobs 4", &traced_subset()[..2]);
 }
 
 #[test]
 fn timeline_reconstructs_the_day_crawl_series() {
-    let config = test_config();
-    let ids = traced_ids();
-    let hub = TraceHub::new();
-    let (artifacts, _) = run_pipeline_traced(&config, &ids, 2, None, Some(&hub));
-
-    let fig6_day = artifacts
-        .iter()
-        .find(|a| a.id == "fig6_day")
-        .expect("fig6_day artifact");
-    let (_, published_csv) = fig6_day
-        .csv
-        .iter()
-        .find(|(name, _)| name == "fig6_day")
-        .expect("fig6_day csv export");
-
-    let records = hub.merged().into_records();
-    let reconstructed = timeline_csv(&timeline(&records));
-    if &reconstructed != published_csv {
-        for (i, (ours, theirs)) in reconstructed.lines().zip(published_csv.lines()).enumerate() {
-            assert_eq!(ours, theirs, "first divergence at line {}", i + 1);
-        }
-        panic!(
-            "length mismatch: {} vs {} lines",
-            reconstructed.lines().count(),
-            published_csv.lines().count()
-        );
+    let dir = row("E");
+    let records = decode_trace(&read(&dir.join("trace/trace.bin"))).unwrap().0;
+    let published = String::from_utf8(read(&dir.join("out/fig6_day.csv"))).unwrap();
+    let rebuilt = timeline_csv(&timeline(&records));
+    for (i, (ours, theirs)) in rebuilt.lines().zip(published.lines()).enumerate() {
+        assert_eq!(ours, theirs, "timeline diverges at line {}", i + 1);
     }
+    assert_eq!(rebuilt.lines().count(), published.lines().count());
 
     // The trace carries all three component streams in fixed order:
     // net/crawler records first (day sim), then attack records.
-    assert!(records.iter().any(|r| r.kind == TraceKind::Mine));
-    assert!(records.iter().any(|r| r.kind == TraceKind::CrawlSample));
-    assert!(records.iter().any(|r| r.kind == TraceKind::GridMine));
-    assert!(records.iter().any(|r| r.kind == TraceKind::ModelBisect));
+    for kind in [
+        TraceKind::Mine,
+        TraceKind::CrawlSample,
+        TraceKind::GridMine,
+        TraceKind::ModelBisect,
+    ] {
+        assert!(records.iter().any(|r| r.kind == kind), "no {kind:?} record");
+    }
     let first_attack = records
         .iter()
         .position(|r| r.kind.category() == TraceCategory::Attack)

@@ -89,9 +89,20 @@ impl Default for GridConfig {
     }
 }
 
+/// Dense index of the genesis block.
+const GENESIS: u32 = 0;
+
+/// Parent index of the genesis block ("no such block").
+const NO_PARENT: u32 = u32::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct GridBlock {
-    parent: u64,
+    /// 64-bit block id: the hash input of the children's ids.
+    id: u64,
+    /// Dense index of the parent ([`NO_PARENT`] for genesis).
+    parent: u32,
+    /// Number of children (for natural-fork labelling).
+    children: u32,
     height: u32,
     /// Fork label: 0 = main chain "A", 1 = first attacker fork "B",
     /// higher = later forks ("C", "D", …).
@@ -172,15 +183,19 @@ impl GridSnapshot {
 pub struct GridSim {
     config: GridConfig,
     rng: StdRng,
-    /// Block registry, keyed by 64-bit block id.
-    blocks: HashMap<u64, GridBlock>,
-    /// Number of children per block (for natural-fork labelling).
-    children: HashMap<u64, u32>,
+    /// Block registry in insertion order (genesis is [`GENESIS`]). Every
+    /// other reference to a block — tips, `attacker_tip`, `honest_best`,
+    /// `GridBlock::parent` — is a dense index into it.
+    blocks: Vec<GridBlock>,
     /// Per-cell displayed tip (row-major) — what the node believes.
-    tips: Vec<u64>,
+    tips: Vec<u32>,
     /// Per-cell best known *honest* tip — what an honest miner at that
     /// cell would mine on.
-    honest_tips: Vec<u64>,
+    honest_tips: Vec<u32>,
+    /// Write buffers of the exchange round, swapped with `tips` and
+    /// `honest_tips` at the end of every step.
+    next_tips: Vec<u32>,
+    next_honest: Vec<u32>,
     step: u64,
     /// Steps until the next honest / attacker block.
     honest_countdown: f64,
@@ -188,13 +203,13 @@ pub struct GridSim {
     /// Counterfeit blocks the attacker has mined and withheld, ready to
     /// release in reaction to the next honest block.
     attacker_banked: u32,
-    attacker_tip: u64,
+    attacker_tip: u32,
     /// Whether the attacker has produced its first (withheld) block.
     attacker_started: bool,
+    /// Last fork label handed out; saturates at `u8::MAX`.
     next_fork_label: u8,
-    /// Highest honest block id.
-    honest_best: u64,
-    genesis: u64,
+    /// Highest honest block.
+    honest_best: u32,
     /// Counterfeit blocks released so far (observability only).
     counterfeit_released: u64,
     /// Snapshots evaluated by sweep runs (observability only).
@@ -223,17 +238,14 @@ impl GridSim {
             "attacker hash share must lie in (0, 1)"
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let genesis = Hash256::digest(b"grid-genesis").prefix_u64();
-        let mut blocks = HashMap::new();
-        blocks.insert(
-            genesis,
-            GridBlock {
-                parent: 0,
-                height: 0,
-                fork: 0,
-                counterfeit: false,
-            },
-        );
+        let genesis = GridBlock {
+            id: Hash256::digest(b"grid-genesis").prefix_u64(),
+            parent: NO_PARENT,
+            children: 0,
+            height: 0,
+            fork: 0,
+            counterfeit: false,
+        };
         let honest_countdown = Self::sample_interval(
             &mut rng,
             config.steps_per_block() / (1.0 - config.attacker_hash),
@@ -244,19 +256,19 @@ impl GridSim {
         Self {
             config,
             rng,
-            blocks,
-            children: HashMap::new(),
-            tips: vec![genesis; cells],
-            honest_tips: vec![genesis; cells],
+            blocks: vec![genesis],
+            tips: vec![GENESIS; cells],
+            honest_tips: vec![GENESIS; cells],
+            next_tips: vec![GENESIS; cells],
+            next_honest: vec![GENESIS; cells],
             step: 0,
             honest_countdown,
             attacker_countdown,
             attacker_banked: 1,
-            attacker_tip: genesis,
+            attacker_tip: GENESIS,
             attacker_started: false,
             next_fork_label: 0,
-            honest_best: genesis,
-            genesis,
+            honest_best: GENESIS,
             counterfeit_released: 0,
             sweep_snapshots: 0,
             tracer: None,
@@ -289,7 +301,7 @@ impl GridSim {
 
     /// The genesis block id.
     pub fn genesis(&self) -> u64 {
-        self.genesis
+        self.blocks[GENESIS as usize].id
     }
 
     fn sample_interval(rng: &mut StdRng, mean_steps: f64) -> f64 {
@@ -301,8 +313,8 @@ impl GridSim {
         r * self.config.size + c
     }
 
-    fn height_of(&self, tip: u64) -> u32 {
-        self.blocks[&tip].height
+    fn height_of(&self, tip: u32) -> u32 {
+        self.blocks[tip as usize].height
     }
 
     /// Derives a new block id from its identity (a 64-bit stand-in for
@@ -316,35 +328,37 @@ impl GridSim {
         Hash256::digest(&buf).prefix_u64()
     }
 
-    fn mine(&mut self, parent: u64, counterfeit: bool, fork_hint: Option<u8>) -> u64 {
-        let parent_block = self.blocks[&parent];
+    /// Hands out a fresh fork label. Labels saturate at `u8::MAX` (drawn
+    /// as 'Z', like every label past 25) instead of wrapping back to the
+    /// main chain's 0.
+    fn fresh_fork_label(&mut self) -> u8 {
+        self.next_fork_label = self.next_fork_label.saturating_add(1);
+        self.next_fork_label
+    }
+
+    fn mine(&mut self, parent: u32, counterfeit: bool, fork_hint: Option<u8>) -> u32 {
+        let parent_block = self.blocks[parent as usize];
         let fork = match fork_hint {
             Some(f) => f,
-            None => {
-                // A block on a parent that already has a child starts a
-                // real branch — a fresh label, the way fork "C" appears
-                // naturally in Figure 7(c).
-                if self.children.get(&parent).copied().unwrap_or(0) > 0 {
-                    self.next_fork_label += 1;
-                    self.next_fork_label
-                } else {
-                    parent_block.fork
-                }
-            }
+            // A block on a parent that already has a child starts a real
+            // branch — a fresh label, the way fork "C" appears naturally
+            // in Figure 7(c).
+            None if parent_block.children > 0 => self.fresh_fork_label(),
+            None => parent_block.fork,
         };
         let height = parent_block.height + 1;
-        let id = self.block_id(parent, height, fork, self.step);
-        self.blocks.insert(
+        let id = self.block_id(parent_block.id, height, fork, self.step);
+        self.blocks[parent as usize].children += 1;
+        let dense = u32::try_from(self.blocks.len()).expect("grid block index overflow");
+        self.blocks.push(GridBlock {
             id,
-            GridBlock {
-                parent,
-                height,
-                fork,
-                counterfeit,
-            },
-        );
-        *self.children.entry(parent).or_insert(0) += 1;
-        id
+            parent,
+            children: 0,
+            height,
+            fork,
+            counterfeit,
+        });
+        dense
     }
 
     /// Advances one time step: mining countdowns, then one neighbour
@@ -406,15 +420,17 @@ impl GridSim {
         // adopts the tallest displayed and honest chains it saw. Updates
         // are synchronous (double-buffered) so information travels at
         // most one cell per step — with R_span = 2.0 this makes the grid
-        // "fully updated between blocks", as the paper reports.
+        // "fully updated between blocks", as the paper reports. Each
+        // in-bounds link draws one f64, in neighbour order, before the
+        // neighbour is read.
         let size = self.config.size;
-        let mut new_tips = self.tips.clone();
-        let mut new_honest = self.honest_tips.clone();
         for r in 0..size {
             for c in 0..size {
                 let own_idx = self.cell_index(r, c);
                 let mut best_tip = self.tips[own_idx];
+                let mut best_tip_height = self.height_of(best_tip);
                 let mut best_honest = self.honest_tips[own_idx];
+                let mut best_honest_height = self.height_of(best_honest);
                 let neighbours = [
                     (r.wrapping_sub(1), c),
                     (r + 1, c),
@@ -430,28 +446,32 @@ impl GridSim {
                     }
                     let nbr_idx = self.cell_index(nr, nc);
                     let theirs = self.tips[nbr_idx];
-                    if self.height_of(theirs) > self.height_of(best_tip) {
+                    let their_height = self.height_of(theirs);
+                    if their_height > best_tip_height {
                         best_tip = theirs;
+                        best_tip_height = their_height;
                     }
                     let their_honest = self.honest_tips[nbr_idx];
-                    if self.height_of(their_honest) > self.height_of(best_honest) {
+                    let their_honest_height = self.height_of(their_honest);
+                    if their_honest_height > best_honest_height {
                         best_honest = their_honest;
+                        best_honest_height = their_honest_height;
                     }
                 }
-                new_tips[own_idx] = best_tip;
-                new_honest[own_idx] = best_honest;
+                self.next_tips[own_idx] = best_tip;
+                self.next_honest[own_idx] = best_honest;
             }
         }
-        self.tips = new_tips;
-        self.honest_tips = new_honest;
+        std::mem::swap(&mut self.tips, &mut self.next_tips);
+        std::mem::swap(&mut self.honest_tips, &mut self.next_honest);
 
         // Honest chains displace counterfeit ones at equal height: a node
         // that knows an honest chain at least as long as the counterfeit
         // one it displays abandons the counterfeit.
-        for idx in 0..self.tips.len() {
-            let displayed = self.blocks[&self.tips[idx]];
-            if displayed.counterfeit && self.height_of(self.honest_tips[idx]) >= displayed.height {
-                self.tips[idx] = self.honest_tips[idx];
+        for (tip, &honest) in self.tips.iter_mut().zip(&self.honest_tips) {
+            let displayed = self.blocks[*tip as usize];
+            if displayed.counterfeit && self.blocks[honest as usize].height >= displayed.height {
+                *tip = honest;
             }
         }
         // Except the attacker's own cell, which always displays its fork.
@@ -471,14 +491,13 @@ impl GridSim {
         let parent = if self.attacker_started && attacker_height < honest_height {
             self.attacker_tip
         } else {
-            self.blocks[&self.honest_best].parent
+            self.blocks[self.honest_best as usize].parent
         };
         let rebased = parent != self.attacker_tip;
         let label = if !self.attacker_started || rebased {
-            self.next_fork_label += 1;
-            self.next_fork_label
+            self.fresh_fork_label()
         } else {
-            self.blocks[&self.attacker_tip].fork
+            self.blocks[self.attacker_tip as usize].fork
         };
         let id = self.mine(parent, true, Some(label));
         self.counterfeit_released += 1;
@@ -521,21 +540,18 @@ impl GridSim {
 
     /// Current snapshot with per-cell fork labels.
     pub fn snapshot(&self) -> GridSnapshot {
-        let size = self.config.size;
-        let labels = (0..size)
-            .map(|r| {
-                (0..size)
-                    .map(|c| {
-                        let fork = self.blocks[&self.tips[self.cell_index(r, c)]].fork;
-                        (b'A' + fork.min(25)) as char
-                    })
+        let rows = || self.tips.chunks(self.config.size);
+        let labels = rows()
+            .map(|row| {
+                row.iter()
+                    .map(|&tip| (b'A' + self.blocks[tip as usize].fork.min(25)) as char)
                     .collect()
             })
             .collect();
-        let counterfeit = (0..size)
-            .map(|r| {
-                (0..size)
-                    .map(|c| self.blocks[&self.tips[self.cell_index(r, c)]].counterfeit)
+        let counterfeit = rows()
+            .map(|row| {
+                row.iter()
+                    .map(|&tip| self.blocks[tip as usize].counterfeit)
                     .collect()
             })
             .collect();
@@ -715,6 +731,171 @@ mod tests {
         let a = GridSim::new(GridConfig::figure7()).figure7_run();
         let b = GridSim::new(GridConfig::figure7()).figure7_run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fresh_block_spreads_one_cell_per_step_without_failures() {
+        // Analytic oracle for the synchronous exchange round: with no
+        // failed links and no attacker, a block taller than every tip
+        // moves exactly one hop per exchange round. It is mined before
+        // the round of its own step s, so a cell at Manhattan distance d
+        // displays it from the end of step s + d - 1 until the next block
+        // is mined. An in-place update would let it run ahead.
+        let config = GridConfig {
+            size: 15,
+            failure_rate: 0.0,
+            attack_start_step: u64::MAX,
+            seed: 5,
+            ..GridConfig::figure7()
+        };
+        let size = config.size;
+        let mut sim = GridSim::new(config);
+        sim.set_tracer(Tracer::new());
+        // Displayed heights at the end of every step; index 0 is step 0.
+        let mut heights = vec![vec![0u32; size * size]];
+        while sim.step_count() < 3_000 {
+            sim.tick();
+            heights.push(
+                (0..size * size)
+                    .map(|i| sim.height_of(sim.tips[i]))
+                    .collect(),
+            );
+        }
+        let mines: Vec<_> = sim
+            .take_tracer()
+            .unwrap()
+            .into_records()
+            .into_iter()
+            .filter(|r| r.kind == TraceKind::GridMine)
+            .collect();
+        let (mut checked, mut crossed) = (0, 0);
+        for (i, mine) in mines.iter().enumerate() {
+            let (step, cell, height) = (mine.time as usize, mine.node as usize, mine.a as u32);
+            let next = mines.get(i + 1).map_or(heights.len(), |m| m.time as usize);
+            if heights[step - 1].iter().any(|&h| h >= height) {
+                continue; // mined on a stale tip: it may never spread
+            }
+            checked += 1;
+            let (mr, mc) = (cell / size, cell % size);
+            for (round, row) in heights[step..next].iter().enumerate() {
+                for (idx, &h) in row.iter().enumerate() {
+                    let dist = (idx / size).abs_diff(mr) + (idx % size).abs_diff(mc);
+                    assert_eq!(
+                        h == height,
+                        dist <= round + 1,
+                        "block mined at step {step} in cell {cell}: cell {idx} \
+                         (distance {dist}) after {} rounds",
+                        round + 1
+                    );
+                }
+            }
+            if next - step >= 2 * (size - 1) {
+                crossed += 1;
+            }
+        }
+        assert!(checked >= 40, "only {checked} fresh blocks checked");
+        assert!(crossed >= 20, "only {crossed} blocks crossed the grid");
+    }
+
+    #[test]
+    fn fork_labels_saturate_instead_of_wrapping() {
+        // A tiny, fast-mining grid forks naturally hundreds of times.
+        let config = GridConfig {
+            size: 4,
+            attacker_cell: (1, 1),
+            span_ratio: 0.5,
+            attack_start_step: u64::MAX,
+            ..GridConfig::figure7()
+        };
+        let mut sim = GridSim::new(config);
+        sim.run_to(20_000);
+        let branches: u32 = sim
+            .blocks
+            .iter()
+            .map(|b| b.children.saturating_sub(1))
+            .sum();
+        assert!(branches > 300, "only {branches} natural forks");
+        assert_eq!(sim.next_fork_label, u8::MAX);
+        // Every branch past the 255th keeps the last label; none is
+        // drawn as the main chain.
+        let saturated = sim.blocks.iter().filter(|b| b.fork == u8::MAX).count();
+        assert!(
+            saturated as u32 > branches - 255,
+            "{saturated} blocks on label 255"
+        );
+        let labels = sim.snapshot().labels.concat();
+        assert!(labels.iter().all(|&l| l == 'Z'), "{labels:?}");
+    }
+
+    /// 64-bit FNV-1a, inline so the pinned digests below do not depend
+    /// on the standard library's (unstable) hasher.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Runs a fresh grid to `steps`, hashing every 10th snapshot (labels
+    /// and counterfeit bits) together with the diagnostics at that step.
+    /// The literals in the `pinned_digest_*` tests were captured on the
+    /// earlier `HashMap`-keyed simulator, which drew the same RNG stream.
+    fn run_digest(config: GridConfig, steps: u64) -> (u64, GridSim) {
+        let mut sim = GridSim::new(config);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        while sim.step_count() < steps {
+            sim.tick();
+            if !sim.step_count().is_multiple_of(10) {
+                continue;
+            }
+            let snap = sim.snapshot();
+            for (row, fakes) in snap.labels.iter().zip(&snap.counterfeit) {
+                for (&label, &fake) in row.iter().zip(fakes) {
+                    fnv1a(&mut hash, &[label as u8, u8::from(fake)]);
+                }
+            }
+            let (honest, attacker) = sim.debug_heights();
+            let (blocks, banked) = sim.debug_counts();
+            fnv1a(&mut hash, &honest.to_le_bytes());
+            fnv1a(&mut hash, &attacker.to_le_bytes());
+            fnv1a(&mut hash, &(blocks as u64).to_le_bytes());
+            fnv1a(&mut hash, &banked.to_le_bytes());
+        }
+        (hash, sim)
+    }
+
+    #[test]
+    fn pinned_digest_large_grid_with_attacker() {
+        // Beyond the 25x25 quick configurations the golden matrix reaches.
+        let config = GridConfig {
+            size: 36,
+            attacker_cell: (10, 10),
+            span_ratio: 1.0,
+            attack_start_step: 100,
+            seed: 7,
+            ..GridConfig::figure7()
+        };
+        let (digest, sim) = run_digest(config, 800);
+        assert_eq!(digest, 10_838_315_273_449_013_128);
+        assert_eq!(sim.debug_heights(), (14, 8));
+        assert_eq!(sim.debug_counts(), (28, 0));
+        assert_eq!(sim.counterfeit_released, 7);
+    }
+
+    #[test]
+    fn pinned_digest_long_honest_run() {
+        // A long R_span = 0.5 run without an attacker: many natural forks.
+        let config = GridConfig {
+            span_ratio: 0.5,
+            attack_start_step: u64::MAX,
+            seed: 11,
+            ..GridConfig::figure7()
+        };
+        let (digest, sim) = run_digest(config, 10_000);
+        assert_eq!(digest, 8_169_427_909_783_928_278);
+        assert_eq!(sim.debug_heights(), (310, 0));
+        assert_eq!(sim.debug_counts(), (524, 2));
+        assert_eq!(sim.next_fork_label, 175);
     }
 
     #[test]

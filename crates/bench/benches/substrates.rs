@@ -1,11 +1,9 @@
-//! Microbenchmarks of the substrates the attacks run on: hashing, chain
-//! store, UTXO, routing, hijack planning and the event-driven simulator.
+//! Microbenchmarks of the substrates the attacks run on: hashing,
+//! routing, hijack planning and the event-driven simulator.
 
 use bp_bench::ReproConfig;
 use btcpart::bgp::{origin_hijack, AsGraph, HijackEngine, RouteMap};
-use btcpart::chain::{
-    AccountId, Amount, Block, ChainStore, Hash256, Height, Mempool, Transaction, TxOut, UtxoSet,
-};
+use btcpart::chain::Hash256;
 use btcpart::mining::PoolCensus;
 use btcpart::net::{NetConfig, Simulation};
 use btcpart::topology::{Asn, Snapshot};
@@ -22,117 +20,6 @@ fn sha256(c: &mut Criterion) {
             b.iter(|| black_box(Hash256::digest(&data)))
         });
     }
-    group.finish();
-}
-
-fn chain_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chain");
-    group.sample_size(20);
-    group.bench_function("connect_100_blocks", |b| {
-        b.iter(|| {
-            let genesis = Block::genesis(AccountId(0), Amount::COIN);
-            let mut store = ChainStore::new(genesis.clone());
-            let mut prev = genesis.id();
-            let mut height = Height::GENESIS;
-            for i in 0..100u64 {
-                height = height.next();
-                let block = Block::build(
-                    prev,
-                    height,
-                    (i + 1) * 600,
-                    AccountId(1),
-                    Amount::COIN,
-                    vec![],
-                    i,
-                );
-                prev = block.id();
-                store.connect(block).expect("valid extension");
-            }
-            black_box(store.best_height())
-        })
-    });
-
-    group.bench_function("utxo_apply_block_500tx", |b| {
-        // Pre-build a funding chain with 500 outputs, then a block that
-        // spends them all.
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut utxo = UtxoSet::new();
-        utxo.apply_block(&genesis).unwrap();
-        let fund_block = Block::build(
-            genesis.id(),
-            Height(1),
-            600,
-            AccountId(0),
-            Amount::COIN,
-            vec![],
-            0,
-        );
-        utxo.apply_block(&fund_block).unwrap();
-        // Fan the genesis coinbase out into 500 spendable outputs.
-        let fan: Vec<TxOut> = (0..500)
-            .map(|i| TxOut {
-                value: Amount(100),
-                owner: AccountId(i + 10),
-            })
-            .collect();
-        let fanout = Transaction::new(vec![genesis.coinbase().outpoint(0)], fan, 0);
-        let spend_block = Block::build(
-            fund_block.id(),
-            Height(2),
-            1200,
-            AccountId(0),
-            Amount::COIN,
-            vec![fanout],
-            0,
-        );
-        b.iter(|| {
-            let mut u = utxo.clone();
-            let undo = u.apply_block(&spend_block).expect("valid block");
-            black_box(undo);
-        })
-    });
-
-    group.bench_function("mempool_insert_1000", |b| {
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut utxo = UtxoSet::new();
-        utxo.apply_block(&genesis).unwrap();
-        let fan: Vec<TxOut> = (0..1000)
-            .map(|i| TxOut {
-                value: Amount(100),
-                owner: AccountId(i + 10),
-            })
-            .collect();
-        let fanout = Transaction::new(vec![genesis.coinbase().outpoint(0)], fan, 0);
-        let block = Block::build(
-            genesis.id(),
-            Height(1),
-            600,
-            AccountId(0),
-            Amount::COIN,
-            vec![fanout.clone()],
-            0,
-        );
-        utxo.apply_block(&block).unwrap();
-        let spends: Vec<Transaction> = (0..1000u32)
-            .map(|i| {
-                Transaction::new(
-                    vec![fanout.outpoint(i)],
-                    vec![TxOut {
-                        value: Amount(50),
-                        owner: AccountId(1),
-                    }],
-                    i as u64,
-                )
-            })
-            .collect();
-        b.iter(|| {
-            let mut pool = Mempool::new();
-            for tx in &spends {
-                pool.insert(tx.clone(), &utxo).expect("valid spend");
-            }
-            black_box(pool.len())
-        })
-    });
     group.finish();
 }
 
@@ -213,5 +100,5 @@ fn simulation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sha256, chain_store, topology_and_bgp, simulation);
+criterion_group!(benches, sha256, topology_and_bgp, simulation);
 criterion_main!(benches);

@@ -1,10 +1,9 @@
-//! Blocks and block headers.
+//! Block identifiers and chain heights.
 
 use crate::hash::Hash256;
-use crate::tx::{AccountId, Amount, Transaction};
 use std::fmt;
 
-/// A block identifier — the double-SHA-256 of the header.
+/// A block identifier: the SHA-256 digest that names a block.
 pub type BlockId = Hash256;
 
 /// A 0-based chain height.
@@ -32,231 +31,14 @@ impl fmt::Display for Height {
     }
 }
 
-/// A block header: everything needed to identify a block and link chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockHeader {
-    /// Identifier of the parent block ([`Hash256::ZERO`] for genesis).
-    pub prev: BlockId,
-    /// Merkle-style commitment to the transaction list.
-    pub tx_commitment: Hash256,
-    /// Height claimed by the miner (validated against the parent on
-    /// connect).
-    pub height: Height,
-    /// Wall-clock timestamp in seconds since the simulation epoch. The
-    /// BlockAware countermeasure (§VI) compares this against a node's local
-    /// clock.
-    pub timestamp_secs: u64,
-    /// The mining entity that produced this block.
-    pub miner: AccountId,
-    /// Proof-of-work nonce (only meaningful when difficulty > 0).
-    pub nonce: u64,
-}
-
-impl BlockHeader {
-    /// Canonical byte serialization for hashing.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + 32 + 8 * 4);
-        out.extend(self.prev.as_ref());
-        out.extend(self.tx_commitment.as_ref());
-        out.extend(self.height.0.to_le_bytes());
-        out.extend(self.timestamp_secs.to_le_bytes());
-        out.extend(self.miner.0.to_le_bytes());
-        out.extend(self.nonce.to_le_bytes());
-        out
-    }
-
-    /// The block identifier.
-    pub fn id(&self) -> BlockId {
-        Hash256::double_digest(&self.serialize())
-    }
-}
-
-/// A full block: header plus ordered transactions (coinbase first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
-    /// The block header.
-    pub header: BlockHeader,
-    /// Transactions, with the coinbase at index 0.
-    pub transactions: Vec<Transaction>,
-}
-
-impl Block {
-    /// Assembles a block on top of `prev`, minting `reward` to `miner` and
-    /// including `transactions` after the coinbase.
-    pub fn build(
-        prev: BlockId,
-        height: Height,
-        timestamp_secs: u64,
-        miner: AccountId,
-        reward: Amount,
-        mut transactions: Vec<Transaction>,
-        nonce: u64,
-    ) -> Self {
-        let coinbase = Transaction::coinbase(miner, reward, height.0);
-        let mut txs = Vec::with_capacity(transactions.len() + 1);
-        txs.push(coinbase);
-        txs.append(&mut transactions);
-        let tx_commitment = commit_transactions(&txs);
-        Self {
-            header: BlockHeader {
-                prev,
-                tx_commitment,
-                height,
-                timestamp_secs,
-                miner,
-                nonce,
-            },
-            transactions: txs,
-        }
-    }
-
-    /// The genesis block for a given miner/reward pair at timestamp 0.
-    pub fn genesis(miner: AccountId, reward: Amount) -> Self {
-        Self::build(
-            Hash256::ZERO,
-            Height::GENESIS,
-            0,
-            miner,
-            reward,
-            Vec::new(),
-            0,
-        )
-    }
-
-    /// The block identifier.
-    pub fn id(&self) -> BlockId {
-        self.header.id()
-    }
-
-    /// The coinbase transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block has no transactions (never produced by
-    /// [`Block::build`]).
-    pub fn coinbase(&self) -> &Transaction {
-        self.transactions.first().expect("block has a coinbase")
-    }
-
-    /// Structural validity: commitment matches, exactly one coinbase, and
-    /// it is first.
-    pub fn is_well_formed(&self) -> bool {
-        if self.transactions.is_empty() {
-            return false;
-        }
-        if !self.transactions[0].is_coinbase() {
-            return false;
-        }
-        if self.transactions[1..].iter().any(|t| t.is_coinbase()) {
-            return false;
-        }
-        commit_transactions(&self.transactions) == self.header.tx_commitment
-    }
-}
-
-/// A sequential commitment to a transaction list (a Merkle root stand-in —
-/// order-sensitive and collision-resistant, which is all the simulator
-/// needs).
-pub fn commit_transactions(txs: &[Transaction]) -> Hash256 {
-    let mut acc = Hash256::ZERO;
-    for tx in txs {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend(acc.as_ref());
-        buf.extend(tx.txid().as_ref());
-        acc = Hash256::digest(&buf);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::TxOut;
-
-    fn genesis() -> Block {
-        Block::genesis(AccountId(0), Amount::COIN)
-    }
-
-    #[test]
-    fn genesis_is_well_formed() {
-        let g = genesis();
-        assert!(g.is_well_formed());
-        assert_eq!(g.header.height, Height::GENESIS);
-        assert_eq!(g.header.prev, Hash256::ZERO);
-        assert_eq!(g.coinbase().output_value(), Amount::COIN);
-    }
-
-    #[test]
-    fn block_ids_differ_by_miner() {
-        let a = Block::genesis(AccountId(0), Amount::COIN);
-        let b = Block::genesis(AccountId(1), Amount::COIN);
-        assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn commitment_is_order_sensitive() {
-        let g = genesis();
-        let spend = Transaction::new(
-            vec![g.coinbase().outpoint(0)],
-            vec![TxOut {
-                value: Amount(10),
-                owner: AccountId(2),
-            }],
-            0,
-        );
-        let spend2 = Transaction::new(
-            vec![g.coinbase().outpoint(0)],
-            vec![TxOut {
-                value: Amount(10),
-                owner: AccountId(3),
-            }],
-            1,
-        );
-        let ab = commit_transactions(&[spend.clone(), spend2.clone()]);
-        let ba = commit_transactions(&[spend2, spend]);
-        assert_ne!(ab, ba);
-    }
-
-    #[test]
-    fn tampered_block_is_malformed() {
-        let g = genesis();
-        let mut tampered = g.clone();
-        tampered
-            .transactions
-            .push(Transaction::coinbase(AccountId(9), Amount(1), 99));
-        // Second coinbase AND stale commitment — both caught.
-        assert!(!tampered.is_well_formed());
-
-        let mut wrong_commit = g.clone();
-        wrong_commit.header.tx_commitment = Hash256::digest(b"bogus");
-        assert!(!wrong_commit.is_well_formed());
-    }
 
     #[test]
     fn height_behind() {
         assert_eq!(Height(5).behind(Height(7)), 2);
         assert_eq!(Height(7).behind(Height(5)), 0);
         assert_eq!(Height::GENESIS.next(), Height(1));
-    }
-
-    #[test]
-    fn header_id_changes_with_every_field() {
-        let base = genesis().header;
-        let mut variants = Vec::new();
-        let mut v = base;
-        v.nonce = 1;
-        variants.push(v);
-        let mut v = base;
-        v.timestamp_secs = 1;
-        variants.push(v);
-        let mut v = base;
-        v.height = Height(1);
-        variants.push(v);
-        let mut v = base;
-        v.prev = Hash256::digest(b"other");
-        variants.push(v);
-        for variant in variants {
-            assert_ne!(variant.id(), base.id());
-        }
     }
 }

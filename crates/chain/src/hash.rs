@@ -1,11 +1,11 @@
-//! A from-scratch SHA-256 implementation and the 256-bit hash newtype used
-//! throughout the chain substrate.
+//! A from-scratch SHA-256 implementation and the 256-bit hash newtype the
+//! simulators use to name blocks.
 //!
 //! The paper's own simulator kept "a 64-bit MD5 hash linked chain of values"
 //! per node as an internal error check (§V-B); we strengthen that to full
-//! SHA-256 so that block identifiers, transaction identifiers and the
-//! proof-of-work target comparison behave like Bitcoin's. Implemented here
-//! directly (FIPS 180-4) to keep the workspace free of extra dependencies.
+//! SHA-256, so a block id commits to its parent's id the way Bitcoin's
+//! does. Implemented here directly (FIPS 180-4) to keep the workspace free
+//! of extra dependencies.
 
 use std::fmt;
 
@@ -29,37 +29,17 @@ const H0: [u32; 8] = [
 ];
 
 /// An incremental SHA-256 hasher.
-///
-/// # Examples
-///
-/// ```
-/// use bp_chain::hash::Sha256;
-///
-/// let mut h = Sha256::new();
-/// h.update(b"abc");
-/// let digest = h.finalize();
-/// assert_eq!(
-///     digest.to_hex(),
-///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-/// );
-/// ```
 #[derive(Debug, Clone)]
-pub struct Sha256 {
+struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
     buffered: usize,
     length_bits: u64,
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sha256 {
     /// Creates a fresh hasher.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             state: H0,
             buffer: [0u8; 64],
@@ -69,7 +49,7 @@ impl Sha256 {
     }
 
     /// Absorbs bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    fn update(&mut self, mut data: &[u8]) {
         self.length_bits = self
             .length_bits
             .wrapping_add((data.len() as u64).wrapping_mul(8));
@@ -98,7 +78,7 @@ impl Sha256 {
     }
 
     /// Finishes and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Hash256 {
+    fn finalize(mut self) -> Hash256 {
         let length_bits = self.length_bits;
         // Padding: 0x80, zeros, 64-bit big-endian length.
         self.update_padding();
@@ -181,7 +161,18 @@ impl Sha256 {
     }
 }
 
-/// A 256-bit digest value (block identifiers, transaction identifiers).
+/// A 256-bit SHA-256 digest (block identifiers).
+///
+/// # Examples
+///
+/// ```
+/// use bp_chain::Hash256;
+///
+/// assert_eq!(
+///     Hash256::digest(b"abc").to_hex(),
+///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+/// );
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Hash256(pub [u8; 32]);
 
@@ -197,12 +188,6 @@ impl Hash256 {
         h.finalize()
     }
 
-    /// Double-SHA-256 (Bitcoin's block/tx hash construction).
-    pub fn double_digest(data: &[u8]) -> Self {
-        let first = Self::digest(data);
-        Self::digest(&first.0)
-    }
-
     /// Lowercase hex representation.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(64);
@@ -213,48 +198,9 @@ impl Hash256 {
         s
     }
 
-    /// Parses a 64-character lowercase/uppercase hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns `ParseHashError` on wrong length or non-hex characters.
-    pub fn from_hex(s: &str) -> Result<Self, ParseHashError> {
-        if s.len() != 64 {
-            return Err(ParseHashError);
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16).ok_or(ParseHashError)?;
-            let lo = (chunk[1] as char).to_digit(16).ok_or(ParseHashError)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Ok(Hash256(out))
-    }
-
     /// Leading 8 bytes as big-endian `u64` — a convenient short identifier.
     pub fn prefix_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
-    }
-
-    /// Whether the digest, interpreted as a big-endian 256-bit integer, is
-    /// below the target with `leading_zero_bits` zero bits — a toy
-    /// proof-of-work check.
-    pub fn meets_difficulty(&self, leading_zero_bits: u32) -> bool {
-        let mut remaining = leading_zero_bits;
-        for byte in self.0 {
-            if remaining == 0 {
-                return true;
-            }
-            if remaining >= 8 {
-                if byte != 0 {
-                    return false;
-                }
-                remaining -= 8;
-            } else {
-                return byte >> (8 - remaining) == 0;
-            }
-        }
-        true
     }
 }
 
@@ -282,21 +228,10 @@ impl From<[u8; 32]> for Hash256 {
     }
 }
 
-/// Error parsing a [`Hash256`] from hex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseHashError;
-
-impl fmt::Display for ParseHashError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("invalid 256-bit hash hex string")
-    }
-}
-
-impl std::error::Error for ParseHashError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // FIPS 180-4 / NIST test vectors.
     #[test]
@@ -349,40 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn double_digest_differs_from_single() {
-        let single = Hash256::digest(b"block");
-        let double = Hash256::double_digest(b"block");
-        assert_ne!(single, double);
-        assert_eq!(double, Hash256::digest(single.as_ref()));
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let h = Hash256::digest(b"round trip");
-        assert_eq!(Hash256::from_hex(&h.to_hex()).unwrap(), h);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert_eq!(Hash256::from_hex("abc"), Err(ParseHashError));
-        let bad = "zz".repeat(32);
-        assert_eq!(Hash256::from_hex(&bad), Err(ParseHashError));
-    }
-
-    #[test]
-    fn meets_difficulty_boundaries() {
-        assert!(Hash256::ZERO.meets_difficulty(256));
-        let mut one = [0u8; 32];
-        one[0] = 0x01; // 7 leading zero bits
-        let h = Hash256(one);
-        assert!(h.meets_difficulty(7));
-        assert!(!h.meets_difficulty(8));
-        let all_ones = Hash256([0xFF; 32]);
-        assert!(all_ones.meets_difficulty(0));
-        assert!(!all_ones.meets_difficulty(1));
-    }
-
-    #[test]
     fn prefix_u64_is_big_endian() {
         let mut b = [0u8; 32];
         b[7] = 1;
@@ -394,5 +295,26 @@ mod tests {
         let h = Hash256::digest(b"x");
         assert!(!format!("{h:?}").is_empty());
         assert_eq!(format!("{h}").len(), 64);
+    }
+
+    proptest! {
+        /// Incremental hashing over arbitrary chunk splits equals one-shot.
+        #[test]
+        fn sha256_incremental_equals_oneshot(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            splits in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        ) {
+            let oneshot = Hash256::digest(&data);
+            let mut cuts: Vec<usize> = splits.iter().map(|i| i.index(data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut prev = 0usize;
+            for cut in cuts {
+                h.update(&data[prev..cut]);
+                prev = cut;
+            }
+            h.update(&data[prev..]);
+            prop_assert_eq!(h.finalize(), oneshot);
+        }
     }
 }

@@ -1,33 +1,24 @@
-//! Blockchain substrate for the `btcpart` workspace.
+//! Chain primitives for the `btcpart` workspace.
 //!
-//! Implements the ledger machinery that the paper's partitioning attacks
-//! act upon: hashing, blocks, transactions, the UTXO set, a block-tree
-//! store with longest-chain fork choice and reorg accounting, and a
-//! first-seen mempool.
-//!
-//! The model is deliberately scoped to what the attack analysis needs —
-//! forks, reorg depth, reversed transactions, block timestamps (for
-//! BlockAware) — while staying structurally faithful to Bitcoin: double
-//! SHA-256 block ids, coinbase-first blocks, outpoint-based spends,
-//! first-seen-wins relay.
+//! What the simulators share about Bitcoin's chain: SHA-256 block
+//! identifiers ([`Hash256`], [`BlockId`]), chain heights ([`Height`]),
+//! and the epoch-based difficulty rule ([`difficulty`]) that decides how
+//! long a partition's slower chain goes unnoticed. Blocks, fork choice
+//! and transactions live in the gossip simulator (`bp-net`), which is the
+//! workspace's one double-spend model.
 //!
 //! # Examples
 //!
-//! Building a two-block chain and watching a fork resolve:
+//! A partition keeping 30 % of the hash rate mines its first retarget
+//! epoch at the old difficulty, so that epoch takes 1/0.3 of the
+//! two-week target:
 //!
 //! ```
-//! use bp_chain::block::{Block, Height};
-//! use bp_chain::store::{ChainStore, ConnectOutcome};
-//! use bp_chain::tx::{AccountId, Amount};
+//! use bp_chain::{partition_difficulty_timeline, RETARGET_EPOCH};
 //!
-//! let genesis = Block::genesis(AccountId(0), Amount::COIN);
-//! let mut store = ChainStore::new(genesis.clone());
-//!
-//! let b1 = Block::build(
-//!     genesis.id(), Height(1), 600, AccountId(1), Amount::COIN, vec![], 0,
-//! );
-//! assert_eq!(store.connect(b1).unwrap(), ConnectOutcome::ExtendedActive);
-//! assert_eq!(store.best_height(), Height(1));
+//! let timeline = partition_difficulty_timeline(0.30, 600.0, 1);
+//! let target_secs = RETARGET_EPOCH as f64 * 600.0;
+//! assert!((timeline[0].1 - target_secs / 0.30).abs() < 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,17 +27,7 @@
 pub mod block;
 pub mod difficulty;
 pub mod hash;
-pub mod mempool;
-pub mod params;
-pub mod store;
-pub mod tx;
-pub mod utxo;
 
-pub use block::{Block, BlockHeader, BlockId, Height};
+pub use block::{BlockId, Height};
 pub use difficulty::{partition_difficulty_timeline, Difficulty, RETARGET_EPOCH};
 pub use hash::Hash256;
-pub use mempool::{Mempool, MempoolError};
-pub use params::ChainParams;
-pub use store::{ChainStore, ConnectOutcome, ReorgInfo, StoreError};
-pub use tx::{AccountId, Amount, OutPoint, Transaction, TxId, TxOut};
-pub use utxo::{UndoLog, UtxoError, UtxoSet};

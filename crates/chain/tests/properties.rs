@@ -1,39 +1,18 @@
-//! Property-based tests for the blockchain substrate: hashing, UTXO
-//! apply/undo, fork choice and mempool invariants under generated inputs.
+//! Property-based tests for the chain primitives' hashing.
 
-use bp_chain::block::{Block, Height};
-use bp_chain::hash::{Hash256, Sha256};
-use bp_chain::mempool::Mempool;
-use bp_chain::store::{ChainStore, ConnectOutcome};
-use bp_chain::tx::{AccountId, Amount, Transaction, TxOut};
-use bp_chain::utxo::UtxoSet;
+use bp_chain::hash::Hash256;
 use proptest::prelude::*;
 
 proptest! {
-    /// Incremental hashing over arbitrary chunk splits equals one-shot.
-    #[test]
-    fn sha256_incremental_equals_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        splits in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
-    ) {
-        let oneshot = Hash256::digest(&data);
-        let mut cuts: Vec<usize> = splits.iter().map(|i| i.index(data.len() + 1)).collect();
-        cuts.sort_unstable();
-        let mut h = Sha256::new();
-        let mut prev = 0usize;
-        for cut in cuts {
-            h.update(&data[prev..cut]);
-            prev = cut;
-        }
-        h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), oneshot);
-    }
-
-    /// Hex round-trips for arbitrary digests.
+    /// `to_hex` spells each byte as two hex digits, in order.
     #[test]
     fn hash_hex_round_trip(bytes in any::<[u8; 32]>()) {
-        let h = Hash256(bytes);
-        prop_assert_eq!(Hash256::from_hex(&h.to_hex()).unwrap(), h);
+        let hex = Hash256(bytes).to_hex();
+        prop_assert_eq!(hex.len(), 64);
+        let decoded: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        prop_assert_eq!(decoded, bytes.to_vec());
     }
 
     /// Distinct inputs (very probably) hash differently; same input always
@@ -45,240 +24,4 @@ proptest! {
         b.push(0x42);
         prop_assert_ne!(Hash256::digest(&a), Hash256::digest(&b));
     }
-}
-
-/// Builds a random fan-out of `n` outputs from a genesis coin.
-fn fanout(genesis: &Block, n: usize) -> Transaction {
-    let outputs: Vec<TxOut> = (0..n)
-        .map(|i| TxOut {
-            value: Amount(10),
-            owner: AccountId(i as u64 + 100),
-        })
-        .collect();
-    Transaction::new(vec![genesis.coinbase().outpoint(0)], outputs, 0)
-}
-
-proptest! {
-    /// Applying any sequence of valid blocks and then undoing them in
-    /// reverse restores the exact UTXO set.
-    #[test]
-    fn utxo_apply_undo_round_trip(
-        spend_counts in proptest::collection::vec(1usize..6, 1..6),
-    ) {
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut utxo = UtxoSet::new();
-        let genesis_undo = utxo.apply_block(&genesis).unwrap();
-        let fan = fanout(&genesis, 32);
-        let fan_block = Block::build(
-            genesis.id(), Height(1), 600, AccountId(0), Amount::COIN,
-            vec![fan.clone()], 0,
-        );
-        let fan_undo = utxo.apply_block(&fan_block).unwrap();
-        let baseline = utxo.clone();
-
-        // Apply a run of blocks spending consecutive fan outputs.
-        let mut undos = Vec::new();
-        let mut prev = fan_block.id();
-        let mut height = Height(1);
-        let mut next_out = 0u32;
-        for (i, &count) in spend_counts.iter().enumerate() {
-            height = height.next();
-            let txs: Vec<Transaction> = (0..count)
-                .map(|k| {
-                    let vout = next_out + k as u32;
-                    Transaction::new(
-                        vec![fan.outpoint(vout)],
-                        vec![TxOut { value: Amount(9), owner: AccountId(7) }],
-                        vout as u64,
-                    )
-                })
-                .collect();
-            next_out += count as u32;
-            let block = Block::build(
-                prev, height, (i as u64 + 2) * 600, AccountId(0), Amount::COIN, txs, 0,
-            );
-            prev = block.id();
-            undos.push(utxo.apply_block(&block).unwrap());
-        }
-        prop_assert!(next_out <= 32);
-
-        for undo in undos.iter().rev() {
-            utxo.undo_block(undo);
-        }
-        prop_assert_eq!(utxo.len(), baseline.len());
-        prop_assert_eq!(utxo.total_value(), baseline.total_value());
-        // Total supply conservation down to genesis.
-        utxo.undo_block(&fan_undo);
-        utxo.undo_block(&genesis_undo);
-        prop_assert!(utxo.is_empty());
-    }
-
-    /// The chain store always follows a longest chain: after connecting an
-    /// arbitrary interleaving of two competing branches, the active height
-    /// equals the longest branch's height.
-    #[test]
-    fn fork_choice_follows_longest(
-        len_a in 1usize..8,
-        len_b in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut store = ChainStore::new(genesis.clone());
-
-        let build_branch = |miner: u64, len: usize| -> Vec<Block> {
-            let mut blocks = Vec::new();
-            let mut prev = genesis.id();
-            for i in 0..len {
-                let b = Block::build(
-                    prev, Height(i as u64 + 1), (i as u64 + 1) * 600,
-                    AccountId(miner), Amount::COIN, vec![], i as u64,
-                );
-                prev = b.id();
-                blocks.push(b);
-            }
-            blocks
-        };
-        let branch_a = build_branch(1, len_a);
-        let branch_b = build_branch(2, len_b);
-
-        // Deterministic interleaving from the seed.
-        let mut order: Vec<Block> = Vec::new();
-        let (mut ia, mut ib) = (0usize, 0usize);
-        let mut s = seed;
-        while ia < len_a || ib < len_b {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let take_a = ib >= len_b || (ia < len_a && s.is_multiple_of(2));
-            if take_a {
-                order.push(branch_a[ia].clone());
-                ia += 1;
-            } else {
-                order.push(branch_b[ib].clone());
-                ib += 1;
-            }
-        }
-        for block in order {
-            // Orphans are fine (branches delivered in order here, so none).
-            store.connect(block).unwrap();
-        }
-        prop_assert_eq!(store.best_height().0 as usize, len_a.max(len_b));
-        // The tip belongs to (one of) the longest branches.
-        let tip = store.best_tip();
-        let in_a = branch_a.last().map(|b| b.id()) == Some(tip);
-        let in_b = branch_b.last().map(|b| b.id()) == Some(tip);
-        prop_assert!(in_a || in_b);
-    }
-
-    /// Mempool invariant: no two pooled transactions ever spend the same
-    /// outpoint, regardless of the insertion sequence.
-    #[test]
-    fn mempool_never_holds_conflicts(
-        picks in proptest::collection::vec((0u32..16, 0u64..1000), 1..40),
-    ) {
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut utxo = UtxoSet::new();
-        utxo.apply_block(&genesis).unwrap();
-        let fan = fanout(&genesis, 16);
-        let fan_block = Block::build(
-            genesis.id(), Height(1), 600, AccountId(0), Amount::COIN,
-            vec![fan.clone()], 0,
-        );
-        utxo.apply_block(&fan_block).unwrap();
-
-        let mut pool = Mempool::new();
-        for (vout, nonce) in picks {
-            let tx = Transaction::new(
-                vec![fan.outpoint(vout)],
-                vec![TxOut { value: Amount(1), owner: AccountId(nonce + 1) }],
-                nonce,
-            );
-            let _ = pool.insert(tx, &utxo); // duplicates/conflicts rejected
-        }
-        // Check pairwise conflict-freedom.
-        let txs: Vec<&Transaction> = pool.iter().collect();
-        for (i, a) in txs.iter().enumerate() {
-            for b in txs.iter().skip(i + 1) {
-                prop_assert!(!a.conflicts_with(b));
-            }
-        }
-        // And validity of everything pooled.
-        for tx in txs {
-            prop_assert!(utxo.validate(tx).is_ok());
-        }
-    }
-
-    /// Orphan delivery order never changes the final chain state.
-    #[test]
-    fn delivery_order_is_irrelevant(perm in any::<prop::sample::Index>()) {
-        let genesis = Block::genesis(AccountId(0), Amount::COIN);
-        let mut chain = Vec::new();
-        let mut prev = genesis.id();
-        for i in 0..6u64 {
-            let b = Block::build(
-                prev, Height(i + 1), (i + 1) * 600, AccountId(1), Amount::COIN,
-                vec![], i,
-            );
-            prev = b.id();
-            chain.push(b);
-        }
-        // Rotate the delivery order (every rotation includes orphans).
-        let rot = perm.index(chain.len());
-        let mut store = ChainStore::new(genesis.clone());
-        for i in 0..chain.len() {
-            let block = chain[(i + rot) % chain.len()].clone();
-            match store.connect(block) {
-                Ok(_) => {}
-                Err(e) => return Err(TestCaseError::fail(format!("connect failed: {e}"))),
-            }
-        }
-        prop_assert_eq!(store.best_height(), Height(6));
-        prop_assert_eq!(store.best_tip(), chain.last().unwrap().id());
-        prop_assert_eq!(store.orphan_count(), 0);
-    }
-}
-
-#[test]
-fn reorg_conserves_value() {
-    // Deterministic complement to the property tests: a deep reorg must
-    // leave total UTXO value consistent with the new chain length.
-    let genesis = Block::genesis(AccountId(0), Amount::COIN);
-    let mut store = ChainStore::new(genesis.clone());
-    let mut prev = genesis.id();
-    for i in 0..3u64 {
-        let b = Block::build(
-            prev,
-            Height(i + 1),
-            (i + 1) * 600,
-            AccountId(1),
-            Amount::COIN,
-            vec![],
-            i,
-        );
-        prev = b.id();
-        store.connect(b).unwrap();
-    }
-    // Longer competing branch.
-    let mut prev = genesis.id();
-    for i in 0..5u64 {
-        let b = Block::build(
-            prev,
-            Height(i + 1),
-            (i + 1) * 500,
-            AccountId(2),
-            Amount::COIN,
-            vec![],
-            100 + i,
-        );
-        prev = b.id();
-        let outcome = store.connect(b).unwrap();
-        // The reorg fires as soon as the new branch out-heights the old
-        // one (height 4, i.e. i == 3); the final block just extends.
-        if i == 3 {
-            assert!(matches!(outcome, ConnectOutcome::Reorged(_)));
-        }
-        if i == 4 {
-            assert!(matches!(outcome, ConnectOutcome::ExtendedActive));
-        }
-    }
-    // 5 blocks + genesis, one coinbase each.
-    assert_eq!(store.utxo().total_value(), Amount(6 * Amount::COIN.0));
 }

@@ -3,7 +3,7 @@
 //! A full Rust reproduction of *Partitioning Attacks on Bitcoin:
 //! Colliding Space, Time, and Logic* (Saad, Cook, Nguyen, Thai, Mohaisen —
 //! ICDCS 2019): the four partitioning attacks (spatial, temporal,
-//! spatio-temporal, logical), the substrates they need (blockchain, P2P
+//! spatio-temporal, logical), the substrates they need (chain primitives, P2P
 //! network simulator, Internet topology, BGP routing, mining pools,
 //! measurement crawler), and the paper's countermeasures.
 //!
@@ -30,7 +30,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`analysis`] | statistics, distributions, ECDFs, tables, charts |
-//! | [`chain`] | blocks, transactions, UTXO, fork-choice store |
+//! | [`chain`] | SHA-256 block ids, heights, difficulty retargeting |
 //! | [`topology`] | ASes, organizations, prefixes, calibrated snapshots |
 //! | [`bgp`] | AS graph, valley-free routing, hijack engine |
 //! | [`mining`] | pool census, stratum placement, block arrivals |

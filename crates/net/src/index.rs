@@ -1,12 +1,12 @@
 //! The shared block index.
 //!
-//! At network scale (13,635 nodes) giving every simulated node a full
-//! [`bp_chain::ChainStore`] would duplicate every block thousands of
-//! times. Instead the simulation keeps one global [`BlockIndex`] of block
-//! *metadata* (id, parent, height, timestamp, producer) and gives each
-//! node a lightweight chain view over it (see [`crate::view`]). The
-//! full-fidelity `ChainStore` (UTXO, reorg undo, reversed transactions)
-//! remains in use for the focused attack simulations in `bp-attacks`.
+//! At network scale (13,635 nodes) giving every simulated node its own
+//! block store would duplicate every block thousands of times. Instead
+//! the simulation keeps one global [`BlockIndex`] of block *metadata*
+//! (id, parent, height, timestamp, producer) and gives each node a
+//! lightweight chain view over it (see [`crate::view`]). Transactions
+//! ride beside the index: the simulator records which transactions each
+//! block confirms and counts the ones a reorg reverses.
 //!
 //! Blocks are append-only, so each one also gets a small *dense index*
 //! (`0` = genesis, then insertion order). The simulator keys its hot

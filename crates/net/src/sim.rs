@@ -846,12 +846,11 @@ impl Simulation {
     /// two transactions sharing a group spend the same coin, so
     /// first-seen-wins relay rejects the later one (the double-spend
     /// protection the paper's partitions subvert). Returns the txid, or
-    /// `None` if the origin already holds a conflicting transaction.
+    /// `None` if the origin has already pooled or confirmed a spend of
+    /// that coin.
     pub fn submit_tx(&mut self, origin: u32, conflict_group: u64) -> Option<u64> {
-        if let Some(&existing) = self.arena.claimed_groups[origin as usize].get(&conflict_group) {
-            if self.arena.mempool[origin as usize].contains(&existing) {
-                return None;
-            }
+        if self.arena.claimed_groups[origin as usize].contains_key(&conflict_group) {
+            return None;
         }
         let txid = self.next_txid;
         self.next_txid += 1;
@@ -1371,18 +1370,17 @@ impl Simulation {
             Some(g) => *g,
             None => return,
         };
-        if !self.arena.online[to as usize]
-            || self.arena.zombie[to as usize]
-            || self.arena.mempool[to as usize].contains(&tx)
-        {
+        if !self.arena.online[to as usize] || self.arena.zombie[to as usize] {
             return;
         }
+        // A claimed coin has been seen: pooled, or confirmed in a block
+        // this node accepted. Either way the relay stops here.
         if let Some(&existing) = self.arena.claimed_groups[to as usize].get(&group) {
             if existing != tx {
                 // First-seen wins: the double spend is rejected here.
                 self.conflicts_rejected += 1;
-                return;
             }
+            return;
         }
         self.arena.mempool[to as usize].insert(tx);
         self.arena.claimed_groups[to as usize].insert(group, tx);
@@ -1510,11 +1508,17 @@ impl Simulation {
         let old_height = self.arena.views[node as usize].best_height().0;
         self.arena.requested.remove(node, block);
         let outcome = self.arena.views[node as usize].offer_dense(&self.index, block);
-        // Confirmed transactions leave the mempool.
+        // Confirmed transactions leave the mempool, and each now claims
+        // its coin here: a pooled spend of the same coin is evicted, so
+        // a gateway never mines it on top of the confirmed one.
         if let Some(txs) = self.block_txs.get(&block) {
             let mempool = &mut self.arena.mempool[node as usize];
-            for tx in txs {
-                mempool.remove(tx);
+            let claims = &mut self.arena.claimed_groups[node as usize];
+            for &tx in txs {
+                mempool.remove(&tx);
+                if let Some(loser) = claims.insert(self.tx_groups[&tx], tx) {
+                    mempool.remove(&loser);
+                }
             }
         }
         // Unless the parent is still missing, the node now holds the
@@ -1994,6 +1998,82 @@ mod tests {
             s.reversed_tx_total() + s.node_reversals_total() >= 1,
             "no reversal recorded anywhere"
         );
+    }
+
+    /// Gateways of `s` in index order.
+    fn gateways(s: &Simulation) -> Vec<u32> {
+        (0..s.node_count() as u32)
+            .filter(|&i| s.is_gateway(i))
+            .collect()
+    }
+
+    #[test]
+    fn losing_spend_leaves_mempools_when_the_winner_confirms() {
+        // One pool gateway is cut off on its own holding spend `a`; the
+        // rest of the network confirms the conflicting spend `b`. After
+        // the heal the isolated gateway must drop `a` rather than mine
+        // it on top of `b`: one coin, one confirmed spend.
+        let mut s = sim();
+        s.run_for_secs(60);
+        let gateways = gateways(&s);
+        let (cut, other) = (gateways[1], gateways[0]);
+        s.set_partition(move |i| u32::from(i == cut));
+        let a = s.submit_tx(cut, 99).unwrap();
+        let b = s.submit_tx(other, 99).unwrap();
+        s.run_for_secs(12 * 600);
+        s.clear_partition();
+        s.run_for_secs(36 * 600);
+        let (a_ok, b_ok) = (s.tx_confirmed(a), s.tx_confirmed(b));
+        assert!(a_ok ^ b_ok, "group 99 confirmed a={a_ok} b={b_ok}");
+        assert!(!s.tx_in_mempool(cut, a) && !s.tx_in_mempool(cut, b));
+    }
+
+    #[test]
+    fn confirmed_spend_refuses_a_resubmitted_conflict() {
+        // Once a spend is confirmed, offering a conflicting spend of the
+        // same coin at any gateway is refused, so it can never be mined.
+        let mut s = sim();
+        s.run_for_secs(60);
+        let txid = s.submit_tx(0, 5).unwrap();
+        s.run_for_secs(4 * 600);
+        assert!(s.tx_confirmed(txid), "tx never confirmed");
+        for g in gateways(&s) {
+            assert_eq!(s.submit_tx(g, 5), None, "gateway {g} took a double spend");
+        }
+    }
+
+    #[test]
+    fn confirmed_tx_is_never_mined_twice() {
+        // A relay that arrives after the block must not put a confirmed
+        // transaction back in the mempool for a gateway to mine again.
+        let snap = tiny_snapshot();
+        let config = NetConfig {
+            seed: 0,
+            finalization_depth: 0, // keep block_txs complete for the walk
+            ..NetConfig::fast_test()
+        };
+        let mut s = Simulation::new(&snap, &PoolCensus::paper_table_iv(), config);
+        s.run_for_secs(60);
+        let n = s.node_count() as u64;
+        let txids: Vec<u64> = (0..30u64)
+            .filter_map(|g| s.submit_tx((g * 7 % n) as u32, g))
+            .collect();
+        s.run_for_secs(10 * 600);
+        let mut inclusions: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut cur = *s.index.meta_at(s.canonical_dense);
+        loop {
+            for &tx in s.block_txs.get(&cur.dense).into_iter().flatten() {
+                *inclusions.entry(tx).or_default() += 1;
+            }
+            if cur.prev_dense == NO_BLOCK {
+                break;
+            }
+            cur = *s.index.meta_at(cur.prev_dense);
+        }
+        assert!(txids.iter().all(|t| inclusions.contains_key(t)));
+        for (tx, count) in inclusions {
+            assert_eq!(count, 1, "tx {tx} is on the canonical chain {count} times");
+        }
     }
 
     #[test]

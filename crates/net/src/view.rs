@@ -3,8 +3,7 @@
 //! Each simulated node tracks which blocks it knows and which tip it
 //! follows, using the shared [`crate::index::BlockIndex`] for metadata.
 //! Fork choice is longest-chain (uniform difficulty), first-seen on ties —
-//! the same rule as [`bp_chain::ChainStore`] without the per-node UTXO
-//! machinery.
+//! Bitcoin's rule when every block carries the same work.
 //!
 //! Views key their state by *dense* block index (see
 //! [`crate::index::BlockIndex`]): the known-set is a bit-per-block

@@ -128,7 +128,8 @@ impl Histogram {
     ///
     /// Returns a message when the parts are inconsistent: empty or
     /// unsorted bounds, a counts/bounds length mismatch, or a total that
-    /// does not equal the bucket counts plus overflow.
+    /// does not equal the bucket counts plus overflow (or a sum of them
+    /// that overflows `u64`).
     pub fn from_parts(
         bounds: Vec<u64>,
         counts: Vec<u64>,
@@ -150,10 +151,12 @@ impl Histogram {
                 counts.len()
             ));
         }
-        let bucketed: u64 = counts.iter().sum();
-        if bucketed + overflow != total {
+        let counted = counts
+            .iter()
+            .try_fold(overflow, |acc, &c| acc.checked_add(c));
+        if counted != Some(total) {
             return Err(format!(
-                "histogram total {total} does not match {bucketed} bucketed + {overflow} overflow"
+                "histogram total {total} does not match its bucket counts plus {overflow} overflow"
             ));
         }
         Ok(Self {

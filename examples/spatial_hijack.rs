@@ -52,10 +52,10 @@ fn main() {
         6 * 600,
     );
     println!("\n== executed eclipse: 15 prefix hijacks for one hour ==");
+    println!("prefixes hijacked: {}", report.prefixes_hijacked);
     println!(
-        "isolated {} nodes ({:.1}% of the victim AS, {:.1}% of the network)",
+        "isolated {} nodes ({:.1}% of the network)",
         report.isolated,
-        report.prefixes_hijacked as f64, // effort
         report.network_fraction * 100.0
     );
     println!(

@@ -1,6 +1,7 @@
 //! No decoder panics on hostile bytes. Every reader of bytes that come
 //! from disk or the wire — trace files, the artifact store, cache
-//! envelopes, the query protocol — returns `Ok` or `Err` for any input:
+//! envelopes and the payloads inside them, the query protocol — returns
+//! `Ok` or `Err` for any input:
 //! fully arbitrary bytes, and structured inputs that pass the magic and
 //! schema checks and then carry arbitrary counts, offsets and lengths.
 //! A panic, or an allocation abort, fails the test.
@@ -9,8 +10,12 @@ use bp_bench::cache::{fnv128, ArtifactStore, Envelope, Key, ObsEffects, STORE_SC
 use bp_bench::pipeline::TraceHub;
 use bp_serve::wire::{decode_request, decode_response, encode_request, encode_response};
 use bp_serve::Query;
+use btcpart::attacks::countermeasures::BlockAwareTradeoff;
+use btcpart::attacks::temporal::TemporalAttackReport;
+use btcpart::experiments::codec::{decode_value, encode_value, Enc, Stable};
+use btcpart::experiments::Artifact;
 use btcpart::obs::trace::{decode_records, decode_trace, TraceKind, MAGIC, MAGIC_V2};
-use btcpart::obs::{Registry, Tracer};
+use btcpart::obs::{Histogram, Registry, Tracer};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -79,6 +84,63 @@ fn sample_envelope() -> Vec<u8> {
         effects: ObsEffects::capture(&reg, &hub),
     }
     .encode()
+}
+
+/// Valid encodings of every `experiments::codec` payload type.
+fn sample_payloads() -> Vec<Vec<u8>> {
+    let artifact = Artifact::new("fig6", "Lagging nodes", "body".to_string())
+        .with_csv("fig6.csv", "t,lag\n0,1\n".to_string());
+    let tradeoff = BlockAwareTradeoff {
+        threshold_secs: 600,
+        detection_delay_secs: 1_200,
+        false_alarm_rate: 0.37,
+    };
+    let report = TemporalAttackReport {
+        victims: vec![3, 5, 8],
+        capture_timeline: vec![(60, 1), (120, 3)],
+        captured_peak: 3,
+        captured_final: 2,
+        counterfeit_blocks: 4,
+        blockaware_escapes: 1,
+        recovery_secs: Some(900),
+    };
+    let mut histogram = Histogram::with_bounds(&[10, 100]);
+    for value in [5, 50, 500] {
+        histogram.record(value);
+    }
+    let mut tracer = Tracer::new();
+    for i in 0..3 {
+        tracer.record(TraceKind::Mine, i, 0, i, i + 1);
+    }
+    vec![
+        encode_value(&artifact),
+        encode_value(&tradeoff),
+        encode_value(&report),
+        encode_value(&histogram),
+        encode_value(&tracer),
+    ]
+}
+
+/// Decodes `bytes` as every payload type; the results are irrelevant.
+fn decode_as_every_payload(bytes: &[u8]) {
+    let _ = decode_value::<Artifact>(bytes);
+    let _ = decode_value::<BlockAwareTradeoff>(bytes);
+    let _ = decode_value::<TemporalAttackReport>(bytes);
+    let _ = decode_value::<Histogram>(bytes);
+    let _ = decode_value::<Tracer>(bytes);
+}
+
+#[test]
+fn histogram_counts_that_overflow_are_rejected() {
+    // Two buckets holding `u64::MAX` and 2 sum to 1 once wrapped, so a
+    // wrapping sum would accept this histogram with `total` 1.
+    let mut e = Enc::new();
+    vec![10u64, 100].encode(&mut e);
+    vec![u64::MAX, 2].encode(&mut e);
+    for field in [0u64, 1, 0, 0] {
+        e.put_u64(field); // overflow, total, sum, max
+    }
+    assert!(decode_value::<Histogram>(&e.into_bytes()).is_err());
 }
 
 fn sample_queries() -> Vec<Query> {
@@ -200,6 +262,23 @@ proptest! {
         let valid = sample_envelope();
         let _ = Envelope::decode(&patch(valid.clone(), at, value));
         let _ = Envelope::decode(&valid[..cut % (valid.len() + 1)]);
+    }
+
+    /// Arbitrary bytes, and a valid encoding of each payload type with
+    /// one 8-byte field overwritten or the buffer cut, decoded as every
+    /// payload type.
+    #[test]
+    fn codec_payloads_never_panic(
+        raw in bytes(),
+        at in any::<usize>(),
+        value in field(),
+        cut in any::<usize>(),
+    ) {
+        decode_as_every_payload(&raw);
+        for valid in sample_payloads() {
+            decode_as_every_payload(&patch(valid.clone(), at, value));
+            decode_as_every_payload(&valid[..cut % (valid.len() + 1)]);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn table_v(matrix: &LagMatrix, sample_period_secs: u64, t_minutes: &[u64]) -
         .collect()
 }
 
-/// Invariant checks shared by tests and benches: counts decrease (weakly)
+/// Invariant checks shared by the tests: counts decrease (weakly)
 /// as the constraint grows and as the lag threshold grows.
 pub fn rows_are_consistent(rows: &[TableVRow]) -> bool {
     let count = |w: &Option<VulnerabilityWindow>| w.map(|v| v.max_nodes).unwrap_or(0);

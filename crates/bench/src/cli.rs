@@ -78,6 +78,12 @@ where
 /// Upper bound of `--hours`: one simulated year.
 const MAX_HOURS: u64 = 8760;
 
+/// Lower bound of a numeric `--scale`: about 14 nodes. Under ~5e-5 the
+/// snapshot's anchor ASes outnumber the total, and at 1e-4 fewer than
+/// the two live nodes a gossip simulation needs remain; the floor keeps
+/// a wide margin above both.
+const MIN_SCALE: f64 = 1e-3;
+
 /// Parses `repro` arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     // Phase 1: presets. `--quick` selects the base config no matter
@@ -122,8 +128,10 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     continue;
                 }
                 let scale: f64 = parse_value(arg, raw)?;
-                if !(scale > 0.0 && scale <= 1.0) {
-                    return Err(format!("--scale must be in (0, 1] or 'huge', got {scale}"));
+                if !(MIN_SCALE..=1.0).contains(&scale) {
+                    return Err(format!(
+                        "--scale must be in [{MIN_SCALE}, 1] or 'huge', got {scale}"
+                    ));
                 }
                 huge = false;
                 config.scale = scale;
@@ -249,7 +257,7 @@ pub fn usage() -> String {
          \x20             [--serve-mix zipf|uniform] [--serve-out DIR]\n\
          \x20             [--out DIR] [IDS…]\n\n\
          --quick        5% scale preset; later or earlier per-field flags override it\n\
-         --scale F      population scale in (0, 1] (1.0 = the paper's 13,635 nodes),\n\
+         --scale F      population scale in [{MIN_SCALE}, 1] (1.0 = the paper's 13,635 nodes),\n\
          \x20              or 'huge' for the million-node gossip throughput bench\n\
          \x20              (writes scale_gossip.csv; BENCH gains a `scale` section)\n\
          --seed S       snapshot / simulation seed\n\
@@ -413,6 +421,8 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse_args(&argv(&["--scale", "2.0"])).is_err());
+        assert!(parse_args(&argv(&["--scale", "0"])).is_err());
+        assert!(parse_args(&argv(&["--scale", "NaN"])).is_err());
         assert!(parse_args(&argv(&["--scale", "abc"])).is_err());
         assert!(parse_args(&argv(&["--hours", "0"])).is_err());
         assert!(parse_args(&argv(&["--frobnicate"])).is_err());
@@ -429,6 +439,17 @@ mod tests {
             let err = parse_args(&argv(&["--hours", bad, "all"])).unwrap_err();
             assert!(err.contains("--hours") && err.contains("1..=8760"), "{err}");
         }
+    }
+
+    #[test]
+    fn scale_has_a_floor_the_simulators_can_build() {
+        // Too few nodes to build: parsing fails instead of a panic.
+        for bad in ["1e-9", "5e-4"] {
+            let err = parse_args(&argv(&["--scale", bad, "all"])).unwrap_err();
+            assert!(err.contains("--scale must be in [0.001, 1]"), "{err}");
+        }
+        let opts = parse_args(&argv(&["--scale", "1e-3", "all"])).unwrap();
+        assert_eq!(opts.config.scale, MIN_SCALE);
     }
 
     #[test]

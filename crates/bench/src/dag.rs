@@ -25,7 +25,7 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What a task produces: any sendable, shareable value. Dependent tasks
@@ -142,6 +142,22 @@ struct Sched {
     ready: BinaryHeap<ClaimKey>,
     waiting: Vec<usize>,
     completed: usize,
+    /// A worker panicked: `completed` can no longer reach the task
+    /// count, so the others stop claiming and the scope re-raises.
+    failed: bool,
+}
+
+/// Held by each pool worker: if the worker unwinds, marks the schedule
+/// failed and wakes the others so none waits forever.
+struct FailOnPanic<'s>(&'s Mutex<Sched>, &'s Condvar);
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).failed = true;
+            self.1.notify_all();
+        }
+    }
 }
 
 impl<'a> Dag<'a> {
@@ -274,14 +290,19 @@ impl<'a> Dag<'a> {
                 ready,
                 waiting,
                 completed: 0,
+                failed: false,
             });
             let cv = Condvar::new();
             let pool = workers.min(n.max(1));
             std::thread::scope(|scope| {
                 for _ in 0..pool {
                     scope.spawn(|| {
+                        let _fail_on_panic = FailOnPanic(&sched, &cv);
                         let mut guard = sched.lock().unwrap();
                         loop {
+                            if guard.failed {
+                                break;
+                            }
                             if let Some((_, Reverse(i))) = guard.ready.pop() {
                                 drop(guard);
                                 run_task(i);
@@ -464,6 +485,32 @@ mod tests {
         assert_eq!(run.stats.claimed, 50);
         assert_eq!(run.outputs.len(), 50);
         assert!(run.stats.critical_path <= run.timings.iter().map(|t| t.wall).sum());
+    }
+
+    #[test]
+    fn panicking_task_fails_the_pool_instead_of_hanging() {
+        // Run on a helper thread so a regression (the other workers
+        // waiting forever for a task count that cannot be reached)
+        // fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut dag = Dag::new();
+                let boom = dag.push("boom", None, 9, vec![], |_| -> TaskOutput {
+                    panic!("task failed")
+                });
+                for i in 0..8 {
+                    dag.push(format!("t{i}"), None, 0, vec![], |_| boxed(()));
+                }
+                dag.push("after", None, 0, vec![boom], |_| boxed(()));
+                dag.execute(4);
+            });
+            tx.send(outcome.is_err()).unwrap();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("execute hung after a task panicked");
+        assert!(panicked, "the task's panic must reach the caller");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness and the `repro` binary.
 //!
 //! Every paper artifact is regenerated through [`generate`] (a thin
-//! wrapper over the deterministic parallel [`pipeline`]); the Criterion
-//! benches time the same code paths at reduced scale.
+//! wrapper over the deterministic parallel [`pipeline`]). Its per-task
+//! wall times come from `repro --timings` and `repro --metrics`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +47,7 @@ impl ReproConfig {
         }
     }
 
-    /// A fast configuration for CI and benches (seconds of wall time).
+    /// A fast configuration for CI and perfbench (seconds of wall time).
     pub fn quick() -> Self {
         Self {
             scale: 0.05,

@@ -19,8 +19,7 @@
 //! The pipeline also collects an observability layer: per-task and
 //! per-job wall time, the dependency-chain critical path, artifact
 //! body/CSV sizes and thread count land in a [`RunReport`] that
-//! `repro --timings` renders and exports as `timings.csv`, and that the
-//! Criterion benches reuse to track per-artifact cost over time.
+//! `repro --timings` renders and exports as `timings.csv`.
 
 use crate::cache::{
     self, ArtifactStore, CacheClass, CacheMeta, CacheSummary, Decision, Envelope, ObsEffects,
@@ -58,21 +57,6 @@ pub struct SharedInputs {
 }
 
 impl SharedInputs {
-    /// Whether the static snapshot + census has been built.
-    pub fn has_static_env(&self) -> bool {
-        self.static_env.get().is_some()
-    }
-
-    /// Whether the one-day crawl has been built.
-    pub fn has_day(&self) -> bool {
-        self.day.get().is_some()
-    }
-
-    /// Whether the general (long) crawl has been built.
-    pub fn has_general(&self) -> bool {
-        self.general.get().is_some()
-    }
-
     /// Publishes the static snapshot + census.
     ///
     /// # Panics
@@ -742,25 +726,6 @@ fn selected_jobs<'a>(ids: &[String]) -> Vec<&'a JobSpec> {
         .collect()
 }
 
-/// Computes exactly the shared inputs the selected jobs need, by
-/// running the shared-build tasks of the pipeline's DAG with no jobs
-/// attached. With more than one worker the builds (static snapshot, day
-/// crawl, general crawl) run concurrently — they are independent seeded
-/// computations.
-pub fn build_shared_inputs(
-    config: &ReproConfig,
-    needs: Needs,
-    workers: usize,
-) -> (SharedInputs, Vec<StageTiming>) {
-    let shared = SharedInputs::default();
-    let DagParts {
-        dag, shared_tasks, ..
-    } = build_dag(config, &[], &shared, needs, false, false);
-    let workers = workers.clamp(1, dag.len().max(1));
-    let timings = shared_stage_timings(&shared_tasks, &dag.execute(workers).timings);
-    (shared, timings)
-}
-
 /// One [`StageTiming`] per shared-build task, in build order.
 fn shared_stage_timings(
     shared_tasks: &[(&'static str, usize)],
@@ -776,20 +741,6 @@ fn shared_stage_timings(
             csv_bytes: 0,
         })
         .collect()
-}
-
-/// Runs one job by id against precomputed shared inputs. Returns `None`
-/// for an unknown id. Used by the Criterion benches to time each
-/// artifact in isolation through the same code path `repro` uses.
-pub fn run_job(config: &ReproConfig, id: &str, shared: &SharedInputs) -> Option<Vec<Artifact>> {
-    let job = JOBS.iter().find(|j| j.id == id)?;
-    let ctx = JobCtx {
-        config,
-        shared,
-        metrics: None,
-        trace: None,
-    };
-    Some((job.run)(&ctx))
 }
 
 /// Generates the artifacts selected by `ids` (every known id if the
@@ -1658,20 +1609,21 @@ mod tests {
             scale: 0.02,
             ..ReproConfig::quick()
         };
-        let (shared, timings) = build_shared_inputs(
-            &config,
-            Needs {
-                static_env: true,
-                day: false,
-                general: false,
-            },
-            1,
-        );
-        assert!(shared.has_static_env());
-        assert!(!shared.has_day());
-        assert!(!shared.has_general());
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].id, "static");
+        let shared = SharedInputs::default();
+        let needs = Needs {
+            static_env: true,
+            day: false,
+            general: false,
+        };
+        let DagParts {
+            dag, shared_tasks, ..
+        } = build_dag(&config, &[], &shared, needs, false, false);
+        dag.execute(1);
+        assert!(shared.static_env.get().is_some());
+        assert!(shared.day.get().is_none());
+        assert!(shared.general.get().is_none());
+        assert_eq!(shared_tasks.len(), 1);
+        assert_eq!(shared_tasks[0].0, "static");
     }
 
     #[test]
@@ -1755,12 +1707,5 @@ mod tests {
         assert_eq!(merged[0].kind, bp_obs::TraceKind::Mine, "day stream first");
         // The hub keeps its streams, so merging again gives the same trace.
         assert_eq!(hub.merged().into_records(), merged);
-    }
-
-    #[test]
-    fn unknown_job_id_is_none() {
-        let config = ReproConfig::quick();
-        let shared = SharedInputs::default();
-        assert!(run_job(&config, "nope", &shared).is_none());
     }
 }

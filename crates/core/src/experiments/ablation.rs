@@ -1,10 +1,10 @@
 //! Behavioural ablations for the design choices DESIGN.md calls out.
 //!
-//! These complement the Criterion timing benches in `bp-bench`: here the
-//! *output* of the system is swept across the parameter, producing the
-//! numbers EXPERIMENTS.md reports. All ablations run at reduced scale —
-//! they compare configurations against each other, not against the
-//! paper.
+//! Each sweep measures the *output* of the system across the parameter,
+//! producing the numbers EXPERIMENTS.md reports; the sweeps' wall times
+//! come from `repro --timings` and perfbench. All ablations run at
+//! reduced scale — they compare configurations against each other, not
+//! against the paper.
 //!
 //! Every sweep is decomposed into independently-seeded **units** (one
 //! `(case, seed)` simulation each) plus a pure **merge** that averages

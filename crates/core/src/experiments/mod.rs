@@ -2,8 +2,7 @@
 //!
 //! Each driver returns an [`Artifact`] — the rendered text (table or
 //! ASCII figure) plus CSV exports of the underlying series — so the
-//! `repro` harness, the Criterion benches and the integration tests all
-//! share one implementation.
+//! `repro` harness and the integration tests share one implementation.
 
 pub mod ablation;
 pub mod codec;

@@ -16,7 +16,7 @@ use crate::ids::{Asn, ConnType, NodeAddr, NodeId, OrgId};
 /// than snapshot scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleProfile {
-    /// 5 % of the paper population (~680 nodes): CI and benches.
+    /// 5 % of the paper population (~680 nodes): CI and perfbench.
     Quick,
     /// The paper's 13,635-node February 28, 2018 snapshot.
     Paper,

@@ -142,8 +142,14 @@ pub fn affected_share(census: &VersionCensus, vuln: &Vulnerability) -> f64 {
         .map(|(_, v)| v.share)
         .sum();
     // Clamp floating-point residue (e.g. -1e-17 from share normalisation)
-    // so zero-exposure CVEs render as 0.00 %, not -0.00 %.
-    share.max(0.0)
+    // so zero-exposure CVEs render as 0.00 %, not -0.00 %. The empty sum
+    // is -0.0, and `f64::max` may return either zero when the two
+    // compare equal, so the clamp is a comparison, not `max`.
+    if share > 0.0 {
+        share
+    } else {
+        0.0
+    }
 }
 
 /// Result of exploiting a vulnerability against the live network.
@@ -240,6 +246,19 @@ mod tests {
         let nvd = NvdCensus::paper();
         let share = affected_share(&census, nvd.get("CVE-2013-5700").unwrap());
         assert!(share < 0.05, "affected share {share}");
+    }
+
+    #[test]
+    fn unaffected_cves_have_a_positive_zero_share() {
+        // Neither CVE matches a Table VIII version, so the share is an
+        // empty sum (-0.0) and must clamp to +0.0 in every build profile.
+        let census = VersionCensus::paper_table_viii();
+        let nvd = NvdCensus::paper();
+        for id in ["CVE-2013-5700", "CVE-2013-4627"] {
+            let share = affected_share(&census, nvd.get(id).unwrap());
+            assert_eq!(share, 0.0, "{id}");
+            assert!(share.is_sign_positive(), "{id} share is -0.0");
+        }
     }
 
     #[test]

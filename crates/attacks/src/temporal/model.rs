@@ -178,46 +178,18 @@ impl TemporalModel {
         (Some(lo), steps)
     }
 
-    /// Generates the full Table VI grid: rows are λ values (this model's
-    /// λ is ignored), columns are target node counts.
-    pub fn table_vi(lambdas: &[f64], node_counts: &[u64], p: f64) -> Vec<(f64, Vec<Option<u64>>)> {
-        Self::table_vi_metered(lambdas, node_counts, p, None)
-    }
-
-    /// [`table_vi`](Self::table_vi), recording `temporal.model.cells` and
-    /// `temporal.model.bisection_steps` into `reg` when given. The table
-    /// itself is identical with or without a registry.
-    pub fn table_vi_metered(
-        lambdas: &[f64],
-        node_counts: &[u64],
-        p: f64,
-        reg: Option<&bp_obs::Registry>,
-    ) -> Vec<(f64, Vec<Option<u64>>)> {
-        Self::table_vi_instrumented(lambdas, node_counts, p, reg, None)
-    }
-
-    /// [`table_vi_metered`](Self::table_vi_metered), additionally emitting
-    /// one `model_bisect` trace record per sweep cell into `tracer` when
-    /// given (time = cell ordinal, node = λ row index, `a` = target node
-    /// count, `b` = bisection steps). The table itself is identical with
-    /// or without instrumentation.
-    pub fn table_vi_instrumented(
-        lambdas: &[f64],
-        node_counts: &[u64],
-        p: f64,
-        reg: Option<&bp_obs::Registry>,
-        tracer: Option<&mut bp_obs::Tracer>,
-    ) -> Vec<(f64, Vec<Option<u64>>)> {
-        Self::table_vi_offset_instrumented(lambdas, node_counts, p, reg, tracer, 0)
-    }
-
-    /// [`table_vi_instrumented`](Self::table_vi_instrumented) for a slice
-    /// of the λ grid starting at `row_offset`: trace cell ordinals and
-    /// row indices are numbered as if the full grid were swept serially,
-    /// so per-row calls concatenated in λ order reproduce the exact
-    /// serial record stream. This is the decomposition hook the
-    /// `bp-bench` task DAG uses to fan Table VI out one task per λ.
-    pub fn table_vi_offset_instrumented(
+    /// Generates the Table VI grid: rows are λ values (this model's λ is
+    /// ignored), columns are target node counts.
+    ///
+    /// `reg` receives `temporal.model.cells` and
+    /// `temporal.model.bisection_steps`; `tracer` receives one
+    /// `model_bisect` record per cell (time = cell ordinal, node = λ row
+    /// index, `a` = target node count, `b` = bisection steps). The first
+    /// row is numbered `row_offset`, so per-row calls concatenated in λ
+    /// order reproduce the record stream of one full-grid call — the
+    /// `bp-bench` task DAG fans Table VI out one task per λ this way. The
+    /// table itself is identical with or without instrumentation.
+    pub fn table_vi(
         lambdas: &[f64],
         node_counts: &[u64],
         p: f64,
@@ -319,7 +291,7 @@ mod tests {
         // λ (faster connections help the attacker).
         let lambdas = [0.4, 0.6, 0.9];
         let ms = [100u64, 500, 1000];
-        let table = TemporalModel::table_vi(&lambdas, &ms, 0.8);
+        let table = TemporalModel::table_vi(&lambdas, &ms, 0.8, None, None, 0);
         for (_, row) in &table {
             let vals: Vec<u64> = row.iter().map(|v| v.unwrap()).collect();
             assert!(vals[0] < vals[1] && vals[1] < vals[2]);

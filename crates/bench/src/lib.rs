@@ -77,19 +77,16 @@ pub fn measurement_lab(config: &ReproConfig) -> Lab {
 
 /// Runs the one-day, 1-minute-sampled crawl shared by Figure 6(b,c),
 /// Table V, Table VII and Figure 8.
-pub fn day_crawl(config: &ReproConfig) -> (CrawlResult, Lab) {
-    day_crawl_instrumented(config, None, false)
-}
-
-/// [`day_crawl`], recording crawler sampling cost into `reg` when given
-/// and optionally installing a flight recorder into the simulation
-/// before it runs (`repro --trace`). The tracer stays inside the
-/// returned lab's simulation — callers lift it out with
-/// `lab.sim.take_tracer()`. It is installed before the warmup so the
-/// trace carries every block accept, which is what lets `trace timeline`
-/// rebuild the crawler's lag series from the trace alone. The crawl
-/// result is identical with or without tracing.
-pub fn day_crawl_instrumented(
+///
+/// Crawler sampling cost is recorded into `reg` when given. With `trace`
+/// set, a flight recorder is installed into the simulation before it
+/// runs (`repro --trace`); it stays inside the returned lab's
+/// simulation — callers lift it out with `lab.sim.take_tracer()`. It is
+/// installed before the warmup so the trace carries every block accept,
+/// which is what lets `trace timeline` rebuild the crawler's lag series
+/// from the trace alone. The crawl result is identical with or without
+/// instrumentation.
+pub fn day_crawl(
     config: &ReproConfig,
     reg: Option<&bp_obs::Registry>,
     trace: bool,
@@ -99,7 +96,7 @@ pub fn day_crawl_instrumented(
         lab.sim.set_tracer(bp_obs::Tracer::new());
         seed_node_as(&mut lab);
     }
-    let crawl = temporal::run_crawl_metered(
+    let crawl = temporal::run_crawl(
         &mut lab.sim,
         &lab.snapshot,
         2 * 600,
@@ -124,18 +121,11 @@ pub fn seed_node_as(lab: &mut Lab) {
     }
 }
 
-/// Runs the long, 10-minute-sampled crawl of Figure 6(a).
-pub fn general_crawl(config: &ReproConfig) -> (CrawlResult, Lab) {
-    general_crawl_metered(config, None)
-}
-
-/// [`general_crawl`], recording crawler sampling cost into `reg` when given.
-pub fn general_crawl_metered(
-    config: &ReproConfig,
-    reg: Option<&bp_obs::Registry>,
-) -> (CrawlResult, Lab) {
+/// Runs the long, 10-minute-sampled crawl of Figure 6(a), recording
+/// crawler sampling cost into `reg` when given.
+pub fn general_crawl(config: &ReproConfig, reg: Option<&bp_obs::Registry>) -> (CrawlResult, Lab) {
     let mut lab = measurement_lab(config);
-    let crawl = temporal::run_crawl_metered(
+    let crawl = temporal::run_crawl(
         &mut lab.sim,
         &lab.snapshot,
         2 * 600,
@@ -146,30 +136,17 @@ pub fn general_crawl_metered(
     (crawl, lab)
 }
 
-/// All artifact ids, in presentation order.
-pub const ARTIFACT_IDS: [&str; 21] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig3",
-    "fig4",
-    "fig6_general",
-    "fig6_day",
-    "fig6_minute",
-    "table5",
-    "table6",
-    "fig7",
-    "table7",
-    "fig8",
-    "table8",
-    "implications",
-    "cascade",
-    "fifty_one",
-    "propagation",
-    "countermeasures",
-    "ablations",
-];
+/// All artifact ids, in presentation order — the ids of
+/// [`pipeline::JOBS`], in table order.
+pub const ARTIFACT_IDS: [&str; 21] = {
+    let mut ids = [""; 21];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = pipeline::JOBS[i].id;
+        i += 1;
+    }
+    ids
+};
 
 /// Generates the artifacts selected by `ids` (every known id if the
 /// selection contains `"all"`), in [`ARTIFACT_IDS`] presentation order.

@@ -4,12 +4,13 @@
 //! inputs (the static snapshot + census, the one-day crawl, the general
 //! crawl). Each run compiles the selected jobs into one
 //! [`dag::Dag`](crate::dag): the shared builds are independent root
-//! tasks that run concurrently, simple jobs are single tasks with
-//! dependency edges on exactly the shared inputs they read, and the
-//! multi-run jobs (`ablations`, `countermeasures`, `table6`,
-//! `propagation`, `fifty_one`) decompose into one task per
-//! independently-seeded inner simulation plus a pure merge that folds
-//! unit results in the original serial order. The whole graph executes
+//! tasks that run concurrently, and each job's [`JOBS`] row names its
+//! one build. A render job is a single task with dependency edges on
+//! exactly the shared inputs it reads; a fan-out job (`ablations`,
+//! `countermeasures`, `table6`, `propagation`, `fifty_one`) is compiled
+//! by its builder into one task per independently-seeded inner
+//! simulation plus a pure merge that folds unit results in a fixed
+//! order. No job has a second, serial body. The whole graph executes
 //! on a single scoped worker pool; results are reassembled in
 //! [`ARTIFACT_IDS`](crate::ARTIFACT_IDS) presentation order, so the
 //! output is byte-identical no matter how many worker threads run: each
@@ -25,7 +26,7 @@ use crate::cache::{
     self, ArtifactStore, CacheClass, CacheMeta, CacheSummary, Decision, Envelope, ObsEffects,
 };
 use crate::dag::{Dag, DagRun, TaskAction, TaskCtx, TaskOutput, TaskTiming};
-use crate::{day_crawl_instrumented, general_crawl_metered, measurement_lab, ReproConfig};
+use crate::{day_crawl, general_crawl, measurement_lab, ReproConfig};
 use bp_obs::Tracer;
 use btcpart::attacks::countermeasures::BlockAwareTradeoff;
 use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig, TemporalAttackReport};
@@ -258,15 +259,20 @@ const DAY_ONLY: Needs = Needs {
     day: true,
     general: false,
 };
+const GENERAL_ONLY: Needs = Needs {
+    static_env: false,
+    day: false,
+    general: true,
+};
 const NOTHING: Needs = Needs {
     static_env: false,
     day: false,
     general: false,
 };
 
-/// Everything a job is allowed to see: the seeded configuration and the
-/// precomputed shared inputs. Jobs must derive all randomness from
-/// these — that is what makes the fan-out deterministic.
+/// Everything a render job is allowed to see: the seeded configuration
+/// and the precomputed shared inputs. Jobs must derive all randomness
+/// from these — that is what makes the fan-out deterministic.
 pub struct JobCtx<'a> {
     /// The reproduction parameters.
     pub config: &'a ReproConfig,
@@ -282,16 +288,36 @@ pub struct JobCtx<'a> {
     pub trace: Option<&'a TraceHub>,
 }
 
+/// What a fan-out builder gets besides the graph: the owning job's
+/// index, the run's configuration and shared inputs, and the
+/// shared-build tasks the job's [`Needs`] resolve to.
+struct FanOut<'a> {
+    job: usize,
+    config: &'a ReproConfig,
+    shared: &'a SharedInputs,
+    shared_deps: Vec<usize>,
+}
+
+/// How [`run_pipeline`] compiles a job into the task DAG.
+enum Build {
+    /// One task that renders the job's artifacts from its [`JobCtx`].
+    Render(fn(&JobCtx) -> Vec<Artifact>),
+    /// Pushes the job's unit tasks plus a merge and returns the merge's
+    /// task index; the merge's output is the job's artifacts.
+    FanOut(for<'a> fn(&mut DagBuilder<'a>, FanOut<'a>) -> usize),
+}
+
 /// One artifact job: a stable id (matching [`ARTIFACT_IDS`](crate::ARTIFACT_IDS)), its
-/// declared shared-input needs, and the driver. A job may emit more
-/// than one artifact (`table8` also emits the CVE exposure table,
-/// `countermeasures` emits four artifacts, `ablations` three).
+/// declared shared-input needs, and how it compiles into the task DAG —
+/// every job has exactly one path. A job may emit more than one artifact
+/// (`table8` also emits the CVE exposure table, `countermeasures` emits
+/// four artifacts, `ablations` three).
 pub struct JobSpec {
     /// Stable identifier, equal to the corresponding `ARTIFACT_IDS` entry.
     pub id: &'static str,
     /// Shared inputs the job reads.
     pub needs: Needs,
-    run: fn(&JobCtx) -> Vec<Artifact>,
+    build: Build,
 }
 
 fn job_table1(ctx: &JobCtx) -> Vec<Artifact> {
@@ -314,10 +340,10 @@ fn job_fig4(ctx: &JobCtx) -> Vec<Artifact> {
     vec![spatial::fig4(ctx.shared.static_env().0)]
 }
 fn job_fig6_general(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::fig6(ctx.shared.general(), "general")]
+    vec![temporal::fig6(ctx.shared.general(), "general", None)]
 }
 fn job_fig6_day(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::fig6(ctx.shared.day().0, "day")]
+    vec![temporal::fig6(ctx.shared.day().0, "day", None)]
 }
 fn job_fig6_minute(ctx: &JobCtx) -> Vec<Artifact> {
     // Figure 6(c) zooms into the consensus pruning between two
@@ -325,32 +351,18 @@ fn job_fig6_minute(ctx: &JobCtx) -> Vec<Artifact> {
     let crawl = ctx.shared.day().0;
     let len = crawl.series.len();
     let window = len.saturating_sub(30)..len;
-    vec![temporal::fig6_windowed(crawl, "minute", Some(window))]
+    vec![temporal::fig6(crawl, "minute", Some(window))]
 }
 fn job_table5(ctx: &JobCtx) -> Vec<Artifact> {
     vec![temporal::table5(ctx.shared.day().0, 60)]
 }
-fn job_table6(ctx: &JobCtx) -> Vec<Artifact> {
-    match ctx.trace {
-        Some(hub) => {
-            let mut tracer = Tracer::new();
-            let artifact = temporal::table6_instrumented(ctx.metrics, Some(&mut tracer));
-            hub.set_model(tracer);
-            vec![artifact]
-        }
-        None => vec![temporal::table6_metered(ctx.metrics)],
-    }
-}
 fn job_fig7(ctx: &JobCtx) -> Vec<Artifact> {
-    match ctx.trace {
-        Some(hub) => {
-            let mut tracer = Tracer::new();
-            let artifact = temporal::fig7_instrumented(ctx.metrics, Some(&mut tracer));
-            hub.set_grid(tracer);
-            vec![artifact]
-        }
-        None => vec![temporal::fig7_metered(ctx.metrics)],
+    let mut tracer = ctx.trace.map(|_| Tracer::new());
+    let artifact = temporal::fig7(ctx.metrics, tracer.as_mut());
+    if let (Some(hub), Some(tracer)) = (ctx.trace, tracer) {
+        hub.set_grid(tracer);
     }
+    vec![artifact]
 }
 fn job_table7(ctx: &JobCtx) -> Vec<Artifact> {
     let (crawl, lab) = ctx.shared.day();
@@ -372,171 +384,53 @@ fn job_cascade(ctx: &JobCtx) -> Vec<Artifact> {
     let lab = measurement_lab(ctx.config);
     vec![combined::cascade(&lab.sim, &lab.snapshot)]
 }
-fn job_fifty_one(ctx: &JobCtx) -> Vec<Artifact> {
-    let mut lab = measurement_lab(ctx.config);
-    lab.sim.run_for_secs(2 * 600);
-    vec![combined::fifty_one(&mut lab.sim, &lab.census)]
-}
-fn job_propagation(ctx: &JobCtx) -> Vec<Artifact> {
-    let mut lab = measurement_lab(ctx.config);
-    lab.sim.run_for_secs(2 * 600);
-    vec![temporal::propagation(
-        &mut lab.sim,
-        &lab.snapshot,
-        ctx.config.day_hours.clamp(1, 4),
-    )]
-}
-fn job_countermeasures(ctx: &JobCtx) -> Vec<Artifact> {
-    let config = ctx.config;
-    // Reuse the pipeline's static snapshot instead of rebuilding an
-    // identical one (the serial dispatcher used to pay for a second
-    // `Scenario::build_static()` here).
-    let snapshot = ctx.shared.static_env().0;
-    let mut artifacts = vec![
-        defense::blockaware_sweep(),
-        defense::stratum_diversification(),
-        defense::route_purging(snapshot),
-    ];
-    let mut unprotected = measurement_lab(config);
-    unprotected.sim.run_for_secs(4 * 600);
-    let mut protected = measurement_lab(config);
-    protected.sim.run_for_secs(4 * 600);
-    // A long enough window that (a) post-capture staleness alarms
-    // fire — at 30 % hash the counterfeit inter-block gap averages
-    // 2,000 s, well past the 600 s threshold — and (b) the honest
-    // majority's hash advantage dominates short lucky streaks by the
-    // attacker.
-    artifacts.push(defense::blockaware_defense(
-        &mut unprotected.sim,
-        &mut protected.sim,
-        TemporalAttackConfig {
-            duration_secs: 12 * 600,
-            max_targets: (200.0 * config.scale).max(30.0) as usize,
-            ..TemporalAttackConfig::paper()
-        },
-    ));
-    artifacts
-}
-fn job_ablations(ctx: &JobCtx) -> Vec<Artifact> {
-    let seed = ctx.config.seed;
-    vec![
-        ablation::relay_mode(seed),
-        ablation::out_degree(seed),
-        ablation::span_ratio(seed),
-    ]
+
+/// A [`JOBS`] row compiled to one render task.
+const fn render(id: &'static str, needs: Needs, f: fn(&JobCtx) -> Vec<Artifact>) -> JobSpec {
+    JobSpec {
+        id,
+        needs,
+        build: Build::Render(f),
+    }
 }
 
-/// The full job table, in [`ARTIFACT_IDS`](crate::ARTIFACT_IDS) presentation order.
+/// A [`JOBS`] row compiled by its fan-out builder.
+const fn fan_out(
+    id: &'static str,
+    needs: Needs,
+    f: for<'a> fn(&mut DagBuilder<'a>, FanOut<'a>) -> usize,
+) -> JobSpec {
+    JobSpec {
+        id,
+        needs,
+        build: Build::FanOut(f),
+    }
+}
+
+/// The full job table, in presentation order; [`ARTIFACT_IDS`](crate::ARTIFACT_IDS)
+/// is its id column.
 pub const JOBS: [JobSpec; 21] = [
-    JobSpec {
-        id: "table1",
-        needs: STATIC_ONLY,
-        run: job_table1,
-    },
-    JobSpec {
-        id: "table2",
-        needs: STATIC_ONLY,
-        run: job_table2,
-    },
-    JobSpec {
-        id: "table3",
-        needs: STATIC_ONLY,
-        run: job_table3,
-    },
-    JobSpec {
-        id: "table4",
-        needs: STATIC_ONLY,
-        run: job_table4,
-    },
-    JobSpec {
-        id: "fig3",
-        needs: STATIC_ONLY,
-        run: job_fig3,
-    },
-    JobSpec {
-        id: "fig4",
-        needs: STATIC_ONLY,
-        run: job_fig4,
-    },
-    JobSpec {
-        id: "fig6_general",
-        needs: Needs {
-            static_env: false,
-            day: false,
-            general: true,
-        },
-        run: job_fig6_general,
-    },
-    JobSpec {
-        id: "fig6_day",
-        needs: DAY_ONLY,
-        run: job_fig6_day,
-    },
-    JobSpec {
-        id: "fig6_minute",
-        needs: DAY_ONLY,
-        run: job_fig6_minute,
-    },
-    JobSpec {
-        id: "table5",
-        needs: DAY_ONLY,
-        run: job_table5,
-    },
-    JobSpec {
-        id: "table6",
-        needs: NOTHING,
-        run: job_table6,
-    },
-    JobSpec {
-        id: "fig7",
-        needs: NOTHING,
-        run: job_fig7,
-    },
-    JobSpec {
-        id: "table7",
-        needs: DAY_ONLY,
-        run: job_table7,
-    },
-    JobSpec {
-        id: "fig8",
-        needs: DAY_ONLY,
-        run: job_fig8,
-    },
-    JobSpec {
-        id: "table8",
-        needs: STATIC_ONLY,
-        run: job_table8,
-    },
-    JobSpec {
-        id: "implications",
-        needs: STATIC_ONLY,
-        run: job_implications,
-    },
-    JobSpec {
-        id: "cascade",
-        needs: NOTHING,
-        run: job_cascade,
-    },
-    JobSpec {
-        id: "fifty_one",
-        needs: NOTHING,
-        run: job_fifty_one,
-    },
-    JobSpec {
-        id: "propagation",
-        needs: NOTHING,
-        run: job_propagation,
-    },
-    JobSpec {
-        id: "countermeasures",
-        needs: STATIC_ONLY,
-        run: job_countermeasures,
-    },
-    JobSpec {
-        id: "ablations",
-        needs: NOTHING,
-        run: job_ablations,
-    },
+    render("table1", STATIC_ONLY, job_table1),
+    render("table2", STATIC_ONLY, job_table2),
+    render("table3", STATIC_ONLY, job_table3),
+    render("table4", STATIC_ONLY, job_table4),
+    render("fig3", STATIC_ONLY, job_fig3),
+    render("fig4", STATIC_ONLY, job_fig4),
+    render("fig6_general", GENERAL_ONLY, job_fig6_general),
+    render("fig6_day", DAY_ONLY, job_fig6_day),
+    render("fig6_minute", DAY_ONLY, job_fig6_minute),
+    render("table5", DAY_ONLY, job_table5),
+    fan_out("table6", NOTHING, push_table6),
+    render("fig7", NOTHING, job_fig7),
+    render("table7", DAY_ONLY, job_table7),
+    render("fig8", DAY_ONLY, job_fig8),
+    render("table8", STATIC_ONLY, job_table8),
+    render("implications", STATIC_ONLY, job_implications),
+    render("cascade", NOTHING, job_cascade),
+    fan_out("fifty_one", NOTHING, push_fifty_one),
+    fan_out("propagation", NOTHING, push_propagation),
+    fan_out("countermeasures", STATIC_ONLY, push_countermeasures),
+    fan_out("ablations", NOTHING, push_ablations),
 ];
 
 /// Wall time and output sizes of one pipeline stage (a shared-input
@@ -1051,6 +945,12 @@ fn cfg(parts: &[u64]) -> Vec<u8> {
     out
 }
 
+/// The `(scale, seed)` config slice of every task that builds its own
+/// population.
+fn scale_seed(config: &ReproConfig) -> Vec<u8> {
+    cfg(&[canonical_f64_bits(config.scale), config.seed])
+}
+
 /// One task's scoped observation cell: everything the task records
 /// lands here first, is captured into its cache envelope on a miss, and
 /// is merged into the run's global registry/hub afterwards. Merging is
@@ -1142,7 +1042,6 @@ fn build_dag<'a>(
     trace_on: bool,
 ) -> DagParts<'a> {
     let mut b = DagBuilder::new(metrics_on, trace_on);
-    let scale_seed = cfg(&[canonical_f64_bits(config.scale), config.seed]);
 
     let crawl_slice = |hours| cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
     let static_task = needs.static_env.then(|| {
@@ -1150,7 +1049,7 @@ fn build_dag<'a>(
             &mut b,
             "static",
             RANK_STATIC,
-            scale_seed.clone(),
+            scale_seed(config),
             false,
             move |_| {
                 let env = Scenario::new().scale(config.scale).seed(config.seed);
@@ -1161,7 +1060,7 @@ fn build_dag<'a>(
     let day_task = needs.day.then(|| {
         let slice = crawl_slice(config.day_hours);
         push_shared(&mut b, "day_crawl", RANK_DAY, slice, true, move |obs| {
-            let (crawl, mut lab) = day_crawl_instrumented(config, obs.metrics, obs.trace.is_some());
+            let (crawl, mut lab) = day_crawl(config, obs.metrics, obs.trace.is_some());
             if let Some(reg) = obs.metrics {
                 lab.sim.export_metrics(reg, "net.day");
             }
@@ -1182,7 +1081,7 @@ fn build_dag<'a>(
             slice,
             true,
             move |obs| {
-                let (crawl, lab) = general_crawl_metered(config, obs.metrics);
+                let (crawl, lab) = general_crawl(config, obs.metrics);
                 if let Some(reg) = obs.metrics {
                     lab.sim.export_metrics(reg, "net.general");
                 }
@@ -1214,26 +1113,22 @@ fn build_dag<'a>(
 
     let mut artifact_tasks = Vec::with_capacity(selected.len());
     for (j, job) in selected.iter().enumerate() {
-        let idx = match job.id {
-            "ablations" => push_ablations(&mut b, j, config),
-            "countermeasures" => push_countermeasures(
+        let idx = match job.build {
+            Build::FanOut(push) => push(
                 &mut b,
-                j,
-                config,
-                shared,
-                static_task.expect("countermeasures needs the static build"),
-                &scale_seed,
+                FanOut {
+                    job: j,
+                    config,
+                    shared,
+                    shared_deps: deps_for(job.needs),
+                },
             ),
-            "table6" => push_table6(&mut b, j),
-            "propagation" => push_propagation(&mut b, j, config, &scale_seed),
-            "fifty_one" => push_fifty_one(&mut b, j, config, &scale_seed),
-            _ => {
-                let spec: &'static JobSpec = job;
+            Build::Render(render) => {
                 // Jobs that read shared inputs inherit scale/seed/hours
                 // through their dependency keys; the self-contained
                 // cascade encodes its config slice directly.
                 let slice = if job.id == "cascade" {
-                    scale_seed.clone()
+                    scale_seed(config)
                 } else {
                     Vec::new()
                 };
@@ -1251,7 +1146,7 @@ fn build_dag<'a>(
                             metrics: obs.metrics,
                             trace: obs.trace,
                         };
-                        Box::new((spec.run)(&ctx)) as TaskOutput
+                        Box::new(render(&ctx)) as TaskOutput
                     },
                 )
             }
@@ -1293,12 +1188,12 @@ fn push_shared<'a>(
 
 /// `ablations` fan-out: one task per `(case, seed)` simulation of the
 /// relay, out-degree and span-ratio sweeps, merged in case-major /
-/// seed-minor order (the exact serial accumulation order, floating
-/// point included). Units are cached as volatile (their result types
+/// seed-minor order (a fixed accumulation order, floating point
+/// included). Units are cached as volatile (their result types
 /// have no canonical codec): a warm run replays the merge's artifact
 /// payload and skips every unit.
-fn push_ablations<'a>(b: &mut DagBuilder<'a>, j: usize, config: &'a ReproConfig) -> usize {
-    let seed = config.seed;
+fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
+    let (j, seed) = (fan.job, fan.config.seed);
     let seed_slice = cfg(&[seed]);
     let n_seeds = ablation::AVERAGING_SEEDS.len();
     let mut deps = Vec::new();
@@ -1366,16 +1261,15 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, j: usize, config: &'a ReproConfig)
 
 /// `countermeasures` fan-out: the closed-form sweep cells, the stratum
 /// and route-purging renders, and the two temporal-attack arms all run
-/// as independent tasks; the merge renders in the serial artifact order
+/// as independent tasks; the merge renders in presentation order
 /// (sweep, stratum, purging, BlockAware comparison).
-fn push_countermeasures<'a>(
-    b: &mut DagBuilder<'a>,
-    j: usize,
-    config: &'a ReproConfig,
-    shared: &'a SharedInputs,
-    static_task: usize,
-    scale_seed: &[u8],
-) -> usize {
+fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
+    let FanOut {
+        job: j,
+        config,
+        shared,
+        shared_deps,
+    } = fan;
     let mut deps = Vec::new();
     for &threshold in defense::BLOCKAWARE_SWEEP_THRESHOLDS.iter() {
         deps.push(b.push(
@@ -1399,7 +1293,7 @@ fn push_countermeasures<'a>(
         "countermeasures/purging",
         Some(j),
         RANK_SIMPLE,
-        vec![static_task],
+        shared_deps,
         CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
         move |_, _| Box::new(defense::route_purging(shared.static_env().0)) as TaskOutput,
     ));
@@ -1419,7 +1313,7 @@ fn push_countermeasures<'a>(
     ] {
         let meta = CacheMeta::payload::<TemporalAttackReport>(
             LV_COUNTERMEASURES,
-            scale_seed.to_vec(),
+            scale_seed(config),
             false,
         );
         deps.push(b.push(label, Some(j), RANK_ARM, vec![], meta, move |_, _| {
@@ -1460,9 +1354,10 @@ type Table6Row = ((f64, Vec<Option<u64>>), Option<Tracer>);
 
 /// `table6` fan-out: one bisection task per λ row; the merge renders the
 /// grid and concatenates the per-row trace streams in λ order, which
-/// reproduces the serial model stream exactly (the model emits
-/// grid-global cell ordinals via the row-offset API).
-fn push_table6<'a>(b: &mut DagBuilder<'a>, j: usize) -> usize {
+/// gives the same model stream as one full-grid sweep (each row numbers
+/// its records with grid-global cell ordinals).
+fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
+    let j = fan.job;
     let n = temporal::TABLE6_LAMBDAS.len();
     let mut deps = Vec::new();
     for li in 0..n {
@@ -1473,16 +1368,11 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, j: usize) -> usize {
             vec![],
             CacheMeta::payload::<Table6Row>(LV_TABLE6, Vec::new(), true),
             move |_, obs| {
-                let out: Table6Row = if obs.trace.is_some() {
-                    let mut tracer = Tracer::new();
-                    let row = temporal::table6_row_instrumented(li, obs.metrics, Some(&mut tracer));
-                    (row, Some(tracer))
-                } else {
-                    (
-                        temporal::table6_row_instrumented(li, obs.metrics, None),
-                        None,
-                    )
-                };
+                let mut tracer = obs.trace.map(|_| Tracer::new());
+                let out: Table6Row = (
+                    temporal::table6_row(li, obs.metrics, tracer.as_mut()),
+                    tracer,
+                );
                 Box::new(out) as TaskOutput
             },
         ));
@@ -1516,13 +1406,9 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, j: usize) -> usize {
 /// tasks so the warmup runs concurrently with unrelated work while the
 /// measure step still sees the exact serial state (single consumer —
 /// the lab moves through a `Mutex`).
-fn push_propagation<'a>(
-    b: &mut DagBuilder<'a>,
-    j: usize,
-    config: &'a ReproConfig,
-    scale_seed: &[u8],
-) -> usize {
-    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed.to_vec(), false);
+fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
+    let (j, config) = (fan.job, fan.config);
+    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
     let prep = b.push(
         "propagation/prep",
         Some(j),
@@ -1559,13 +1445,9 @@ fn push_propagation<'a>(
 }
 
 /// `fifty_one` chain: same prep/measure split as `propagation`.
-fn push_fifty_one<'a>(
-    b: &mut DagBuilder<'a>,
-    j: usize,
-    config: &'a ReproConfig,
-    scale_seed: &[u8],
-) -> usize {
-    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed.to_vec(), false);
+fn push_fifty_one<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
+    let (j, config) = (fan.job, fan.config);
+    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
     let prep = b.push(
         "fifty_one/prep",
         Some(j),
@@ -1596,12 +1478,6 @@ fn push_fifty_one<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_table_matches_artifact_ids() {
-        let job_ids: Vec<&str> = JOBS.iter().map(|j| j.id).collect();
-        assert_eq!(job_ids, crate::ARTIFACT_IDS.to_vec());
-    }
 
     #[test]
     fn needs_union_skips_unused_shared_inputs() {

@@ -49,8 +49,8 @@ pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
             .seed(config.seed)
             .build_static(),
     );
-    substrate.set_day(crate::day_crawl(config));
-    substrate.set_general(crate::general_crawl(config));
+    substrate.set_day(crate::day_crawl(config, None, false));
+    substrate.set_general(crate::general_crawl(config, None));
     Arc::new(substrate)
 }
 

@@ -8,12 +8,13 @@
 //!
 //! Every sweep is decomposed into independently-seeded **units** (one
 //! `(case, seed)` simulation each) plus a pure **merge** that averages
-//! and renders. The artifact functions ([`relay_mode`], [`out_degree`],
-//! [`span_ratio`]) are thin serial drivers over the same units, so the
-//! `bp-bench` task DAG can fan the units out across worker threads and
-//! reassemble a byte-identical artifact: units own all the randomness,
-//! merges only fold unit outputs in the fixed case-major / seed-minor
-//! order (floating-point accumulation order included).
+//! and renders ([`relay_mode_from_units`], [`out_degree_from_units`],
+//! [`span_ratio_from_units`]). The `bp-bench` task DAG is the only
+//! driver: it fans the units out across worker threads and merges them
+//! into a byte-identical artifact for any worker count, because units
+//! own all the randomness and merges only fold unit outputs in the fixed
+//! case-major / seed-minor order (floating-point accumulation order
+//! included).
 
 use super::Artifact;
 use bp_analysis::table::{num, pct, Align, TextTable};
@@ -31,7 +32,7 @@ pub const AVERAGING_SEEDS: [u64; 3] = [101, 202, 303];
 /// Simulated hours behind each relay / out-degree unit run.
 pub const UNIT_HOURS: u64 = 2;
 
-/// One relay-discipline case of the [`relay_mode`] sweep.
+/// One relay-discipline case of the relay-mode sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayCase {
     /// Row label in the rendered table.
@@ -58,10 +59,11 @@ pub const RELAY_CASES: [RelayCase; 3] = [
     },
 ];
 
-/// The peer out-degrees swept by [`out_degree`], in presentation order.
+/// The peer out-degrees swept by the out-degree ablation, in presentation
+/// order.
 pub const OUT_DEGREES: [usize; 4] = [4, 8, 16, 24];
 
-/// The span ratios swept by [`span_ratio`], in presentation order.
+/// The span ratios swept by the span-ratio ablation, in presentation order.
 pub const SPAN_RATIOS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
 /// Raw measures of one independently-seeded network unit run:
@@ -171,15 +173,6 @@ pub fn relay_mode_from_units(units: &[NetUnit]) -> Artifact {
     )
 }
 
-/// Diffusion vs. trickle relay (the 2015 protocol switch, §V-B).
-pub fn relay_mode(seed: u64) -> Artifact {
-    let units: Vec<NetUnit> = (0..RELAY_CASES.len())
-        .flat_map(|case| (0..AVERAGING_SEEDS.len()).map(move |s| (case, s)))
-        .map(|(case, s)| relay_unit(seed, case, s))
-        .collect();
-    relay_mode_from_units(&units)
-}
-
 /// One `(degree, seed)` unit of the out-degree sweep.
 pub fn degree_unit(snapshot_seed: u64, degree_index: usize, seed_index: usize) -> NetUnit {
     let base = NetConfig {
@@ -225,15 +218,6 @@ pub fn out_degree_from_units(units: &[NetUnit]) -> Artifact {
         "Peer out-degree ablation (paper §V-B peer-clustering trade-off)",
         t.render(),
     )
-}
-
-/// Peer out-degree sweep: more peers shrink the temporal attack surface.
-pub fn out_degree(seed: u64) -> Artifact {
-    let units: Vec<NetUnit> = (0..OUT_DEGREES.len())
-        .flat_map(|d| (0..AVERAGING_SEEDS.len()).map(move |s| (d, s)))
-        .map(|(d, s)| degree_unit(seed, d, s))
-        .collect();
-    out_degree_from_units(&units)
 }
 
 /// One `(ratio, seed)` unit of the span-ratio sweep: runs the grid
@@ -313,37 +297,36 @@ pub fn span_ratio_from_units(units: &[SpanUnit]) -> Artifact {
     )
 }
 
-/// Span-ratio sweep on the grid simulator: below 1.0 the grid cannot
-/// synchronize between blocks and natural forks persist.
-pub fn span_ratio(seed: u64) -> Artifact {
-    let units: Vec<SpanUnit> = (0..SPAN_RATIOS.len())
-        .flat_map(|r| (0..AVERAGING_SEEDS.len()).map(move |s| (r, s)))
-        .map(|(r, s)| span_unit(seed, r, s))
-        .collect();
-    span_ratio_from_units(&units)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `unit(case, seed)` for every case and seed in case-major,
+    /// seed-minor order — the order the merges expect.
+    fn units<T>(cases: usize, unit: impl Fn(usize, usize) -> T) -> Vec<T> {
+        (0..cases)
+            .flat_map(|case| (0..AVERAGING_SEEDS.len()).map(move |s| (case, s)))
+            .map(|(case, s)| unit(case, s))
+            .collect()
+    }
+
     #[test]
     fn span_ratio_ablation_shows_sync_threshold() {
-        let a = span_ratio(5);
+        let a = span_ratio_from_units(&units(SPAN_RATIOS.len(), |r, s| span_unit(5, r, s)));
         assert!(a.body.contains("R_span"));
         assert_eq!(a.body.lines().count(), 6);
     }
 
     #[test]
     fn relay_mode_ablation_renders() {
-        let a = relay_mode(5);
+        let a = relay_mode_from_units(&units(RELAY_CASES.len(), |c, s| relay_unit(5, c, s)));
         assert!(a.body.contains("diffusion"));
         assert!(a.body.contains("trickle"));
     }
 
     #[test]
     fn out_degree_ablation_renders() {
-        let a = out_degree(5);
+        let a = out_degree_from_units(&units(OUT_DEGREES.len(), |d, s| degree_unit(5, d, s)));
         assert!(a.body.contains("Out-degree"));
         assert_eq!(a.body.lines().count(), 6);
     }
@@ -351,7 +334,7 @@ mod tests {
     #[test]
     fn units_recompose_to_the_serial_artifact() {
         // The DAG merge path (units computed out of order, folded in
-        // case-major order) must reproduce the serial artifact byte for
+        // case-major order) must reproduce the in-order sweep byte for
         // byte. Compute the units in a scrambled order to prove order
         // independence.
         let seed = 5;
@@ -362,9 +345,10 @@ mod tests {
             let (r, s) = (k / AVERAGING_SEEDS.len(), k % AVERAGING_SEEDS.len());
             span_units[k] = span_unit(seed, r, s);
         }
+        let in_order = units(SPAN_RATIOS.len(), |r, s| span_unit(seed, r, s));
         assert_eq!(
             span_ratio_from_units(&span_units).body,
-            span_ratio(seed).body
+            span_ratio_from_units(&in_order).body
         );
     }
 }

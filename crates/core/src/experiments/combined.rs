@@ -232,7 +232,7 @@ mod tests {
 
     fn crawl_env() -> (CrawlResult, Snapshot) {
         let mut lab = Scenario::new().scale(0.02).fast_network().build();
-        let crawl = run_crawl(&mut lab.sim, &lab.snapshot, 600, 2400, 60);
+        let crawl = run_crawl(&mut lab.sim, &lab.snapshot, 600, 2400, 60, None);
         (crawl, lab.snapshot)
     }
 

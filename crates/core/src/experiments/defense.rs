@@ -6,12 +6,9 @@ use bp_analysis::table::{num, pct, Align, TextTable};
 use bp_attacks::countermeasures::{
     ases_to_isolate_hash, blockaware_tradeoff_one, diversify_stratum, BlockAwareTradeoff,
 };
-use bp_attacks::temporal::attack::{
-    run_temporal_attack, TemporalAttackConfig, TemporalAttackReport,
-};
+use bp_attacks::temporal::attack::{TemporalAttackConfig, TemporalAttackReport};
 use bp_bgp::{origin_hijack, origin_hijack_with_defense, AsGraph};
 use bp_mining::PoolCensus;
-use bp_net::Simulation;
 use bp_topology::{Asn, Snapshot};
 use std::collections::HashSet;
 
@@ -59,8 +56,8 @@ pub fn blockaware_sweep() -> Artifact {
     blockaware_sweep_from_rows(&rows)
 }
 
-/// The "with BlockAware" arm of [`blockaware_defense`]: the same attack
-/// with the 600 s detector enabled. The two arms run on
+/// The "with BlockAware" arm of the BlockAware comparison: the same
+/// attack with the 600 s detector enabled. The two arms run on
 /// independently-prepared simulations, so the task DAG executes them
 /// concurrently and merges with [`blockaware_defense_from_reports`].
 pub fn blockaware_protected_config(attack: TemporalAttackConfig) -> TemporalAttackConfig {
@@ -70,7 +67,9 @@ pub fn blockaware_protected_config(attack: TemporalAttackConfig) -> TemporalAtta
     }
 }
 
-/// Renders the BlockAware comparison from the two attack reports.
+/// Renders the BlockAware comparison from the two attack reports: the
+/// temporal attack without and with BlockAware, each run on its own
+/// identically-prepared simulation.
 pub fn blockaware_defense_from_reports(
     unprotected: &TemporalAttackReport,
     protected: &TemporalAttackReport,
@@ -107,18 +106,6 @@ pub fn blockaware_defense_from_reports(
         "BlockAware vs the temporal attack (paper §VI)",
         t.render(),
     )
-}
-
-/// Runs the temporal attack twice — without and with BlockAware — on two
-/// identically-prepared simulations, and compares captures.
-pub fn blockaware_defense(
-    sim_unprotected: &mut Simulation,
-    sim_protected: &mut Simulation,
-    attack: TemporalAttackConfig,
-) -> Artifact {
-    let unprotected = run_temporal_attack(sim_unprotected, attack);
-    let protected = run_temporal_attack(sim_protected, blockaware_protected_config(attack));
-    blockaware_defense_from_reports(&unprotected, &protected)
 }
 
 /// Stratum diversification: attacker cost to isolate 50 % of the hash
@@ -224,6 +211,7 @@ pub fn route_purging(snapshot: &Snapshot) -> Artifact {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use bp_attacks::temporal::attack::run_temporal_attack;
     use bp_net::NetConfig;
 
     #[test]
@@ -264,17 +252,14 @@ mod tests {
             lab.sim.run_for_secs(4 * 600);
             lab
         };
-        let mut a_lab = make();
-        let mut b_lab = make();
-        let artifact = blockaware_defense(
-            &mut a_lab.sim,
-            &mut b_lab.sim,
-            TemporalAttackConfig {
-                duration_secs: 1200,
-                max_targets: 50,
-                ..TemporalAttackConfig::paper()
-            },
-        );
+        let attack = TemporalAttackConfig {
+            duration_secs: 1200,
+            max_targets: 50,
+            ..TemporalAttackConfig::paper()
+        };
+        let unprotected = run_temporal_attack(&mut make().sim, attack);
+        let protected = run_temporal_attack(&mut make().sim, blockaware_protected_config(attack));
+        let artifact = blockaware_defense_from_reports(&unprotected, &protected);
         assert!(artifact.body.contains("BlockAware escapes"));
         assert!(artifact.body.contains("peak captured"));
     }

@@ -88,5 +88,7 @@ mod tests {
         let a = cve_exposure(&snapshot);
         assert!(a.body.contains("CVE-2018-17144"));
         assert!(a.body.contains("36 NVD records"));
+        // Zero-exposure CVEs render unsigned in every build profile.
+        assert!(!a.body.contains("-0.00%"), "signed zero in:\n{}", a.body);
     }
 }

@@ -15,26 +15,9 @@ use bp_topology::Snapshot;
 /// Figure 6 / Table V / Figure 8 artifacts.
 ///
 /// `warmup_secs` lets the network reach steady state before sampling.
+/// Crawler sampling cost is recorded into `reg` when given; the crawl
+/// result is identical with or without a registry.
 pub fn run_crawl(
-    sim: &mut Simulation,
-    snapshot: &Snapshot,
-    warmup_secs: u64,
-    duration_secs: u64,
-    sample_period_secs: u64,
-) -> CrawlResult {
-    run_crawl_metered(
-        sim,
-        snapshot,
-        warmup_secs,
-        duration_secs,
-        sample_period_secs,
-        None,
-    )
-}
-
-/// [`run_crawl`], recording crawler sampling cost into `reg` when given.
-/// The crawl result is identical with or without a registry.
-pub fn run_crawl_metered(
     sim: &mut Simulation,
     snapshot: &Snapshot,
     warmup_secs: u64,
@@ -50,11 +33,7 @@ pub fn run_crawl_metered(
 /// panels differ only in duration and sampling period). `window` limits
 /// the panel to a slice of the crawl (`None` = everything) — the paper's
 /// Figure 6(c) zooms into the minutes between two successive blocks.
-pub fn fig6_windowed(
-    crawl: &CrawlResult,
-    panel: &str,
-    window: Option<std::ops::Range<usize>>,
-) -> Artifact {
+pub fn fig6(crawl: &CrawlResult, panel: &str, window: Option<std::ops::Range<usize>>) -> Artifact {
     let labels: Vec<String> = LagClass::ALL
         .iter()
         .map(|c| c.label().to_string())
@@ -94,11 +73,6 @@ pub fn fig6_windowed(
         format!("{}{}", chart.render(), notes),
     )
     .with_csv(format!("fig6_{panel}"), csv::write(&rows))
-}
-
-/// Figure 6 over the whole crawl (see [`fig6_windowed`]).
-pub fn fig6(crawl: &CrawlResult, panel: &str) -> Artifact {
-    fig6_windowed(crawl, panel, None)
 }
 
 /// Table V — maximum vulnerable nodes per timing constraint.
@@ -142,48 +116,22 @@ pub const TABLE6_LAMBDAS: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 /// See [`TABLE6_LAMBDAS`].
 pub const TABLE6_TARGETS: [u64; 7] = [100, 300, 500, 800, 1000, 1200, 1500];
 
-/// Table VI — minimum timing constraint `T` to isolate `m` nodes with
-/// probability ≥ 0.8 under rate λ.
-pub fn table6() -> Artifact {
-    table6_metered(None)
-}
-
-/// [`table6`], recording model evaluation counts (`temporal.model.cells`,
-/// `temporal.model.bisection_steps`) into `reg` when given.
-pub fn table6_metered(reg: Option<&bp_obs::Registry>) -> Artifact {
-    table6_instrumented(reg, None)
-}
-
-/// [`table6_metered`], additionally emitting one `model_bisect` trace
-/// record per sweep cell into `tracer` when given. The rendered table is
-/// identical with or without instrumentation.
-pub fn table6_instrumented(
-    reg: Option<&bp_obs::Registry>,
-    tracer: Option<&mut bp_obs::Tracer>,
-) -> Artifact {
-    let grid =
-        TemporalModel::table_vi_instrumented(&TABLE6_LAMBDAS, &TABLE6_TARGETS, 0.8, reg, tracer);
-    table6_from_rows(&grid)
-}
-
-/// One λ-row of Table VI — the independent unit the task DAG fans out.
-/// Counters land in `reg` (order-independent sums) and the row's bisect
-/// trace records in `tracer`; concatenating per-row tracers in λ order
-/// reproduces the serial [`table6_instrumented`] stream exactly.
-pub fn table6_row_instrumented(
+/// One λ-row of Table VI — the minimum timing constraint `T` to isolate
+/// each of [`TABLE6_TARGETS`] nodes with probability ≥ 0.8 under rate
+/// `TABLE6_LAMBDAS[lambda_index]`. The task DAG runs one row per task and
+/// renders with [`table6_from_rows`]. Model evaluation counts
+/// (`temporal.model.cells`, `temporal.model.bisection_steps`) land in
+/// `reg` and one `model_bisect` record per cell in `tracer`, numbered as
+/// in a full-grid sweep, so concatenating per-row tracers in λ order
+/// gives the same stream as sweeping every λ at once.
+pub fn table6_row(
     lambda_index: usize,
     reg: Option<&bp_obs::Registry>,
     tracer: Option<&mut bp_obs::Tracer>,
 ) -> (f64, Vec<Option<u64>>) {
     let lambda = [TABLE6_LAMBDAS[lambda_index]];
-    let mut grid = TemporalModel::table_vi_offset_instrumented(
-        &lambda,
-        &TABLE6_TARGETS,
-        0.8,
-        reg,
-        tracer,
-        lambda_index,
-    );
+    let mut grid =
+        TemporalModel::table_vi(&lambda, &TABLE6_TARGETS, 0.8, reg, tracer, lambda_index);
     grid.pop().expect("one row per lambda")
 }
 
@@ -251,24 +199,12 @@ pub fn propagation(sim: &mut Simulation, snapshot: &Snapshot, hours: u64) -> Art
 }
 
 /// Figure 7 — the grid fork simulation panels at steps 151, 201, 251.
-pub fn fig7() -> Artifact {
-    fig7_metered(None)
-}
-
-/// [`fig7`], exporting grid-sim counters under `temporal.grid.*` when
-/// `reg` is given.
-pub fn fig7_metered(reg: Option<&bp_obs::Registry>) -> Artifact {
-    fig7_instrumented(reg, None)
-}
-
-/// [`fig7_metered`], additionally recording the grid simulation's mine /
-/// release / snapshot events into `tracer` when given (the records are
-/// appended to the caller's tracer after the run). The rendered panels
-/// are identical with or without instrumentation.
-pub fn fig7_instrumented(
-    reg: Option<&bp_obs::Registry>,
-    tracer: Option<&mut bp_obs::Tracer>,
-) -> Artifact {
+///
+/// Grid-sim counters are exported under `temporal.grid.*` when `reg` is
+/// given, and the run's mine / release / snapshot events are appended to
+/// `tracer` when given. The rendered panels are identical with or
+/// without instrumentation.
+pub fn fig7(reg: Option<&bp_obs::Registry>, tracer: Option<&mut bp_obs::Tracer>) -> Artifact {
     let mut grid_sim = GridSim::new(GridConfig::figure7());
     if tracer.is_some() {
         grid_sim.set_tracer(bp_obs::Tracer::new());
@@ -305,14 +241,14 @@ mod tests {
 
     fn quick_crawl() -> (CrawlResult, u64) {
         let mut lab = Scenario::new().scale(0.02).fast_network().build();
-        let crawl = run_crawl(&mut lab.sim, &lab.snapshot, 600, 3000, 60);
+        let crawl = run_crawl(&mut lab.sim, &lab.snapshot, 600, 3000, 60, None);
         (crawl, 60)
     }
 
     #[test]
     fn fig6_renders_all_bands() {
         let (crawl, _) = quick_crawl();
-        let a = fig6(&crawl, "test");
+        let a = fig6(&crawl, "test", None);
         assert!(a.body.contains("up-to-date"));
         assert!(a.body.contains("mean synced"));
         assert_eq!(a.csv.len(), 1);
@@ -333,9 +269,18 @@ mod tests {
         }
     }
 
+    /// Table VI swept one λ-row at a time, the way the task DAG runs it,
+    /// with every row's trace records appended to `tracer` when given.
+    fn table6(mut tracer: Option<&mut bp_obs::Tracer>) -> Artifact {
+        let grid: Vec<_> = (0..TABLE6_LAMBDAS.len())
+            .map(|i| table6_row(i, None, tracer.as_deref_mut()))
+            .collect();
+        table6_from_rows(&grid)
+    }
+
     #[test]
     fn table6_matches_paper_grid_shape() {
-        let a = table6();
+        let a = table6(None);
         // Headline cell: λ=0.8, m=500 → ~589 s.
         assert!(
             a.body.contains("589") || a.body.contains("588") || a.body.contains("590"),
@@ -359,7 +304,7 @@ mod tests {
 
     #[test]
     fn fig7_renders_three_panels() {
-        let a = fig7();
+        let a = fig7(None, None);
         assert_eq!(a.body.matches("grid at step").count(), 3);
         assert!(a.body.contains("counterfeit share"));
     }
@@ -367,13 +312,13 @@ mod tests {
     #[test]
     fn instrumented_variants_match_plain_artifacts() {
         let mut tracer = bp_obs::Tracer::new();
-        let fig7_traced = fig7_instrumented(None, Some(&mut tracer));
-        assert_eq!(fig7_traced.body, fig7().body);
+        let fig7_traced = fig7(None, Some(&mut tracer));
+        assert_eq!(fig7_traced.body, fig7(None, None).body);
         let grid_records = tracer.len();
         assert!(grid_records > 0, "grid run emitted no trace records");
 
-        let table6_traced = table6_instrumented(None, Some(&mut tracer));
-        assert_eq!(table6_traced.body, table6().body);
+        let table6_traced = table6(Some(&mut tracer));
+        assert_eq!(table6_traced.body, table6(None).body);
         let model_records = tracer.len() - grid_records;
         // One bisect record per sweep cell.
         assert_eq!(model_records, TABLE6_LAMBDAS.len() * TABLE6_TARGETS.len());
@@ -382,20 +327,23 @@ mod tests {
     #[test]
     fn table6_rows_recompose_to_the_serial_table() {
         // The task DAG computes λ-rows independently and merges in λ
-        // order; the merged artifact and trace stream must match the
-        // serial sweep byte for byte.
+        // order; the merged artifact and trace stream must match one
+        // full-grid sweep byte for byte.
         let mut serial_tracer = bp_obs::Tracer::new();
-        let serial = table6_instrumented(None, Some(&mut serial_tracer));
+        let serial = table6_from_rows(&TemporalModel::table_vi(
+            &TABLE6_LAMBDAS,
+            &TABLE6_TARGETS,
+            0.8,
+            None,
+            Some(&mut serial_tracer),
+            0,
+        ));
 
         let mut merged_tracer = bp_obs::Tracer::new();
         let mut rows = Vec::new();
         for i in (0..TABLE6_LAMBDAS.len()).rev() {
             let mut row_tracer = bp_obs::Tracer::new();
-            rows.push((
-                i,
-                table6_row_instrumented(i, None, Some(&mut row_tracer)),
-                row_tracer,
-            ));
+            rows.push((i, table6_row(i, None, Some(&mut row_tracer)), row_tracer));
         }
         rows.sort_by_key(|(i, _, _)| *i);
         let grid: Vec<(f64, Vec<Option<u64>>)> =
@@ -405,5 +353,37 @@ mod tests {
         }
         assert_eq!(table6_from_rows(&grid).body, serial.body);
         assert_eq!(merged_tracer.records(), serial_tracer.records());
+    }
+
+    #[test]
+    fn table6_cells_are_the_least_feasible_t() {
+        // Paper §V-B, Eq. 5: each cell is the least T whose union bound
+        // b(m, T) reaches p = 0.8, so the bound holds at T and fails at
+        // T − 1.
+        let ln_p = 0.8f64.ln();
+        let grid: Vec<_> = (0..TABLE6_LAMBDAS.len())
+            .map(|i| table6_row(i, None, None))
+            .collect();
+        for (lambda, row) in &grid {
+            let model = TemporalModel::new(*lambda);
+            for (&m, cell) in TABLE6_TARGETS.iter().zip(row) {
+                let t = cell.unwrap_or_else(|| panic!("λ={lambda}, m={m} has no T"));
+                assert!(
+                    model.ln_isolation_bound(m, t) >= ln_p,
+                    "λ={lambda}, m={m}: b(m, {t}) < 0.8"
+                );
+                assert!(
+                    model.ln_isolation_bound(m, t - 1) < ln_p,
+                    "λ={lambda}, m={m}: T={t} is not the least feasible value"
+                );
+            }
+        }
+        // The λ = 0.8 and λ = 0.9 rows as printed in the paper.
+        let row = |lambda: f64| -> Vec<u64> {
+            let (_, cells) = grid.iter().find(|(l, _)| *l == lambda).unwrap();
+            cells.iter().map(|c| c.unwrap()).collect()
+        };
+        assert_eq!(row(0.8), [119, 354, 589, 942, 1177, 1412, 1765]);
+        assert_eq!(row(0.9), [116, 346, 575, 920, 1149, 1379, 1723]);
     }
 }

@@ -485,26 +485,15 @@ fn run_serve_bench(opts: &bp_bench::cli::CliOptions) {
     let config = opts.config;
     let workers = opts.jobs.unwrap_or_else(default_jobs);
     eprintln!(
-        "# serve bench: scale {}, {} queries, {} mix, {} pacing, workers: {workers}",
+        "# serve bench: scale {}, {} queries, workers: {workers}",
         config.scale,
         bp_bench::serve::BENCH_QUERIES,
-        opts.serve_mix,
-        opts.serve_mode
     );
     let engine = bp_bench::serve::build_engine(&config, workers, opts.cache.as_deref())
         .unwrap_or_else(|e| die(&e));
     let registry = btcpart::obs::Registry::new();
     let mut sink = Vec::new();
-    let report = bp_bench::serve::run_bench(
-        &engine,
-        &config,
-        &opts.serve_mode,
-        &opts.serve_mix,
-        workers,
-        &registry,
-        Some(&mut sink),
-    )
-    .unwrap_or_else(|e| die(&e));
+    let report = bp_bench::serve::run_bench(&engine, &config, workers, &registry, Some(&mut sink));
     let path = PathBuf::from(&opts.serve_out).join("serve_responses.bin");
     std::fs::write(&path, &sink).expect("write serve_responses.bin");
     eprintln!("# wrote {}", path.display());

@@ -51,12 +51,6 @@ pub struct CliOptions {
     /// Maximum concurrent connections the query service accepts
     /// (`--serve-conns`, default 64).
     pub serve_conns: usize,
-    /// Load pacing for `--serve-bench`: `"closed"` (default) or
-    /// `"open"`.
-    pub serve_mode: String,
-    /// Target-AS mix for `--serve-bench`: `"zipf"` (default) or
-    /// `"uniform"`.
-    pub serve_mix: String,
     /// Directory `--serve-bench` artifacts (`serve_responses.bin`) are
     /// written to.
     pub serve_out: String,
@@ -107,8 +101,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut serve = None;
     let mut serve_bench = false;
     let mut serve_conns = 64usize;
-    let mut serve_mode = "closed".to_string();
-    let mut serve_mix = "zipf".to_string();
     let mut serve_out = "serve_out".to_string();
     let mut help = false;
 
@@ -146,7 +138,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     return Err(format!("--hours must be in 1..={MAX_HOURS}, got {hours}"));
                 }
                 config.day_hours = hours;
-                config.general_hours = hours * 2;
             }
             "--jobs" => {
                 let n: usize = parse_value(arg, iter.next())?;
@@ -179,16 +170,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 }
                 serve_conns = n;
             }
-            "--serve-mode" => {
-                let mode: String = parse_value(arg, iter.next())?;
-                crate::serve::parse_pacing(&mode)?;
-                serve_mode = mode;
-            }
-            "--serve-mix" => {
-                let mix: String = parse_value(arg, iter.next())?;
-                crate::serve::parse_mix(&mix)?;
-                serve_mix = mix;
-            }
             "--serve-out" => serve_out = parse_value(arg, iter.next())?,
             "--out" => out_dir = parse_value(arg, iter.next())?,
             "--help" | "-h" => help = true,
@@ -214,8 +195,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         serve,
         serve_bench,
         serve_conns,
-        serve_mode,
-        serve_mix,
         serve_out,
         help,
     })
@@ -223,7 +202,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 
 /// Every flag `repro` understands, in display order. [`usage`] lists all
 /// of them; a test pins the two in sync with the parser.
-pub const FLAGS: [&str; 19] = [
+pub const FLAGS: [&str; 17] = [
     "--quick",
     "--scale",
     "--seed",
@@ -238,8 +217,6 @@ pub const FLAGS: [&str; 19] = [
     "--serve",
     "--serve-bench",
     "--serve-conns",
-    "--serve-mode",
-    "--serve-mix",
     "--serve-out",
     "--out",
     "--help",
@@ -253,8 +230,7 @@ pub fn usage() -> String {
          \x20             [--timings] [--metrics DIR] [--trace DIR]\n\
          \x20             [--cache DIR] [--detect DIR] [--detect-matrix]\n\
          \x20             [--serve PORT | --serve-bench]\n\
-         \x20             [--serve-conns N] [--serve-mode open|closed]\n\
-         \x20             [--serve-mix zipf|uniform] [--serve-out DIR]\n\
+         \x20             [--serve-conns N] [--serve-out DIR]\n\
          \x20             [--out DIR] [IDS…]\n\n\
          --quick        5% scale preset; later or earlier per-field flags override it\n\
          --scale F      population scale in [{MIN_SCALE}, 1] (1.0 = the paper's 13,635 nodes),\n\
@@ -290,9 +266,6 @@ pub fn usage() -> String {
          \x20              and, with --metrics, a BENCH `serve` section\n\
          --serve-conns N  concurrent connections --serve accepts (1..=1024,\n\
          \x20              default 64)\n\
-         --serve-mode M   serve-bench pacing: 'closed' (default; peak\n\
-         \x20              throughput) or 'open' (fixed-rate, queueing delay)\n\
-         --serve-mix M    serve-bench target mix: 'zipf' (default) or 'uniform'\n\
          --serve-out DIR  serve-bench artifact directory (default serve_out/)\n\
          --out DIR      CSV export directory (default repro_out/)\n\
          --help         this text\n\n\
@@ -313,10 +286,7 @@ mod tests {
     fn quick_then_override() {
         let opts = parse_args(&argv(&["--quick", "--scale", "0.1", "all"])).unwrap();
         assert_eq!(opts.config.scale, 0.1);
-        assert_eq!(
-            opts.config.general_hours,
-            ReproConfig::quick().general_hours
-        );
+        assert_eq!(opts.config.day_hours, ReproConfig::quick().day_hours);
         assert_eq!(opts.ids, vec!["all"]);
     }
 
@@ -335,7 +305,7 @@ mod tests {
             parse_args(&argv(&["--seed", "7", "--hours", "3", "--quick", "table1"])).unwrap();
         assert_eq!(opts.config.seed, 7);
         assert_eq!(opts.config.day_hours, 3);
-        assert_eq!(opts.config.general_hours, 6);
+        assert_eq!(opts.config.general_hours(), 6);
         assert_eq!(opts.config.scale, ReproConfig::quick().scale);
     }
 
@@ -407,8 +377,6 @@ mod tests {
                 }
                 "--serve" => argv(&[flag, "8080"]),
                 "--serve-conns" => argv(&[flag, "8"]),
-                "--serve-mode" => argv(&[flag, "open"]),
-                "--serve-mix" => argv(&[flag, "uniform"]),
                 _ => argv(&[flag]),
             };
             assert!(
@@ -432,7 +400,7 @@ mod tests {
     fn hours_are_bounded_at_parse_time() {
         let opts = parse_args(&argv(&["--hours", "8760", "all"])).unwrap();
         assert_eq!(opts.config.day_hours, MAX_HOURS);
-        assert_eq!(opts.config.general_hours, 2 * MAX_HOURS);
+        assert_eq!(opts.config.general_hours(), 2 * MAX_HOURS);
         // Values the pipeline would overflow on fail here instead,
         // naming the flag and the range.
         for bad in ["0", "8761", "18446744073709551615"] {
@@ -513,8 +481,6 @@ mod tests {
         assert_eq!(opts.serve, None);
         assert!(!opts.serve_bench);
         assert_eq!(opts.serve_conns, 64);
-        assert_eq!(opts.serve_mode, "closed");
-        assert_eq!(opts.serve_mix, "zipf");
         assert_eq!(opts.serve_out, "serve_out");
         // The port bound surfaces at parse time, naming the range.
         let err = parse_args(&argv(&["--serve", "0"])).unwrap_err();
@@ -543,36 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_mode_and_mix_reject_unknown_values_at_parse_time() {
-        let opts = parse_args(&argv(&[
-            "--serve-bench",
-            "--serve-mode",
-            "open",
-            "--serve-mix",
-            "uniform",
-        ]))
-        .unwrap();
-        assert!(opts.serve_bench);
-        assert_eq!(opts.serve_mode, "open");
-        assert_eq!(opts.serve_mix, "uniform");
-        let err = parse_args(&argv(&["--serve-mode", "strided"])).unwrap_err();
-        assert!(
-            err.contains("--serve-mode") && err.contains("strided"),
-            "{err}"
-        );
-        let err = parse_args(&argv(&["--serve-mix", "pareto"])).unwrap_err();
-        assert!(
-            err.contains("--serve-mix") && err.contains("pareto"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn serve_flags_are_last_wins_and_order_insensitive() {
         let opts = parse_args(&argv(&["--serve", "7070", "--serve", "9090"])).unwrap();
         assert_eq!(opts.serve, Some(9090));
-        let opts = parse_args(&argv(&["--serve-mode", "open", "--serve-mode", "closed"])).unwrap();
-        assert_eq!(opts.serve_mode, "closed");
+        let opts = parse_args(&argv(&["--serve-conns", "8", "--serve-conns", "16"])).unwrap();
+        assert_eq!(opts.serve_conns, 16);
         // Still validated per occurrence.
         assert!(parse_args(&argv(&["--serve-conns", "8", "--serve-conns", "0"])).is_err());
         // Order-insensitive with the preset, like every other flag.

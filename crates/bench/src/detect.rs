@@ -163,7 +163,6 @@ mod tests {
         ReproConfig {
             scale: 0.02,
             day_hours: 1,
-            general_hours: 1,
             ..ReproConfig::quick()
         }
     }

@@ -18,7 +18,8 @@ pub mod trace_cli;
 
 use btcpart::crawler::CrawlResult;
 use btcpart::experiments::{temporal, Artifact};
-use btcpart::net::NetConfig;
+use btcpart::net::Simulation;
+use btcpart::topology::Snapshot;
 use btcpart::{Lab, Scenario};
 use pipeline::RunReport;
 
@@ -29,8 +30,6 @@ pub struct ReproConfig {
     pub scale: f64,
     /// Snapshot seed.
     pub seed: u64,
-    /// Simulated hours behind the Figure 6(a) "general trend" crawl.
-    pub general_hours: u64,
     /// Simulated hours behind the one-day crawls (Figure 6(b), Figure 8,
     /// Tables V and VII).
     pub day_hours: u64,
@@ -42,7 +41,6 @@ impl ReproConfig {
         Self {
             scale: 1.0,
             seed: 20_180_228,
-            general_hours: 48,
             day_hours: 24,
         }
     }
@@ -52,31 +50,37 @@ impl ReproConfig {
         Self {
             scale: 0.05,
             seed: 20_180_228,
-            general_hours: 4,
             day_hours: 2,
         }
     }
-}
 
-/// The lossy "paper" network profile used for the measurement crawls.
-pub fn measurement_net_config(seed: u64) -> NetConfig {
-    NetConfig {
-        seed,
-        ..NetConfig::paper()
+    /// Simulated hours behind the Figure 6(a) "general trend" crawl:
+    /// twice the day crawl, which it continues.
+    pub fn general_hours(&self) -> u64 {
+        2 * self.day_hours
     }
 }
 
-/// Builds a lab with the measurement network profile.
+/// Simulated seconds the measurement network runs before its first
+/// crawl sample.
+const WARMUP_SECS: u64 = 2 * 600;
+/// Sampling period of the day crawl.
+const DAY_PERIOD_SECS: u64 = 60;
+/// Sampling period of the general crawl.
+const GENERAL_PERIOD_SECS: u64 = 600;
+
+/// Builds a lab with the measurement network profile (the lossy "paper"
+/// network, seeded from the snapshot seed).
 pub fn measurement_lab(config: &ReproConfig) -> Lab {
     Scenario::new()
         .scale(config.scale)
         .seed(config.seed)
-        .net_config(measurement_net_config(config.seed.wrapping_add(1)))
         .build()
 }
 
 /// Runs the one-day, 1-minute-sampled crawl shared by Figure 6(b,c),
-/// Table V, Table VII and Figure 8.
+/// Table V, Table VII and Figure 8. The returned lab's simulation is
+/// where the crawl left it, ready for [`general_crawl`] to continue.
 ///
 /// Crawler sampling cost is recorded into `reg` when given. With `trace`
 /// set, a flight recorder is installed into the simulation before it
@@ -99,9 +103,9 @@ pub fn day_crawl(
     let crawl = temporal::run_crawl(
         &mut lab.sim,
         &lab.snapshot,
-        2 * 600,
+        WARMUP_SECS,
         config.day_hours * 3600,
-        60,
+        DAY_PERIOD_SECS,
         reg,
     );
     (crawl, lab)
@@ -121,19 +125,32 @@ pub fn seed_node_as(lab: &mut Lab) {
     }
 }
 
-/// Runs the long, 10-minute-sampled crawl of Figure 6(a), recording
-/// crawler sampling cost into `reg` when given.
-pub fn general_crawl(config: &ReproConfig, reg: Option<&bp_obs::Registry>) -> (CrawlResult, Lab) {
-    let mut lab = measurement_lab(config);
-    let crawl = temporal::run_crawl(
-        &mut lab.sim,
-        &lab.snapshot,
-        2 * 600,
-        config.general_hours * 3600,
-        600,
+/// The long, 10-minute-sampled crawl of Figure 6(a), continuing the
+/// [`day_crawl`] that produced `day` and left `sim` behind (`snapshot`
+/// is the day lab's). Its first `day_hours` are every 10th day sample;
+/// the rest is crawled on from where the day crawl stopped. Sampling
+/// draws nothing from the simulation's RNG, and the event queue pops the
+/// same stream however a run is split into sampling periods, so the
+/// result equals a `general_hours` crawl of a fresh lab sampled every
+/// 600 s. Crawler sampling cost of the continuation is recorded into
+/// `reg` when given.
+pub fn general_crawl(
+    config: &ReproConfig,
+    day: &CrawlResult,
+    sim: &mut Simulation,
+    snapshot: &Snapshot,
+    reg: Option<&bp_obs::Registry>,
+) -> CrawlResult {
+    let mut crawl = day.thin((GENERAL_PERIOD_SECS / DAY_PERIOD_SECS) as usize);
+    crawl.append(temporal::run_crawl(
+        sim,
+        snapshot,
+        0,
+        (config.general_hours() - config.day_hours) * 3600,
+        GENERAL_PERIOD_SECS,
         reg,
-    );
-    (crawl, lab)
+    ));
+    crawl
 }
 
 /// All artifact ids, in presentation order — the ids of
@@ -201,6 +218,9 @@ pub fn generate_with_metrics(
 /// in the `scale` section (the simulator runs one serial event queue),
 /// and adds `nproc`, the host's available parallelism, so every record
 /// names its core count.
+///
+/// pipeline-v9: the `serve` section drops `mode` and `mix` (the serve
+/// bench always runs closed 64-query batches over the zipf mix).
 pub fn bench_json(
     profile: &str,
     config: &ReproConfig,
@@ -210,7 +230,7 @@ pub fn bench_json(
     serve: Option<&serve::ServeReport>,
 ) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"schema\": \"bp-bench/pipeline-v8\",\n");
+    let mut out = String::from("{\n  \"schema\": \"bp-bench/pipeline-v9\",\n");
     let _ = writeln!(out, "  \"profile\": \"{profile}\",");
     let _ = writeln!(out, "  \"scale_factor\": {},", config.scale);
     let _ = writeln!(out, "  \"seed\": {},", config.seed);
@@ -369,6 +389,52 @@ mod tests {
                 .as_ref(),
         );
         assert_eq!(artifacts.len(), 4);
+    }
+
+    /// The general crawl continued from the day crawl equals a
+    /// from-scratch crawl of a fresh lab: the same samples, per-AS
+    /// counts and per-node lag histories, and a simulation that ends in
+    /// the same state by every exported counter, gauge and histogram.
+    #[test]
+    fn general_crawl_continuation_matches_a_fresh_crawl() {
+        let config = ReproConfig {
+            scale: 0.02,
+            day_hours: 1,
+            ..ReproConfig::quick()
+        };
+        assert_eq!(config.general_hours(), 2);
+        let (day, mut lab) = day_crawl(&config, None, false);
+        let continued = general_crawl(&config, &day, &mut lab.sim, &lab.snapshot, None);
+
+        let mut fresh_lab = measurement_lab(&config);
+        let fresh = temporal::run_crawl(
+            &mut fresh_lab.sim,
+            &fresh_lab.snapshot,
+            1200,
+            config.general_hours() * 3600,
+            600,
+            None,
+        );
+
+        assert_eq!(continued.series.len(), 12);
+        assert_eq!(continued.series, fresh.series);
+        assert_eq!(continued.synced_by_as, fresh.synced_by_as);
+        assert_eq!(continued.matrix.nodes(), fresh.matrix.nodes());
+        for node in 0..fresh.matrix.nodes() {
+            assert_eq!(
+                continued.matrix.node_history(node),
+                fresh.matrix.node_history(node),
+                "node {node}'s lag history"
+            );
+        }
+        let exported = |sim: &btcpart::net::Simulation| {
+            let reg = bp_obs::Registry::new();
+            sim.export_metrics(&reg, "net");
+            reg.snapshot()
+        };
+        let (continued_net, fresh_net) = (exported(&lab.sim), exported(&fresh_lab.sim));
+        assert!(continued_net.counter("net.queue.scheduled") > 0);
+        assert_eq!(continued_net, fresh_net);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Every paper artifact is modelled as a *job* with explicit shared
 //! inputs (the static snapshot + census, the one-day crawl, the general
 //! crawl). Each run compiles the selected jobs into one
-//! [`dag::Dag`](crate::dag): the shared builds are independent root
-//! tasks that run concurrently, and each job's [`JOBS`] row names its
-//! one build. A render job is a single task with dependency edges on
-//! exactly the shared inputs it reads; a fan-out job (`ablations`,
+//! [`dag::Dag`](crate::dag): the static build and the day crawl are
+//! independent root tasks that run concurrently, the general crawl
+//! continues the day crawl's simulation, and each job's [`JOBS`] row
+//! names its one build. A render job is a single task with dependency
+//! edges on exactly the shared inputs it reads; a fan-out job (`ablations`,
 //! `countermeasures`, `table6`, `propagation`, `fifty_one`) is compiled
 //! by its builder into one task per independently-seeded inner
 //! simulation plus a pure merge that folds unit results in a fixed
@@ -34,6 +35,7 @@ use btcpart::crawler::CrawlResult;
 use btcpart::experiments::codec::canonical_f64_bits;
 use btcpart::experiments::{ablation, combined, defense, logical, spatial, temporal, Artifact};
 use btcpart::mining::PoolCensus;
+use btcpart::net::Simulation;
 use btcpart::topology::Snapshot;
 use btcpart::{Lab, Scenario};
 use std::collections::BTreeMap;
@@ -46,49 +48,24 @@ use std::time::{Duration, Instant};
 /// write-once cells so each shared-build task can publish its input
 /// from whichever worker runs it while tasks that do not need it are
 /// already running (see [`run_pipeline`]).
+///
+/// One measurement network backs both crawls. The day task publishes
+/// its crawl and the snapshot its lab was built from, and hands the
+/// simulation itself to the general task as its task output; no job
+/// reads the simulation.
 #[derive(Debug, Default)]
 pub struct SharedInputs {
     /// Snapshot + census without a simulation (spatial/logical jobs).
     static_env: OnceLock<(Snapshot, PoolCensus)>,
-    /// The one-day, 1-minute-sampled crawl and its lab (Figure 6(b,c),
-    /// Table V, Table VII, Figure 8).
-    day: OnceLock<(CrawlResult, Lab)>,
-    /// The long, 10-minute-sampled crawl of Figure 6(a).
-    general: OnceLock<(CrawlResult, Lab)>,
+    /// The one-day, 1-minute-sampled crawl and its lab's snapshot
+    /// (Figure 6(b,c), Table V, Table VII, Figure 8).
+    day: OnceLock<(CrawlResult, Snapshot)>,
+    /// The long, 10-minute-sampled crawl of Figure 6(a), continuing the
+    /// day crawl.
+    general: OnceLock<CrawlResult>,
 }
 
 impl SharedInputs {
-    /// Publishes the static snapshot + census.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input was already set — each shared input is built
-    /// exactly once per run.
-    pub fn set_static_env(&self, value: (Snapshot, PoolCensus)) {
-        assert!(
-            self.static_env.set(value).is_ok(),
-            "static input built twice"
-        );
-    }
-
-    /// Publishes the one-day crawl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input was already set.
-    pub fn set_day(&self, value: (CrawlResult, Lab)) {
-        assert!(self.day.set(value).is_ok(), "day crawl built twice");
-    }
-
-    /// Publishes the general crawl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input was already set.
-    pub fn set_general(&self, value: (CrawlResult, Lab)) {
-        assert!(self.general.set(value).is_ok(), "general crawl built twice");
-    }
-
     fn static_env(&self) -> (&Snapshot, &PoolCensus) {
         let (s, c) = self
             .static_env
@@ -97,21 +74,29 @@ impl SharedInputs {
         (s, c)
     }
 
-    fn day(&self) -> (&CrawlResult, &Lab) {
-        let (c, l) = self
+    fn day(&self) -> (&CrawlResult, &Snapshot) {
+        let (c, s) = self
             .day
             .get()
             .expect("job requires the one-day crawl input");
-        (c, l)
+        (c, s)
     }
 
     fn general(&self) -> &CrawlResult {
-        &self
-            .general
+        self.general
             .get()
             .expect("job requires the general crawl input")
-            .0
     }
+}
+
+/// Publishes one shared input into its cell.
+///
+/// # Panics
+///
+/// Panics if the input was already set — each shared input is built
+/// exactly once per run.
+fn publish<T>(cell: &OnceLock<T>, value: T, what: &str) {
+    assert!(cell.set(value).is_ok(), "{what} built twice");
 }
 
 /// Collects the per-component flight-recorder streams of one traced run
@@ -365,12 +350,12 @@ fn job_fig7(ctx: &JobCtx) -> Vec<Artifact> {
     vec![artifact]
 }
 fn job_table7(ctx: &JobCtx) -> Vec<Artifact> {
-    let (crawl, lab) = ctx.shared.day();
-    vec![combined::table7(crawl, &lab.snapshot)]
+    let (crawl, snapshot) = ctx.shared.day();
+    vec![combined::table7(crawl, snapshot)]
 }
 fn job_fig8(ctx: &JobCtx) -> Vec<Artifact> {
-    let (crawl, lab) = ctx.shared.day();
-    vec![combined::fig8(crawl, &lab.snapshot)]
+    let (crawl, snapshot) = ctx.shared.day();
+    vec![combined::fig8(crawl, snapshot)]
 }
 fn job_table8(ctx: &JobCtx) -> Vec<Artifact> {
     let snapshot = ctx.shared.static_env().0;
@@ -644,11 +629,12 @@ fn shared_stage_timings(
 /// describing the run.
 ///
 /// The whole selection — shared builds included — compiles into one
-/// fine-grained task DAG executed on a single worker pool: the two
-/// crawls and the static build run as independent concurrent tasks,
-/// jobs depend only on the specific shared inputs they declare, and the
-/// multi-run jobs fan out one task per independently-seeded inner
-/// simulation. Scheduling never changes the output: the graph is the
+/// fine-grained task DAG executed on a single worker pool: the static
+/// build and the day crawl run as independent concurrent tasks, the
+/// general crawl runs on from where the day crawl stopped, jobs depend
+/// only on the specific shared inputs they declare, and the multi-run
+/// jobs fan out one task per independently-seeded inner simulation.
+/// Scheduling never changes the output: the graph is the
 /// same for any worker count, every task derives all randomness from
 /// the seeded config, fan-out results merge in their serial
 /// accumulation order, and job results are reassembled in presentation
@@ -896,9 +882,10 @@ pub fn run_pipeline(
 
 // Claim ranks: higher = claimed earlier among ready tasks. Derived from
 // the committed BENCH stage walls (longest-processing-time-first); they
-// tune wall time only, never bytes.
-const RANK_GENERAL: u8 = 250;
-const RANK_DAY: u8 = 245;
+// tune wall time only, never bytes. The day crawl heads the longest
+// chain (day → general crawl → fig6_general).
+const RANK_DAY: u8 = 250;
+const RANK_GENERAL: u8 = 245;
 const RANK_STATIC: u8 = 240;
 const RANK_ARM: u8 = 90; // countermeasures temporal-attack arms
 const RANK_NET_UNIT: u8 = 85; // ablation relay/degree simulations
@@ -1043,23 +1030,39 @@ fn build_dag<'a>(
 ) -> DagParts<'a> {
     let mut b = DagBuilder::new(metrics_on, trace_on);
 
-    let crawl_slice = |hours| cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
+    // Shared inputs are volatile: live simulation state cannot be
+    // persisted, but a crawl's metrics and the day trace *can* — a warm
+    // run replays those effects without simulating. A crawl exports its
+    // simulation's counters into the task's scoped registry (counter
+    // keys are prefix-disjoint, so export order cannot affect the
+    // snapshot), and a traced day crawl's flight recorder is lifted into
+    // the task's hub before any job can see the input.
+    let crawl_meta = |hours| {
+        let slice = cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
+        CacheMeta::volatile(LV_SHARED, slice, true)
+    };
     let static_task = needs.static_env.then(|| {
-        push_shared(
-            &mut b,
+        b.push(
             "static",
+            None,
             RANK_STATIC,
-            scale_seed(config),
-            false,
-            move |_| {
+            vec![],
+            CacheMeta::volatile(LV_SHARED, scale_seed(config), false),
+            move |_, _| {
                 let env = Scenario::new().scale(config.scale).seed(config.seed);
-                shared.set_static_env(env.build_static());
+                publish(&shared.static_env, env.build_static(), "static input");
+                Box::new(()) as TaskOutput
             },
         )
     });
-    let day_task = needs.day.then(|| {
-        let slice = crawl_slice(config.day_hours);
-        push_shared(&mut b, "day_crawl", RANK_DAY, slice, true, move |obs| {
+    // The day task runs whenever either crawl is needed: its simulation,
+    // handed on as the task output, is the one the general crawl
+    // continues (single consumer — it moves through a `Mutex`). The
+    // tracer leaves the simulation at the end of the day, so the trace
+    // covers the day crawl alone.
+    let day_task = (needs.day || needs.general).then(|| {
+        let meta = crawl_meta(config.day_hours);
+        b.push("day_crawl", None, RANK_DAY, vec![], meta, move |_, obs| {
             let (crawl, mut lab) = day_crawl(config, obs.metrics, obs.trace.is_some());
             if let Some(reg) = obs.metrics {
                 lab.sim.export_metrics(reg, "net.day");
@@ -1069,23 +1072,31 @@ fn build_dag<'a>(
                     hub.set_day(tracer);
                 }
             }
-            shared.set_day((crawl, lab));
+            publish(&shared.day, (crawl, lab.snapshot), "day crawl");
+            Box::new(Mutex::new(lab.sim)) as TaskOutput
         })
     });
     let general_task = needs.general.then(|| {
-        let slice = crawl_slice(config.general_hours);
-        push_shared(
-            &mut b,
+        let day = day_task.expect("the day crawl is scheduled with the general crawl");
+        let meta = crawl_meta(config.general_hours());
+        b.push(
             "general_crawl",
+            None,
             RANK_GENERAL,
-            slice,
-            true,
-            move |obs| {
-                let (crawl, lab) = general_crawl(config, obs.metrics);
+            vec![day],
+            meta,
+            move |ctx, obs| {
+                let mut sim = ctx
+                    .dep::<Mutex<Simulation>>(0)
+                    .lock()
+                    .expect("the general crawl is the simulation's only user");
+                let (day, snapshot) = shared.day();
+                let crawl = general_crawl(config, day, &mut sim, snapshot, obs.metrics);
                 if let Some(reg) = obs.metrics {
-                    lab.sim.export_metrics(reg, "net.general");
+                    sim.export_metrics(reg, "net.general");
                 }
-                shared.set_general((crawl, lab));
+                publish(&shared.general, crawl, "general crawl");
+                Box::new(()) as TaskOutput
             },
         )
     });
@@ -1160,30 +1171,6 @@ fn build_dag<'a>(
         shared_tasks,
         artifact_tasks,
     }
-}
-
-/// Pushes the shared-build task `id`, which runs `build` to publish its
-/// input into the run's [`SharedInputs`]. A crawl build exports its
-/// simulation's counters into the task's scoped registry (counter keys
-/// are prefix-disjoint, so export order cannot affect the snapshot),
-/// and a traced day crawl's flight recorder is lifted into the task's
-/// hub, before any job can see the input. Shared inputs are volatile:
-/// live simulation state cannot be persisted, but their crawl metrics
-/// and day trace *can* — a warm run replays those effects without
-/// simulating.
-fn push_shared<'a>(
-    b: &mut DagBuilder<'a>,
-    id: &'static str,
-    rank: u8,
-    slice: Vec<u8>,
-    observable: bool,
-    build: impl Fn(ObsCtx<'_>) + Send + Sync + 'a,
-) -> usize {
-    let meta = CacheMeta::volatile(LV_SHARED, slice, observable);
-    b.push(id, None, rank, vec![], meta, move |_, obs| {
-        build(obs);
-        Box::new(()) as TaskOutput
-    })
 }
 
 /// `ablations` fan-out: one task per `(case, seed)` simulation of the
@@ -1507,7 +1494,6 @@ mod tests {
         let config = ReproConfig {
             scale: 0.02,
             day_hours: 1,
-            general_hours: 1,
             ..ReproConfig::quick()
         };
         // A mix that exercises every readiness class: no-input jobs,

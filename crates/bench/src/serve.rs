@@ -16,8 +16,8 @@ use crate::cache::{ArtifactStore, Key, KeyBuilder};
 use crate::ReproConfig;
 use bp_obs::Registry;
 use bp_serve::{
-    drive, script, EngineOptions, LoadReport, MemoBackend, Pacing, Query, QueryEngine,
-    ScriptConfig, Substrate, TargetMix,
+    drive, script, EngineOptions, LoadReport, MemoBackend, Query, QueryEngine, ScriptConfig,
+    Substrate, TargetMix,
 };
 use std::sync::Arc;
 
@@ -30,17 +30,12 @@ pub const SERVE_KEY_SCHEMA: &str = "bp-serve/k1";
 /// Queries in the synthetic load script (`repro --serve-bench`).
 pub const BENCH_QUERIES: usize = 10_000;
 
-/// Offered load for open-loop pacing (`--serve-mode open`).
-pub const OPEN_RATE_QPS: u64 = 20_000;
-
-/// Batch size for closed-loop pacing (`--serve-mode closed`).
-pub const CLOSED_BATCH: usize = 64;
-
-/// Builds the full serving substrate for `config`: the static
-/// environment plus the day and general crawls, each computed exactly
-/// once through the same constructors the artifact pipeline uses — a
-/// served answer and a pipeline artifact for the same question come
-/// from identical inputs.
+/// Builds the serving substrate for `config`: the static environment
+/// plus the day crawl and its simulation, each computed exactly once
+/// through the same constructors the artifact pipeline uses — a served
+/// answer and a pipeline artifact for the same question come from
+/// identical inputs. No query reads the general crawl, so it is not
+/// built.
 pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
     let substrate = Substrate::new();
     substrate.set_static(
@@ -50,7 +45,6 @@ pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
             .build_static(),
     );
     substrate.set_day(crate::day_crawl(config, None, false));
-    substrate.set_general(crate::general_crawl(config, None));
     Arc::new(substrate)
 }
 
@@ -69,7 +63,7 @@ pub fn serve_key_fn(config: &ReproConfig) -> impl Fn(&Query) -> u128 + Send + Sy
         key.push_f64(config.scale);
         key.push_u64(config.seed);
         key.push_u64(config.day_hours);
-        key.push_u64(config.general_hours);
+        key.push_u64(config.general_hours());
         key.push_bytes(&query.encode());
         key.finish().0
     }
@@ -164,14 +158,10 @@ pub fn build_engine(
 }
 
 /// Measured outcome of one `--serve-bench` run: the load-generator
-/// report plus the knobs that shaped it, rendered into the BENCH
-/// `serve` section.
+/// report plus the engine shape, rendered into the BENCH `serve`
+/// section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
-    /// Pacing discipline (`"open"` or `"closed"`).
-    pub mode: String,
-    /// Target-AS mix (`"zipf"` or `"uniform"`).
-    pub mix: String,
     /// Engine worker threads.
     pub workers: usize,
     /// Populated ASes the script drew targets from.
@@ -187,15 +177,13 @@ impl ServeReport {
     pub fn json_section(&self) -> String {
         let l = &self.load;
         format!(
-            "{{\"mode\": \"{}\", \"mix\": \"{}\", \"workers\": {}, \"universe\": {}, \
+            "{{\"workers\": {}, \"universe\": {}, \
              \"queries\": {}, \"distinct\": {}, \"qps\": {:.1}, \
              \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
              \"cold_wall_ms\": {}, \"warm_wall_ms\": {}, \
              \"cold_mean_us\": {:.1}, \"warm_mean_us\": {:.1}, \
              \"memo_hits\": {}, \"memo_misses\": {}, \"cold_evals\": {}, \
              \"backend_hits\": {}}}",
-            self.mode,
-            self.mix,
             self.workers,
             self.universe,
             l.warm_queries,
@@ -216,77 +204,34 @@ impl ServeReport {
     }
 }
 
-/// Parses a `--serve-mode` value into a pacing discipline.
-///
-/// # Errors
-///
-/// Returns a message naming the accepted values.
-pub fn parse_pacing(mode: &str) -> Result<Pacing, String> {
-    match mode {
-        "closed" => Ok(Pacing::Closed {
-            batch: CLOSED_BATCH,
-        }),
-        "open" => Ok(Pacing::Open {
-            rate_qps: OPEN_RATE_QPS,
-        }),
-        other => Err(format!(
-            "--serve-mode must be 'open' or 'closed', got '{other}'"
-        )),
-    }
-}
-
-/// Parses a `--serve-mix` value into a target distribution.
-///
-/// # Errors
-///
-/// Returns a message naming the accepted values.
-pub fn parse_mix(mix: &str) -> Result<TargetMix, String> {
-    match mix {
-        "zipf" => Ok(TargetMix::Zipf),
-        "uniform" => Ok(TargetMix::Uniform),
-        other => Err(format!(
-            "--serve-mix must be 'zipf' or 'uniform', got '{other}'"
-        )),
-    }
-}
-
 /// Runs the synthetic load bench against `engine`: the deterministic
-/// script (seeded by the config, targeted at the engine's populated-AS
-/// universe) is driven cold-then-warm, latencies land in `reg`'s
-/// histograms, and response bytes are appended to `sink` — the
+/// script (seeded by the config, zipf-targeted at the engine's
+/// populated-AS universe) is driven cold-then-warm, latencies land in
+/// `reg`'s histograms, and response bytes are appended to `sink` — the
 /// determinism artifact callers byte-compare across worker counts and
 /// restarts.
-///
-/// # Errors
-///
-/// Returns the `--serve-mode` / `--serve-mix` parse error.
 pub fn run_bench(
     engine: &QueryEngine,
     config: &ReproConfig,
-    mode: &str,
-    mix: &str,
     workers: usize,
     reg: &Registry,
     sink: Option<&mut Vec<u8>>,
-) -> Result<ServeReport, String> {
-    let pacing = parse_pacing(mode)?;
+) -> ServeReport {
     let universe = engine.hijacks().populated_ases();
     let queries = script(
         &universe,
         &ScriptConfig {
             seed: config.seed,
             queries: BENCH_QUERIES,
-            mix: parse_mix(mix)?,
+            mix: TargetMix::Zipf,
         },
     );
-    let load = drive(engine, &queries, pacing, reg, sink);
-    Ok(ServeReport {
-        mode: mode.to_string(),
-        mix: mix.to_string(),
+    let load = drive(engine, &queries, reg, sink);
+    ServeReport {
         workers,
         universe: universe.len(),
         load,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -297,7 +242,6 @@ mod tests {
         ReproConfig {
             scale: 0.02,
             day_hours: 1,
-            general_hours: 1,
             ..ReproConfig::quick()
         }
     }
@@ -350,22 +294,8 @@ mod tests {
     }
 
     #[test]
-    fn pacing_and_mix_parse_and_reject() {
-        assert!(matches!(parse_pacing("closed"), Ok(Pacing::Closed { .. })));
-        assert!(matches!(parse_pacing("open"), Ok(Pacing::Open { .. })));
-        assert!(parse_pacing("strided")
-            .unwrap_err()
-            .contains("--serve-mode"));
-        assert_eq!(parse_mix("zipf"), Ok(TargetMix::Zipf));
-        assert_eq!(parse_mix("uniform"), Ok(TargetMix::Uniform));
-        assert!(parse_mix("pareto").unwrap_err().contains("--serve-mix"));
-    }
-
-    #[test]
     fn json_section_is_one_json_object() {
         let report = ServeReport {
-            mode: "closed".into(),
-            mix: "zipf".into(),
             workers: 4,
             universe: 11,
             load: LoadReport {
@@ -389,7 +319,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"qps\": 31000.0"));
         assert!(json.contains("\"p99_us\": 16"));
-        assert!(json.contains("\"mode\": \"closed\""));
+        assert!(json.contains("\"workers\": 4"));
         assert!(!json.contains('\n'));
     }
 }

@@ -133,6 +133,50 @@ impl Crawler {
 }
 
 impl CrawlResult {
+    /// Every `every`-th sample — samples `every − 1`, `2·every − 1`, … —
+    /// of the series, the lag matrix and the per-AS counts together: the
+    /// same crawl at an `every`-times longer sampling period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn thin(&self, every: usize) -> Self {
+        assert!(every > 0, "thinning step must be positive");
+        Self {
+            series: self
+                .series
+                .samples()
+                .iter()
+                .skip(every - 1)
+                .step_by(every)
+                .copied()
+                .collect(),
+            matrix: self.matrix.thin(every),
+            synced_by_as: self
+                .synced_by_as
+                .iter()
+                .skip(every - 1)
+                .step_by(every)
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Appends a later crawl of the same simulation: its series, lag
+    /// matrix rows and per-AS counts follow this crawl's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `later` starts before this crawl ends or covers a
+    /// different node count.
+    pub fn append(&mut self, later: Self) {
+        for sample in later.series.samples() {
+            self.series.push(*sample);
+        }
+        self.matrix.append(later.matrix);
+        self.synced_by_as.extend(later.synced_by_as);
+    }
+
     /// Ranks ASes by their total synced-node presence across all samples
     /// — Table VII's "top 5 ASes that hosted all the synchronized nodes".
     pub fn top_synced_ases(&self, k: usize) -> Vec<(Asn, f64)> {
@@ -239,6 +283,20 @@ mod tests {
             "unexpected top AS {:?}",
             top[0].0
         );
+    }
+
+    #[test]
+    fn thin_and_append_rebuild_a_coarser_crawl() {
+        let (snap, mut sim) = setup();
+        let (_, mut sim2) = setup();
+        // 20 minutes at 60 s, thinned to 120 s, then 10 more minutes at
+        // 120 s: the same as 30 minutes sampled at 120 s throughout.
+        let mut joined = Crawler::new(60).crawl(&mut sim, &snap, 1200).thin(2);
+        joined.append(Crawler::new(120).crawl(&mut sim, &snap, 600));
+        let direct = Crawler::new(120).crawl(&mut sim2, &snap, 1800);
+        assert_eq!(joined.series, direct.series);
+        assert_eq!(joined.matrix, direct.matrix);
+        assert_eq!(joined.synced_by_as, direct.synced_by_as);
     }
 
     #[test]

@@ -75,6 +75,37 @@ impl LagMatrix {
         self.rows.is_empty()
     }
 
+    /// Every `every`-th row — rows `every − 1`, `2·every − 1`, … — as a
+    /// new matrix: the same crawl seen at an `every`-times longer
+    /// sampling period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn thin(&self, every: usize) -> Self {
+        assert!(every > 0, "thinning step must be positive");
+        Self {
+            nodes: self.nodes,
+            rows: self
+                .rows
+                .iter()
+                .skip(every - 1)
+                .step_by(every)
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Appends the rows of a later crawl of the same nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn append(&mut self, later: Self) {
+        assert_eq!(later.nodes, self.nodes, "row width must match node count");
+        self.rows.extend(later.rows);
+    }
+
     /// One node's lag history.
     pub fn node_history(&self, node: usize) -> Vec<u8> {
         self.rows.iter().map(|r| r[node]).collect()

@@ -6,7 +6,7 @@
 //! false-alarm rate at this λ?" (§VI), "how long must the temporal
 //! attacker sustain an isolation of these targets?" (§V-B) — used to
 //! cost a full pipeline run. This crate is the serving edge: the
-//! expensive substrate (snapshot, census, crawls) loads exactly once
+//! expensive substrate (snapshot, census, day crawl) loads exactly once
 //! behind write-once cells ([`Substrate`]), and parameterized queries
 //! ([`Query`]) are answered from a sharded generation-stamped memo table
 //! ([`memo::MemoTable`]) with cold misses fanned out across scoped
@@ -44,7 +44,7 @@ pub mod substrate;
 pub mod wire;
 
 pub use engine::{EngineOptions, MemoBackend, QueryEngine};
-pub use loadgen::{drive, script, LoadReport, Pacing, ScriptConfig, TargetMix};
+pub use loadgen::{drive, script, LoadReport, ScriptConfig, TargetMix};
 pub use query::{Answer, Query};
 pub use substrate::Substrate;
 pub use wire::{serve, Client, ServerHandle};

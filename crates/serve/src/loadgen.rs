@@ -35,24 +35,6 @@ pub enum TargetMix {
     Uniform,
 }
 
-/// Load pacing discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pacing {
-    /// Open loop: arrivals scheduled at a fixed rate; latency is
-    /// measured from the *scheduled* arrival, so a saturated engine
-    /// shows queueing delay.
-    Open {
-        /// Offered load in queries per second.
-        rate_qps: u64,
-    },
-    /// Closed loop: the next batch is issued when the previous one
-    /// completes; measures peak sustainable throughput.
-    Closed {
-        /// Queries per batch.
-        batch: usize,
-    },
-}
-
 /// Script generation knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ScriptConfig {
@@ -207,18 +189,20 @@ pub struct LoadReport {
     pub backend_hits: u64,
 }
 
-/// Batch size used for the cold phase (and the response sink).
-const COLD_BATCH: usize = 64;
+/// Queries per batch in both phases. The load is closed-loop: the next
+/// batch is issued when the previous one completes, so the warm phase
+/// measures peak sustainable throughput.
+const BATCH: usize = 64;
 
 /// Drives a script against the engine: a **cold phase** touching every
-/// distinct query once, then a **warm phase** replaying the full script
-/// under `pacing`. Response bytes (cold then warm, each length-prefixed)
-/// are appended to `sink` in script order — the determinism artifact a
-/// caller byte-compares across worker counts and restarts.
+/// distinct query once, then a **warm phase** replaying the full script,
+/// both in closed-loop batches of 64. Response bytes (cold then warm,
+/// each length-prefixed) are appended to `sink` in script order — the
+/// determinism artifact a caller byte-compares across worker counts and
+/// restarts.
 pub fn drive(
     engine: &QueryEngine,
     script: &[Query],
-    pacing: Pacing,
     registry: &Registry,
     mut sink: Option<&mut Vec<u8>>,
 ) -> LoadReport {
@@ -233,67 +217,12 @@ pub fn drive(
         }
     }
     let cold_start = Instant::now();
-    let mut cold_us_total = 0.0f64;
-    for chunk in distinct.chunks(COLD_BATCH) {
-        let t0 = Instant::now();
-        let responses = engine.execute_batch(chunk);
-        let per_query_us = t0.elapsed().as_micros() as f64 / chunk.len() as f64;
-        cold_us_total += per_query_us * chunk.len() as f64;
-        for response in &responses {
-            registry.observe(COLD_LATENCY_METRIC, &LATENCY_BOUNDS_US, per_query_us as u64);
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.extend_from_slice(&(response.len() as u32).to_le_bytes());
-                sink.extend_from_slice(response);
-            }
-        }
-    }
+    let cold_us_total = run_batches(engine, &distinct, COLD_LATENCY_METRIC, registry, &mut sink);
     let cold_wall_ms = cold_start.elapsed().as_millis() as u64;
 
-    // Warm phase: the full script under the pacing discipline.
+    // Warm phase: the full script.
     let warm_start = Instant::now();
-    let mut warm_us_total = 0.0f64;
-    match pacing {
-        Pacing::Closed { batch } => {
-            let batch = batch.max(1);
-            for chunk in script.chunks(batch) {
-                let t0 = Instant::now();
-                let responses = engine.execute_batch(chunk);
-                let per_query_us = t0.elapsed().as_micros() as f64 / chunk.len() as f64;
-                warm_us_total += per_query_us * chunk.len() as f64;
-                for response in &responses {
-                    registry.observe(WARM_LATENCY_METRIC, &LATENCY_BOUNDS_US, per_query_us as u64);
-                    if let Some(sink) = sink.as_deref_mut() {
-                        sink.extend_from_slice(&(response.len() as u32).to_le_bytes());
-                        sink.extend_from_slice(response);
-                    }
-                }
-            }
-        }
-        Pacing::Open { rate_qps } => {
-            let rate = rate_qps.max(1);
-            let gap_nanos = 1_000_000_000u64 / rate;
-            for (i, query) in script.iter().enumerate() {
-                let scheduled_nanos = i as u64 * gap_nanos;
-                loop {
-                    let now = warm_start.elapsed().as_nanos() as u64;
-                    if now >= scheduled_nanos {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                let response = engine.execute(query);
-                let latency_us = (warm_start.elapsed().as_nanos() as u64)
-                    .saturating_sub(scheduled_nanos)
-                    / 1_000;
-                warm_us_total += latency_us as f64;
-                registry.observe(WARM_LATENCY_METRIC, &LATENCY_BOUNDS_US, latency_us);
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.extend_from_slice(&(response.len() as u32).to_le_bytes());
-                    sink.extend_from_slice(&response);
-                }
-            }
-        }
-    }
+    let warm_us_total = run_batches(engine, script, WARM_LATENCY_METRIC, registry, &mut sink);
     let warm_wall = warm_start.elapsed();
     let warm_wall_ms = warm_wall.as_millis() as u64;
     let qps = if warm_wall.as_secs_f64() > 0.0 {
@@ -329,6 +258,34 @@ pub fn drive(
         cold_evals: engine.cold_evals(),
         backend_hits: engine.backend_hits(),
     }
+}
+
+/// Executes `queries` in closed-loop batches of [`BATCH`], observing
+/// each batch's per-query latency into the `metric` histogram and
+/// appending each response, length-prefixed, to `sink`. Returns the
+/// summed per-query latency in µs.
+fn run_batches(
+    engine: &QueryEngine,
+    queries: &[Query],
+    metric: &str,
+    registry: &Registry,
+    sink: &mut Option<&mut Vec<u8>>,
+) -> f64 {
+    let mut us_total = 0.0f64;
+    for chunk in queries.chunks(BATCH) {
+        let t0 = Instant::now();
+        let responses = engine.execute_batch(chunk);
+        let per_query_us = t0.elapsed().as_micros() as f64 / chunk.len() as f64;
+        us_total += per_query_us * chunk.len() as f64;
+        for response in &responses {
+            registry.observe(metric, &LATENCY_BOUNDS_US, per_query_us as u64);
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.extend_from_slice(&(response.len() as u32).to_le_bytes());
+                sink.extend_from_slice(response);
+            }
+        }
+    }
+    us_total
 }
 
 #[cfg(test)]
@@ -431,13 +388,7 @@ mod tests {
             );
             let registry = Registry::new();
             let mut sink = Vec::new();
-            let report = drive(
-                &engine,
-                &qs,
-                Pacing::Closed { batch: 32 },
-                &registry,
-                Some(&mut sink),
-            );
+            let report = drive(&engine, &qs, &registry, Some(&mut sink));
             assert_eq!(report.warm_queries, qs.len());
             assert!(report.cold_queries > 0);
             assert!(report.qps > 0.0);

@@ -1,11 +1,12 @@
 //! The write-once substrate the query engine serves from.
 //!
 //! A server pays the expensive pipeline inputs — calibrated snapshot,
-//! pool census, day and general crawls — exactly once, then every query
-//! borrows them immutably. Each part lives behind a [`OnceLock`] cell:
-//! publishing twice is a bug (panics), and queries that reach an unbuilt
-//! part fail loudly instead of silently rebuilding it, mirroring the
-//! bench pipeline's `SharedInputs` discipline.
+//! pool census, the day crawl and its simulation — exactly once, then
+//! every query borrows them immutably. No query reads the general crawl,
+//! so the substrate does not hold one. Each part lives behind a
+//! [`OnceLock`] cell: publishing twice is a bug (panics), and queries
+//! that reach an unbuilt part fail loudly instead of silently rebuilding
+//! it, mirroring the bench pipeline's `SharedInputs` discipline.
 
 use bp_crawler::CrawlResult;
 use bp_mining::PoolCensus;
@@ -14,12 +15,11 @@ use bp_topology::Snapshot;
 use btcpart::Lab;
 use std::sync::OnceLock;
 
-/// The loaded substrate: static environment plus the two crawls.
+/// The loaded substrate: static environment plus the day crawl.
 #[derive(Debug, Default)]
 pub struct Substrate {
     static_env: OnceLock<(Snapshot, PoolCensus)>,
     day: OnceLock<(CrawlResult, Lab)>,
-    general: OnceLock<(CrawlResult, Lab)>,
 }
 
 impl Substrate {
@@ -49,15 +49,6 @@ impl Substrate {
         assert!(self.day.set(value).is_ok(), "day crawl built twice");
     }
 
-    /// Publishes the general (long, 10-minute-sampled) crawl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the general crawl was already published.
-    pub fn set_general(&self, value: (CrawlResult, Lab)) {
-        assert!(self.general.set(value).is_ok(), "general crawl built twice");
-    }
-
     /// Whether the static environment has been published.
     pub fn has_static(&self) -> bool {
         self.static_env.get().is_some()
@@ -66,11 +57,6 @@ impl Substrate {
     /// Whether the day crawl has been published.
     pub fn has_day(&self) -> bool {
         self.day.get().is_some()
-    }
-
-    /// Whether the general crawl has been published.
-    pub fn has_general(&self) -> bool {
-        self.general.get().is_some()
     }
 
     /// The calibrated snapshot.
@@ -115,19 +101,6 @@ impl Substrate {
     pub fn day_sim(&self) -> &Simulation {
         &self.day.get().expect("query requires the day crawl").1.sim
     }
-
-    /// The general crawl result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the general crawl is not loaded.
-    pub fn general_crawl(&self) -> &CrawlResult {
-        &self
-            .general
-            .get()
-            .expect("query requires the general crawl")
-            .0
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +116,7 @@ mod tests {
         assert!(sub.has_static());
         assert!(sub.snapshot().node_count() > 0);
         assert!(!sub.census().is_empty());
-        assert!(!sub.has_day() && !sub.has_general());
+        assert!(!sub.has_day());
     }
 
     #[test]

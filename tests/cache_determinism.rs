@@ -26,7 +26,6 @@ fn test_config() -> ReproConfig {
     ReproConfig {
         scale: 0.03,
         day_hours: 1,
-        general_hours: 1,
         ..ReproConfig::quick()
     }
 }
@@ -70,9 +69,10 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
     let dir = common::scratch("invalidate");
     run(&config, &["all"], 2, &dir);
 
-    // Flipping `day_hours` re-keys the day-crawl subgraph (and with it
-    // day-backed jobs like table5 and fig6_day); jobs that only consume
-    // the static snapshot or the general crawl still hit.
+    // Flipping `day_hours` re-keys both crawls (the general crawl runs
+    // twice the day's hours, continuing it) and every job that reads
+    // them, like table5 and fig6_general; jobs that only consume the
+    // static snapshot still hit.
     let flipped = ReproConfig {
         day_hours: 2,
         ..config
@@ -96,6 +96,11 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
         "table1 only needs the static snapshot"
     );
     assert_eq!(row("table5"), "miss", "table5 consumes the day crawl");
+    assert_eq!(
+        row("fig6_general"),
+        "miss",
+        "fig6_general consumes the general crawl"
+    );
 
     // A seed flip re-keys everything derived from the crawls and
     // simulations — on this graph, every artifact-bearing task.

@@ -7,7 +7,6 @@ fn quick() -> ReproConfig {
     ReproConfig {
         scale: 0.04,
         day_hours: 1,
-        general_hours: 1,
         ..ReproConfig::quick()
     }
 }

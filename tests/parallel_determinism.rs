@@ -8,7 +8,18 @@
 mod common;
 
 use bp_bench::ARTIFACT_IDS;
-use common::{assert_rows_golden_where, json_str, read, row};
+use common::{assert_golden, assert_rows_golden_where, json_str, read, row};
+use std::path::Path;
+
+/// The shared stages a pipeline run in `dir` built, in build order.
+fn shared_stages(dir: &Path) -> Vec<String> {
+    let bench = String::from_utf8(read(&dir.join("metrics/BENCH_pipeline.json"))).unwrap();
+    bench
+        .lines()
+        .filter(|l| l.contains("\"kind\": \"shared\""))
+        .map(|l| json_str(l, "id").to_string())
+        .collect()
+}
 
 fn artifact_stream(stream: &str) -> bool {
     stream == "stdout" || stream.starts_with("csv/")
@@ -59,11 +70,21 @@ fn subset_selection_matches_full_run_artifacts() {
     // The subset's CSVs share their golden lines with the full run's.
     assert_rows_golden_where(&["D"], |stream| stream.starts_with("csv/"));
     // It computes only the shared inputs its jobs consume.
-    let bench = String::from_utf8(read(&row("D").join("metrics/BENCH_pipeline.json"))).unwrap();
-    let shared: Vec<&str> = bench
-        .lines()
-        .filter(|l| l.contains("\"kind\": \"shared\""))
-        .map(|l| json_str(l, "id"))
-        .collect();
-    assert_eq!(shared, ["static", "day_crawl"]);
+    assert_eq!(shared_stages(&row("D")), ["static", "day_crawl"]);
+}
+
+/// The general crawl continues the day crawl's simulation, so selecting
+/// Figure 6(a) alone runs the day crawl too — and still renders the
+/// full run's CSV.
+#[test]
+fn general_only_selection_runs_the_day_crawl_first() {
+    let dir = common::scratch("general_only");
+    common::run_pipeline_row(&dir, None, &["metrics"], &["fig6_general"]);
+    assert_eq!(shared_stages(&dir), ["day_crawl", "general_crawl"]);
+    let csv = read(&dir.join("out/fig6_general.csv"));
+    assert_golden(
+        "fig6_general alone",
+        &[("csv/fig6_general.csv".to_string(), csv)],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,6 @@ fn small() -> ReproConfig {
     ReproConfig {
         scale: 0.02,
         day_hours: 1,
-        general_hours: 2,
         ..ReproConfig::quick()
     }
 }
@@ -48,13 +47,10 @@ fn responses(engine: &QueryEngine, config: &ReproConfig, workers: usize) -> (Vec
     let report = run_bench(
         engine,
         config,
-        "closed",
-        "zipf",
         workers,
         &bp_obs::Registry::new(),
         Some(&mut sink),
-    )
-    .unwrap();
+    );
     (sink, report.load.cold_evals)
 }
 

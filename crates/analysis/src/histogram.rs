@@ -64,11 +64,6 @@ impl Histogram {
         self.bins[i]
     }
 
-    /// Number of bins.
-    pub fn bin_count(&self) -> usize {
-        self.bins.len()
-    }
-
     /// `(bin lower edge, count)` pairs.
     pub fn edges_and_counts(&self) -> Vec<(f64, u64)> {
         let width = (self.hi - self.lo) / self.bins.len() as f64;

@@ -192,11 +192,6 @@ impl Summary {
     pub fn try_median(&self) -> Option<f64> {
         self.try_quantile(0.5)
     }
-
-    /// Read-only view of the sorted observations.
-    pub fn as_sorted_slice(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 impl FromIterator<f64> for Summary {

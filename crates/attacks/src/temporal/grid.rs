@@ -526,11 +526,6 @@ impl GridSim {
         (self.blocks.len(), self.attacker_banked)
     }
 
-    /// The honest mining countdown — exposed for diagnostics.
-    pub fn debug_honest_countdown(&self) -> f64 {
-        self.honest_countdown
-    }
-
     /// Runs until the given step (inclusive).
     pub fn run_to(&mut self, step: u64) {
         while self.step < step {

@@ -145,7 +145,7 @@ fn main() {
         let sink = Arc::clone(&tap);
         hub.as_ref()
             .expect("hub exists whenever --detect is set")
-            .set_tap(move |rank, name, tracer| sink.absorb(rank, name, &tracer.records()));
+            .set_tap(move |rank, name, tracer| sink.absorb(rank, name, tracer.records()));
         tap
     });
     let mut store = opts.cache.as_ref().map(|dir| {
@@ -194,7 +194,7 @@ fn main() {
             hub.set_stream(
                 STREAM_RANK_DETECT,
                 "detect",
-                btcpart::obs::Tracer::from_parts(alerts.clone(), 0),
+                btcpart::obs::Tracer::from_records(alerts.clone()),
             );
         }
         for (name, contents) in [
@@ -220,26 +220,19 @@ fn main() {
         let trace_dir = PathBuf::from(dir);
         let merged = hub.merged();
         let records = merged.records();
-        // encode() carries the ring-drop count when there were drops
-        // (BPTRACE2) and stays byte-equal to the v1 record stream
-        // otherwise — see the bp-obs trace invariant docs.
         let bin = merged.encode();
         // Trace counters land in the registry before the metrics
         // snapshot below, so `repro --metrics M --trace T` exports them.
         if let Some(reg) = &registry {
             hub.export_metrics(reg);
-            reg.add(
-                "trace.events_recorded",
-                records.len() as u64 + merged.dropped(),
-            );
+            reg.add("trace.events_recorded", records.len() as u64);
             reg.add("trace.bytes_written", bin.len() as u64);
-            reg.add("trace.ring_drops", merged.dropped());
         }
         for (name, contents) in [
             ("trace.bin", bin),
             (
                 "trace.jsonl",
-                btcpart::obs::trace::render_jsonl(&records).into_bytes(),
+                btcpart::obs::trace::render_jsonl(records).into_bytes(),
             ),
         ] {
             let path = trace_dir.join(name);

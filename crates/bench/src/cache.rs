@@ -62,8 +62,10 @@ use std::time::Duration;
 pub const KEY_SCHEMA: &str = "bp-cache/k1";
 /// On-disk store schema, written into both file headers.
 pub const STORE_SCHEMA: u32 = 1;
-/// Envelope format version (first byte of every blob).
-pub const ENVELOPE_VERSION: u8 = 1;
+/// Envelope format version (first byte of every blob). Bump it whenever
+/// the encoding of a payload or of the effects changes, so an older
+/// store's entries miss instead of misparsing.
+pub const ENVELOPE_VERSION: u8 = 2;
 
 const BLOB_MAGIC: &[u8; 8] = b"BPCBLOB1";
 const INDEX_MAGIC: &[u8; 8] = b"BPCIDX01";
@@ -1072,7 +1074,7 @@ mod tests {
         reg.observe("net.day.lag", &[10, 100], 55);
         reg.record_span("pipeline.shared.day_crawl", Duration::from_millis(3));
         let hub = TraceHub::new();
-        let mut t = Tracer::with_capacity(2);
+        let mut t = Tracer::new();
         for i in 0..5 {
             t.record(bp_obs::TraceKind::Mine, i, 0, i, i + 1);
         }
@@ -1099,12 +1101,50 @@ mod tests {
             1
         );
         let merged = fresh_hub.merged();
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.dropped(), 3);
+        assert_eq!(merged.len(), 5);
 
         // Corrupt envelope bytes are an error, not a panic.
         assert!(Envelope::decode(&env.encode()[..5]).is_err());
         assert!(Envelope::decode(b"").is_err());
+    }
+
+    /// A blob written under an older envelope version is corrupt to this
+    /// build: decoding it errors, and the planner evicts it and reports
+    /// a miss instead of misparsing it.
+    #[test]
+    fn older_envelope_version_is_evicted_as_a_miss() {
+        let dir = tmpdir("old-envelope");
+        let mut store = ArtifactStore::open(&dir).unwrap();
+        let info = [TaskInfo {
+            label: "a",
+            deps: &[],
+        }];
+        let metas = [CacheMeta::payload::<u64>(1, vec![], false)];
+        let cold = plan_run(&mut store, &info, &metas, &[0], false, false);
+
+        let hub = TraceHub::new();
+        let mut t = Tracer::new();
+        t.record(bp_obs::TraceKind::Mine, 1, 0, 1, 1);
+        hub.set_day(t);
+        let mut blob = Envelope {
+            payload: Some(btcpart::experiments::codec::encode_value(&5u64)),
+            effects: ObsEffects::capture(&Registry::new(), &hub),
+        }
+        .encode();
+        blob[0] = ENVELOPE_VERSION - 1;
+        assert!(Envelope::decode(&blob)
+            .unwrap_err()
+            .contains("envelope version 1"));
+        store.insert(cold.tasks[0].key, blob);
+        store.flush().unwrap();
+        assert_eq!(store.len(), 1);
+
+        let warm = plan_run(&mut store, &info, &metas, &[0], false, false);
+        assert_eq!((warm.hits, warm.misses), (0, 1));
+        assert_eq!(warm.tasks[0].status, TaskCacheStatus::Miss);
+        assert!(matches!(warm.tasks[0].decision, Decision::Run));
+        assert!(store.is_empty(), "the stale entry is evicted");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

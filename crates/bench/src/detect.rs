@@ -18,7 +18,7 @@
 use crate::{measurement_lab, ReproConfig};
 use bp_detect::score::{roc_rows, ROC_HEADER};
 use bp_detect::{score_detectors, DetectConfig, DetectEngine, DetectorScore};
-use bp_obs::trace::TraceRecord;
+use bp_obs::trace::{encode_records, TraceRecord};
 use bp_obs::Tracer;
 use btcpart::crawler::AsSlotIndex;
 use btcpart::net::Simulation;
@@ -142,10 +142,7 @@ pub fn run_detect_matrix(config: &ReproConfig) -> MatrixResult {
         csv.push_str(&roc_rows(name, &graded));
         let mut full = records;
         full.extend_from_slice(&report.alerts);
-        traces.push((
-            format!("trace_{name}.bin"),
-            Tracer::from_parts(full, 0).encode(),
-        ));
+        traces.push((format!("trace_{name}.bin"), encode_records(&full)));
         scores.push((name.to_string(), graded));
     }
     MatrixResult {

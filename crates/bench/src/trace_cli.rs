@@ -4,16 +4,11 @@
 //! Subcommands (all read the binary `trace.bin` format written by
 //! `repro --trace`):
 //!
-//! * `summary FILE` — record counts by category/kind, busiest nodes,
-//!   plus a ring-drop line when the recorder wrapped.
+//! * `summary FILE` — record counts by category/kind and busiest nodes.
 //! * `filter FILE [--from T] [--to T] [--node N] [--category C] [--kind K]`
 //!   — matching records as JSONL, keeping original sequence numbers.
 //! * `diff LEFT RIGHT` — first divergence between two traces (exit 1
 //!   when they differ, with seq, timestamps and both decoded records).
-//!   When either trace comes from a wrapped ring, drop counts are
-//!   compared first: differing counts are reported as the finding —
-//!   a record-level "divergence" between rings that dropped different
-//!   prefixes would be misleading.
 //! * `timeline FILE [--check CSV]` — reconstruct the per-node
 //!   tip-height / block-lag series from the trace; `--check` compares
 //!   the reconstruction against a published `fig6_day.csv` (exit 1 on
@@ -27,8 +22,8 @@
 use bp_detect::score::{roc_rows, ROC_HEADER};
 use bp_detect::{attack_windows, score_detectors, DetectConfig, DetectEngine, StreamState};
 use bp_obs::trace::{
-    decode_trace, filter_records, first_divergence, summary, timeline, timeline_csv, TraceCategory,
-    TraceFilter, TraceKind, TraceRecord,
+    decode_records, filter_records, first_divergence, summary, timeline, timeline_csv,
+    TraceCategory, TraceFilter, TraceKind, TraceRecord,
 };
 
 /// Result of one `trace` invocation: what to print and the process exit
@@ -71,11 +66,10 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// Loads a trace file, returning its retained records and the ring-drop
-/// count (0 for v1 files, which predate drop accounting).
-fn load(path: &str) -> Result<(Vec<TraceRecord>, u64), String> {
+/// Loads a trace file's records.
+fn load(path: &str) -> Result<Vec<TraceRecord>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    decode_trace(&bytes).map_err(|e| format!("{path}: {e}"))
+    decode_records(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
@@ -95,19 +89,7 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
         "--help" | "-h" | "help" => Ok(Outcome::ok(usage())),
         "summary" => {
             let path = iter.next().ok_or("summary requires a trace file")?;
-            let (records, dropped) = load(path)?;
-            let mut out = summary(&records);
-            if dropped > 0 {
-                if !out.ends_with('\n') {
-                    out.push('\n');
-                }
-                out.push_str(&format!(
-                    "ring drops: {dropped} (oldest records evicted; {} of {} offered retained)\n",
-                    records.len(),
-                    records.len() as u64 + dropped
-                ));
-            }
-            Ok(Outcome::ok(out))
+            Ok(Outcome::ok(summary(&load(path)?)))
         }
         "filter" => {
             let path = iter.next().ok_or("filter requires a trace file")?;
@@ -133,7 +115,7 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
                     other => return Err(format!("unknown filter flag: {other}")),
                 }
             }
-            let (records, _dropped) = load(path)?;
+            let records = load(path)?;
             let mut out = String::new();
             for (seq, r) in filter_records(&records, &filter) {
                 out.push_str(&r.to_json_line(seq));
@@ -144,35 +126,14 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
         "diff" => {
             let left_path = iter.next().ok_or("diff requires two trace files")?;
             let right_path = iter.next().ok_or("diff requires two trace files")?;
-            let (left, left_dropped) = load(left_path)?;
-            let (right, right_dropped) = load(right_path)?;
-            // Differing drop counts ARE the divergence: the rings
-            // evicted different prefixes, so a record-level diff would
-            // blame whatever record happened to survive on one side.
-            if left_dropped != right_dropped {
-                return Ok(Outcome::differs(format!(
-                    "ring drop counts differ: {left_path} dropped {left_dropped}, \
-                     {right_path} dropped {right_dropped}\n\
-                     (retained records: {} vs {}; record-level comparison skipped — \
-                     the traces lost different prefixes)",
-                    left.len(),
-                    right.len()
-                )));
-            }
-            let wrapped_note = if left_dropped > 0 {
-                format!(
-                    "\n(both rings dropped {left_dropped} records; comparison covers \
-                     the retained suffix only)"
-                )
-            } else {
-                String::new()
-            };
+            let left = load(left_path)?;
+            let right = load(right_path)?;
             match first_divergence(&left, &right) {
                 None => Ok(Outcome::ok(format!(
-                    "traces identical ({} records){wrapped_note}",
+                    "traces identical ({} records)",
                     left.len()
                 ))),
-                Some(d) => Ok(Outcome::differs(format!("{}{wrapped_note}", d.render()))),
+                Some(d) => Ok(Outcome::differs(d.render())),
             }
         }
         "timeline" => {
@@ -189,7 +150,7 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
             if by_as && check.is_some() {
                 return Err("--by-as and --check are mutually exclusive".to_string());
             }
-            let (records, _dropped) = load(path)?;
+            let records = load(path)?;
             if by_as {
                 return Ok(Outcome::ok(by_as_csv(&records)));
             }
@@ -223,7 +184,7 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
                     other => return Err(format!("unknown detect flag: {other}")),
                 }
             }
-            let (records, _dropped) = load(path)?;
+            let records = load(path)?;
             let mut engine = DetectEngine::new(DetectConfig::default());
             engine.feed_all(&records);
             let report = engine.finish();
@@ -388,49 +349,6 @@ mod tests {
         assert_eq!(differs.code, 1);
         assert!(differs.output.contains("divergence at seq 5"));
         assert!(differs.output.contains("<end of trace>"));
-    }
-
-    #[test]
-    fn diff_reports_drop_counts_on_wrapped_rings() {
-        // Two rings that wrapped by different amounts: the drop counts
-        // are the finding, not whichever surviving records differ.
-        let base = sample_tracer();
-        let wrapped_3 = Tracer::from_parts(base.records(), 3);
-        let wrapped_5 = Tracer::from_parts(base.records(), 5);
-        let a = write_trace("drops_a", &wrapped_3);
-        let b = write_trace("drops_b", &wrapped_5);
-
-        let differs = run(&argv(&["diff", &a, &b])).unwrap();
-        assert_eq!(differs.code, 1);
-        assert!(
-            differs.output.contains("ring drop counts differ"),
-            "{}",
-            differs.output
-        );
-        assert!(differs.output.contains("dropped 3"));
-        assert!(differs.output.contains("dropped 5"));
-        assert!(!differs.output.contains("divergence at seq"));
-
-        // Equal drop counts: retained records compare, with a note that
-        // the comparison only covers the surviving suffix.
-        let c = write_trace("drops_c", &Tracer::from_parts(base.records(), 3));
-        let same = run(&argv(&["diff", &a, &c])).unwrap();
-        assert_eq!(same.code, 0, "{}", same.output);
-        assert!(same.output.contains("identical"));
-        assert!(same.output.contains("retained suffix"), "{}", same.output);
-
-        // Wrapped summaries surface the drop line too.
-        let summary = run(&argv(&["summary", &a])).unwrap();
-        assert!(
-            summary.output.contains("ring drops: 3"),
-            "{}",
-            summary.output
-        );
-        assert!(
-            summary.output.contains("5 of 8 offered"),
-            "{}",
-            summary.output
-        );
     }
 
     #[test]

@@ -429,12 +429,11 @@ impl Stable for Tracer {
     fn encode(&self, e: &mut Enc) {
         let records = self.records();
         e.put_u64(records.len() as u64);
-        for r in &records {
+        for r in records {
             let start = e.buf.len();
             r.encode_into(&mut e.buf);
             debug_assert_eq!(e.buf.len() - start, RECORD_BYTES);
         }
-        e.put_u64(self.dropped());
     }
     fn decode(d: &mut Dec) -> Result<Self, String> {
         let count = d.take_count(RECORD_BYTES)?;
@@ -443,8 +442,7 @@ impl Stable for Tracer {
             let chunk = d.take(RECORD_BYTES)?;
             records.push(TraceRecord::decode(chunk).map_err(|e| format!("record {seq}: {e}"))?);
         }
-        let dropped = d.take_u64()?;
-        Ok(Tracer::from_parts(records, dropped))
+        Ok(Tracer::from_records(records))
     }
 }
 
@@ -520,17 +518,6 @@ mod tests {
             decode_value::<TemporalAttackReport>(&encode_value(&r)).unwrap(),
             r
         );
-    }
-
-    #[test]
-    fn tracer_round_trips_with_drops() {
-        let mut t = Tracer::with_capacity(2);
-        for i in 0..5u64 {
-            t.record(TraceKind::Mine, i, 0, i, i + 1);
-        }
-        let back: Tracer = decode_value(&encode_value(&t)).unwrap();
-        assert_eq!(back.records(), t.records());
-        assert_eq!(back.dropped(), t.dropped());
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl Crawler {
         Self { sample_period_secs }
     }
 
-    /// The sampling period.
-    pub fn period_secs(&self) -> u64 {
-        self.sample_period_secs
-    }
-
     /// Drives the simulation for `duration_secs`, sampling after each
     /// period. The snapshot must be the one the simulation was built from
     /// (needed to join sim nodes back to their ASes).

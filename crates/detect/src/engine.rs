@@ -91,7 +91,7 @@ impl DetectEngine {
     }
 
     /// Alerts emitted so far (the engine keeps running).
-    pub fn alerts(&self) -> Vec<TraceRecord> {
+    pub fn alerts(&self) -> &[TraceRecord] {
         self.alerts.records()
     }
 

@@ -859,11 +859,6 @@ impl Simulation {
         Some(txid)
     }
 
-    /// Number of unconfirmed transactions a node holds.
-    pub fn mempool_size(&self, node: u32) -> usize {
-        self.arena.mempool[node as usize].len()
-    }
-
     /// Whether a node's mempool holds the transaction.
     pub fn tx_in_mempool(&self, node: u32, txid: u64) -> bool {
         self.arena.mempool[node as usize].contains(&txid)
@@ -892,11 +887,6 @@ impl Simulation {
             }
             cur = *self.index.meta_at(cur.prev_dense);
         }
-    }
-
-    /// Number of transactions currently confirmed on the canonical chain.
-    pub fn confirmed_tx_count(&self) -> usize {
-        self.confirmed_txs.len()
     }
 
     /// Relay-bookkeeping footprint, for memory-bound assertions:

@@ -516,13 +516,6 @@ impl Snapshot {
         self.spans.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// A volatile counter's value (0 when never recorded). Volatile
-    /// counters never appear in `to_json`/`to_csv` — see
-    /// [`Registry::add_volatile`].
-    pub fn volatile_counter(&self, name: &str) -> u64 {
-        self.volatile.get(name).copied().unwrap_or(0)
-    }
-
     /// All volatile counters in sorted-name order.
     pub fn volatile(&self) -> impl Iterator<Item = (&str, u64)> {
         self.volatile.iter().map(|(k, &v)| (k.as_str(), v))

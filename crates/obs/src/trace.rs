@@ -19,7 +19,7 @@
 //!
 //! ## Record format
 //!
-//! A trace file is an 16-byte header (`b"BPTRACE1"` magic + record count as
+//! A trace file is a 16-byte header (`b"BPTRACE1"` magic + record count as
 //! little-endian `u64`) followed by fixed [`RECORD_BYTES`]-wide records:
 //!
 //! | bytes | field | encoding |
@@ -37,10 +37,9 @@
 //! is not stored, which keeps records compact and makes "first divergence"
 //! well-defined as the first differing ordinal.
 //!
-//! A trace written from a *wrapped* bounded ring uses the `b"BPTRACE2"`
-//! header instead, which carries the drop count after the record count
-//! (24 bytes total); [`decode_trace`] reads both versions. Unwrapped
-//! traces keep the original 16-byte `BPTRACE1` header byte-for-byte.
+//! `BPTRACE1` is the only format: the recorder is unbounded, so a file
+//! always holds every record its run emitted, and [`decode_records`]
+//! rejects any other magic.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -55,13 +54,6 @@ pub const MAGIC: &[u8; 8] = b"BPTRACE1";
 
 /// Width of the binary file header (magic + record count).
 pub const HEADER_BYTES: usize = 16;
-
-/// Magic bytes of the drop-aware trace header written when a bounded
-/// ring wrapped (see [`encode_trace`]).
-pub const MAGIC_V2: &[u8; 8] = b"BPTRACE2";
-
-/// Width of the drop-aware header (magic + record count + drop count).
-pub const HEADER_V2_BYTES: usize = 24;
 
 /// Event category: which subsystem emitted the record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -431,83 +423,33 @@ impl TraceRecord {
     }
 }
 
-/// The in-memory flight recorder: a bounded ring (or unbounded stream when
-/// `capacity` is zero) of [`TraceRecord`]s plus drop accounting.
+/// The in-memory flight recorder: an unbounded stream of
+/// [`TraceRecord`]s in recording order.
 ///
 /// Recording is infallible and side-effect free with respect to the
 /// simulation: no RNG, no event scheduling, no branching on recorder
 /// state leaks back into the caller.
-///
-/// ## Drop-accounting invariant
-///
-/// `len() + dropped() == ` *number of records ever offered to this
-/// recorder*. [`record`](Self::record) counts an eviction the moment a
-/// full ring overwrites its oldest record, and
-/// [`append`](Self::append) preserves the invariant across recorder
-/// merges: it adds the other side's `dropped` (those records were
-/// offered to the logical stream) plus any evictions appending into
-/// this ring causes. Exports derive from the invariant consistently:
-/// `events_recorded` is the offered count, `bytes_written` is the
-/// *retained* bytes (exactly what an [`encode_records`] of the held
-/// records emits), and `ring_drops = events_recorded − bytes_written /
-/// RECORD_BYTES` is the evicted count.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Tracer {
-    records: std::collections::VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
+    records: Vec<TraceRecord>,
 }
-
-/// Two recorders are equal when they hold the same trace *content*:
-/// retained records plus drop count. `capacity` is recorder
-/// configuration, not content — it is not serialized by
-/// [`Tracer::encode`], so a decode round-trip must compare equal to the
-/// recorder it came from regardless of how that recorder was bounded.
-impl PartialEq for Tracer {
-    fn eq(&self, other: &Self) -> bool {
-        self.records == other.records && self.dropped == other.dropped
-    }
-}
-
-impl Eq for Tracer {}
 
 impl Tracer {
-    /// An unbounded streaming recorder.
+    /// An empty recorder.
     pub fn new() -> Self {
         Tracer::default()
     }
 
-    /// A bounded ring recorder keeping the most recent `capacity` records
-    /// and counting the overwritten ones. `capacity == 0` means unbounded.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Tracer {
-            records: std::collections::VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Rebuilds a recorder from previously captured parts (e.g. a cache
-    /// replay). The result is unbounded — it already holds exactly the
-    /// records that survived the original ring, so re-applying a
-    /// capacity would double-count evictions — and it preserves the
-    /// drop-accounting invariant: `offered() == records.len() + dropped`.
-    pub fn from_parts(records: Vec<TraceRecord>, dropped: u64) -> Self {
-        Tracer {
-            records: records.into(),
-            capacity: 0,
-            dropped,
-        }
+    /// Rebuilds a recorder from previously captured records (e.g. a
+    /// cache replay).
+    pub fn from_records(records: Vec<TraceRecord>) -> Self {
+        Tracer { records }
     }
 
     /// Records one event.
     #[inline]
     pub fn record(&mut self, kind: TraceKind, time: u64, node: u32, a: u64, b: u64) {
-        if self.capacity != 0 && self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord {
+        self.records.push(TraceRecord {
             time,
             node,
             kind,
@@ -516,77 +458,48 @@ impl Tracer {
         });
     }
 
-    /// Number of records currently held.
+    /// Number of records held.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True when nothing has been recorded (or everything was dropped).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Records overwritten by the bounded ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Records ever offered to this recorder: `len() + dropped()` (see
-    /// the drop-accounting invariant in the type docs).
-    pub fn offered(&self) -> u64 {
-        self.records.len() as u64 + self.dropped
-    }
-
     /// Drains this recorder into a plain record vector.
     pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records.into_iter().collect()
+        self.records
     }
 
-    /// Copies the held records into a plain vector.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.iter().copied().collect()
+    /// The held records, in recording order.
+    pub fn records(&self) -> &[TraceRecord] {
+        &self.records
     }
 
     /// Appends another recorder's records (stream concatenation).
-    ///
-    /// Preserves the drop-accounting invariant: the merged recorder's
-    /// `offered()` equals the sum of both sides' `offered()` — records
-    /// the other ring already evicted stay counted as dropped, and
-    /// records this ring must evict to make room are added to the drop
-    /// count as they go.
-    pub fn append(&mut self, other: Tracer) {
-        self.dropped += other.dropped;
-        for r in other.records {
-            if self.capacity != 0 && self.records.len() == self.capacity {
-                self.records.pop_front();
-                self.dropped += 1;
-            }
-            self.records.push_back(r);
-        }
+    pub fn append(&mut self, mut other: Tracer) {
+        self.records.append(&mut other.records);
     }
 
-    /// Exports `{prefix}.events_recorded`, `{prefix}.bytes_written` and
-    /// `{prefix}.ring_drops` counters into `reg`.
-    ///
-    /// Semantics follow the drop-accounting invariant documented on
-    /// [`Tracer`]: `events_recorded` counts every record ever *offered*
-    /// (retained + dropped), `bytes_written` counts only the *retained*
-    /// bytes — exactly the record payload an [`encode_records`] call
-    /// would emit — and `ring_drops` is their difference in records.
+    /// Exports `{prefix}.events_recorded` and `{prefix}.bytes_written`
+    /// counters into `reg`: the record count, and the record payload an
+    /// [`encode_records`] call would emit.
     pub fn export_metrics(&self, reg: &Registry, prefix: &str) {
-        reg.add(&format!("{prefix}.events_recorded"), self.offered());
+        reg.add(
+            &format!("{prefix}.events_recorded"),
+            self.records.len() as u64,
+        );
         reg.add(
             &format!("{prefix}.bytes_written"),
             (self.records.len() * RECORD_BYTES) as u64,
         );
-        reg.add(&format!("{prefix}.ring_drops"), self.dropped);
     }
 
-    /// Encodes the retained records into the binary trace-file format,
-    /// using the drop-aware `BPTRACE2` header when this ring wrapped
-    /// (see [`encode_trace`]).
+    /// Encodes the records into the binary trace-file format.
     pub fn encode(&self) -> Vec<u8> {
-        encode_trace(&self.records(), self.dropped)
+        encode_records(&self.records)
     }
 }
 
@@ -601,65 +514,30 @@ pub fn encode_records(records: &[TraceRecord]) -> Vec<u8> {
     out
 }
 
-/// Encodes records plus a ring-drop count. When `dropped` is zero this
-/// is byte-identical to [`encode_records`] (the classic 16-byte
-/// `BPTRACE1` header); a wrapped ring gets the 24-byte `BPTRACE2`
-/// header that records how many leading records were evicted, so
-/// downstream tools can say "the earliest N records are missing"
-/// instead of reporting a misleading first divergence.
-pub fn encode_trace(records: &[TraceRecord], dropped: u64) -> Vec<u8> {
-    if dropped == 0 {
-        return encode_records(records);
-    }
-    let mut out = Vec::with_capacity(HEADER_V2_BYTES + records.len() * RECORD_BYTES);
-    out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    out.extend_from_slice(&dropped.to_le_bytes());
-    for r in records {
-        r.encode_into(&mut out);
-    }
-    out
-}
-
-/// Decodes a binary trace file produced by [`encode_records`] or
-/// [`encode_trace`], returning the records and the ring-drop count
-/// (zero for `BPTRACE1` files, which cannot carry one).
+/// Decodes a binary trace file produced by [`encode_records`].
 ///
 /// # Errors
 ///
 /// Returns a message on a bad magic, a truncated file, a record-count
 /// mismatch, or any malformed record (with its sequence number).
-pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<TraceRecord>, u64), String> {
+pub fn decode_records(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
     if bytes.len() < 8 {
         return Err(format!(
             "file is {} bytes, smaller than the 8-byte magic",
             bytes.len()
         ));
     }
-    let (header_bytes, dropped) = if &bytes[..8] == MAGIC {
-        (HEADER_BYTES, 0u64)
-    } else if &bytes[..8] == MAGIC_V2 {
-        if bytes.len() < HEADER_V2_BYTES {
-            return Err(format!(
-                "file is {} bytes, smaller than the {HEADER_V2_BYTES}-byte BPTRACE2 header",
-                bytes.len()
-            ));
-        }
-        (
-            HEADER_V2_BYTES,
-            u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice")),
-        )
-    } else {
+    if &bytes[..8] != MAGIC {
         return Err("bad magic: not a bp-obs trace file".to_string());
-    };
-    if bytes.len() < header_bytes {
+    }
+    if bytes.len() < HEADER_BYTES {
         return Err(format!(
-            "file is {} bytes, smaller than the {header_bytes}-byte header",
+            "file is {} bytes, smaller than the {HEADER_BYTES}-byte header",
             bytes.len()
         ));
     }
     let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let body = &bytes[header_bytes..];
+    let body = &bytes[HEADER_BYTES..];
     // The count comes from disk: a product that overflows cannot match
     // any real body, and must not wrap around to one that does.
     let promised = usize::try_from(count)
@@ -675,20 +553,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<(Vec<TraceRecord>, u64), String> {
     for (seq, chunk) in body.chunks(RECORD_BYTES).enumerate() {
         records.push(TraceRecord::decode(chunk).map_err(|e| format!("record {seq}: {e}"))?);
     }
-    Ok((records, dropped))
-}
-
-/// Decodes a binary trace file produced by [`encode_records`].
-///
-/// Accepts both header versions but discards the `BPTRACE2` drop count;
-/// use [`decode_trace`] when drop awareness matters (e.g. diffing).
-///
-/// # Errors
-///
-/// Returns a message on a bad magic, a truncated file, a record-count
-/// mismatch, or any malformed record (with its sequence number).
-pub fn decode_records(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    decode_trace(bytes).map(|(records, _)| records)
+    Ok(records)
 }
 
 /// Renders records as line-delimited JSON, one object per record, with
@@ -1036,12 +901,7 @@ mod tests {
         let mut bin = MAGIC.to_vec();
         bin.extend_from_slice(&(1u64 << 59).to_le_bytes());
         assert_eq!(bin, b"BPTRACE1\0\0\0\0\0\0\0\x08");
-        assert!(decode_trace(&bin).unwrap_err().contains("body"));
         assert!(decode_records(&bin).unwrap_err().contains("body"));
-        let mut v2 = MAGIC_V2.to_vec();
-        v2.extend_from_slice(&(1u64 << 59).to_le_bytes());
-        v2.extend_from_slice(&0u64.to_le_bytes());
-        assert!(decode_trace(&v2).unwrap_err().contains("body"));
     }
 
     #[test]
@@ -1066,71 +926,14 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_and_counts_drops() {
-        let mut t = Tracer::with_capacity(2);
-        for i in 0..5u64 {
-            t.record(TraceKind::Mine, i, 0, i, i);
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
-        let records = t.into_records();
-        assert_eq!(records[0].time, 3);
-        assert_eq!(records[1].time, 4);
-    }
-
-    #[test]
-    fn offered_invariant_survives_wrapping_and_append() {
-        let mut a = Tracer::with_capacity(3);
-        for i in 0..7u64 {
-            a.record(TraceKind::Mine, i, 0, 0, 0);
-        }
-        assert_eq!(a.offered(), 7);
-        assert_eq!(a.len() as u64 + a.dropped(), a.offered());
-
-        let mut b = Tracer::with_capacity(2);
-        for i in 0..5u64 {
-            b.record(TraceKind::Churn, i, u32::MAX, 0, 0);
-        }
-        let offered_sum = a.offered() + b.offered();
-        a.append(b);
-        assert_eq!(a.offered(), offered_sum);
-        assert_eq!(a.len(), 3, "ring capacity still bounds retention");
-    }
-
-    #[test]
-    fn wrapped_ring_encodes_drop_count() {
-        let mut t = Tracer::with_capacity(2);
-        for i in 0..5u64 {
-            t.record(TraceKind::Mine, i, 0, i, i);
-        }
-        let bin = t.encode();
-        assert_eq!(&bin[..8], MAGIC_V2);
-        let (records, dropped) = decode_trace(&bin).unwrap();
-        assert_eq!(records, t.records());
-        assert_eq!(dropped, 3);
-        // decode_records tolerates the v2 header, dropping the count.
-        assert_eq!(decode_records(&bin).unwrap(), t.records());
-    }
-
-    #[test]
     fn unwrapped_encode_matches_classic_format() {
         let mut t = Tracer::new();
         for r in sample_records() {
             t.record(r.kind, r.time, r.node, r.a, r.b);
         }
-        assert_eq!(t.encode(), encode_records(&t.records()));
-        let (records, dropped) = decode_trace(&t.encode()).unwrap();
-        assert_eq!(records, t.records());
-        assert_eq!(dropped, 0);
-    }
-
-    #[test]
-    fn decode_trace_rejects_truncated_v2_header() {
-        let mut t = Tracer::with_capacity(1);
-        t.record(TraceKind::Mine, 0, 0, 0, 0);
-        t.record(TraceKind::Mine, 1, 0, 0, 0);
-        let bin = t.encode();
-        assert!(decode_trace(&bin[..20]).unwrap_err().contains("BPTRACE2"));
+        assert_eq!(t.records(), sample_records());
+        assert_eq!(t.encode(), encode_records(t.records()));
+        assert_eq!(decode_records(&t.encode()).unwrap(), t.records());
     }
 
     #[test]
@@ -1147,7 +950,7 @@ mod tests {
 
     #[test]
     fn export_metrics_accounts_for_recorder() {
-        let mut t = Tracer::with_capacity(2);
+        let mut t = Tracer::new();
         for i in 0..3u64 {
             t.record(TraceKind::Mine, i, 0, 0, 0);
         }
@@ -1155,8 +958,7 @@ mod tests {
         t.export_metrics(&reg, "trace.test");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("trace.test.events_recorded"), 3);
-        assert_eq!(snap.counter("trace.test.bytes_written"), 2 * 32);
-        assert_eq!(snap.counter("trace.test.ring_drops"), 1);
+        assert_eq!(snap.counter("trace.test.bytes_written"), 3 * 32);
     }
 
     #[test]

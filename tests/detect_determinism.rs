@@ -16,7 +16,7 @@
 mod common;
 
 use bp_detect::{DetectConfig, DetectEngine, DetectReport};
-use btcpart::obs::trace::{decode_trace, encode_records, TraceCategory, TraceRecord};
+use btcpart::obs::trace::{decode_records, encode_records, TraceCategory, TraceRecord};
 use common::{assert_rows_golden, assert_rows_golden_where, read, row};
 
 /// Replays records through the detection suite, as `trace detect` does.
@@ -31,8 +31,7 @@ fn benign_pipeline_is_quiet_online_and_offline() {
     let dir = row("B");
     let alerts = read(&dir.join("detect/alerts.bin"));
     assert_eq!(alerts, encode_records(&[]), "benign run alerted");
-    let (records, dropped) = decode_trace(&read(&dir.join("trace/trace.bin"))).unwrap();
-    assert_eq!(dropped, 0);
+    let records = decode_records(&read(&dir.join("trace/trace.bin"))).unwrap();
     assert!(!records.is_empty(), "traced run recorded nothing");
     // The offline replay reproduces the online tap's report (record and
     // tick counts included) and alert stream.
@@ -58,8 +57,7 @@ fn matrix_traces_replay_to_their_embedded_alerts() {
     let dir = row("G").join("matrix");
     for scenario in bp_bench::detect::SCENARIOS {
         let file = format!("trace_{scenario}.bin");
-        let (records, dropped) = decode_trace(&read(&dir.join(&file))).unwrap();
-        assert_eq!(dropped, 0);
+        let records = decode_records(&read(&dir.join(&file))).unwrap();
         let embedded: Vec<_> = records
             .iter()
             .filter(|r| r.kind.category() == TraceCategory::Detect)

@@ -14,7 +14,7 @@ use btcpart::attacks::countermeasures::BlockAwareTradeoff;
 use btcpart::attacks::temporal::TemporalAttackReport;
 use btcpart::experiments::codec::{decode_value, encode_value, Enc, Stable};
 use btcpart::experiments::Artifact;
-use btcpart::obs::trace::{decode_records, decode_trace, TraceKind, MAGIC, MAGIC_V2};
+use btcpart::obs::trace::{decode_records, TraceKind, MAGIC};
 use btcpart::obs::{Histogram, Registry, Tracer};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -166,30 +166,26 @@ fn sample_queries() -> Vec<Query> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary bytes, and a valid `BPTRACE1`/`BPTRACE2` header with an
-    /// arbitrary record count (and drop count) over a body of whole but
-    /// arbitrary records whose number may or may not match.
+    /// Arbitrary bytes, and a valid `BPTRACE1` header with an arbitrary
+    /// record count over a body of whole but arbitrary records whose
+    /// number may or may not match. The same input under the retired
+    /// `BPTRACE2` magic is not a trace file.
     #[test]
     fn trace_decoders_never_panic(
         raw in bytes(),
-        v2 in any::<bool>(),
         count in field(),
         exact in any::<bool>(),
-        dropped in field(),
         records in 0usize..6,
         fill in collection::vec(any::<u8>(), 1..64),
     ) {
-        let mut hostile = if v2 { MAGIC_V2.to_vec() } else { MAGIC.to_vec() };
+        let mut hostile = MAGIC.to_vec();
         let count = if exact { records as u64 } else { count };
         hostile.extend_from_slice(&count.to_le_bytes());
-        if v2 {
-            hostile.extend_from_slice(&dropped.to_le_bytes());
-        }
         hostile.extend(fill.iter().cycle().take(records * 32));
-        for input in [raw, hostile] {
-            let _ = decode_trace(&input);
-            let _ = decode_records(&input);
-        }
+        let _ = decode_records(&raw);
+        let _ = decode_records(&hostile);
+        hostile[..8].copy_from_slice(b"BPTRACE2");
+        prop_assert!(decode_records(&hostile).unwrap_err().contains("bad magic"));
     }
 
     /// Arbitrary files, and a well-formed store of up to four entries

@@ -12,7 +12,7 @@ mod common;
 
 use bp_bench::cli::parse_args;
 use bp_bench::pipeline::{run_pipeline, TraceHub};
-use btcpart::obs::trace::{decode_trace, timeline, timeline_csv, TraceCategory, TraceKind};
+use btcpart::obs::trace::{decode_records, timeline, timeline_csv, TraceCategory, TraceKind};
 use btcpart::obs::Registry;
 use common::{assert_golden, assert_rows_golden_where, read, row, PIPELINE, SUBSET};
 use std::sync::OnceLock;
@@ -64,7 +64,7 @@ fn tracing_changes_no_artifact_or_metric_byte() {
 #[test]
 fn timeline_reconstructs_the_day_crawl_series() {
     let dir = row("E");
-    let records = decode_trace(&read(&dir.join("trace/trace.bin"))).unwrap().0;
+    let records = decode_records(&read(&dir.join("trace/trace.bin"))).unwrap();
     let published = String::from_utf8(read(&dir.join("out/fig6_day.csv"))).unwrap();
     let rebuilt = timeline_csv(&timeline(&records));
     for (i, (ours, theirs)) in rebuilt.lines().zip(published.lines()).enumerate() {

@@ -27,9 +27,8 @@ use bp_bench::cache::ArtifactStore;
 use bp_bench::cli::{parse_args, usage};
 use bp_bench::pipeline::{default_jobs, run_pipeline, TraceHub, STREAM_RANK_DETECT};
 use bp_bench::{bench_json, ARTIFACT_IDS};
-use bp_detect::{DetectConfig, DetectEngine, OnlineTap};
+use bp_detect::{DetectConfig, DetectEngine};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Validates the output directories up front: every `--out` /
 /// `--metrics` / `--trace` / `--cache` target must be creatable as a
@@ -136,18 +135,9 @@ fn main() {
     );
     let registry = opts.metrics.as_ref().map(|_| btcpart::obs::Registry::new());
     // --detect needs the flight recorder running even without --trace:
-    // the detection suite consumes the same record stream the trace
-    // exports would, tapped live off the hub as each task's stream is
-    // merged in.
+    // once the pipeline finishes, the detection suite replays the hub's
+    // merged trace, the same record stream the trace exports carry.
     let hub = (opts.trace.is_some() || opts.detect.is_some()).then(TraceHub::new);
-    let tap = opts.detect.as_ref().map(|_| {
-        let tap = Arc::new(OnlineTap::new());
-        let sink = Arc::clone(&tap);
-        hub.as_ref()
-            .expect("hub exists whenever --detect is set")
-            .set_tap(move |rank, name, tracer| sink.absorb(rank, name, tracer.records()));
-        tap
-    });
     let mut store = opts.cache.as_ref().map(|dir| {
         ArtifactStore::open(dir).unwrap_or_else(|e| die(&format!("--cache {dir}: {e}")))
     });
@@ -175,14 +165,13 @@ fn main() {
         std::fs::write(&path, report.timings_csv()).expect("write timings.csv");
         eprintln!("# wrote {}", path.display());
     }
-    if let (Some(dir), Some(tap)) = (&opts.detect, &tap) {
-        // Replay the tapped streams through the detection suite. The
-        // tap saw exactly the records the merged trace carries (same
-        // streams, same rank order), so `trace detect` on trace.bin
-        // reproduces this alert stream byte-for-byte.
+    if let (Some(dir), Some(hub)) = (&opts.detect, &hub) {
+        // Replay the merged trace through the detection suite before
+        // the alerts join it, so `trace detect` on trace.bin reproduces
+        // this alert stream byte-for-byte.
         let detect_dir = PathBuf::from(dir);
         let mut engine = DetectEngine::new(DetectConfig::default());
-        engine.feed_all(&tap.merged());
+        engine.feed_all(hub.merged().records());
         let detect_report = engine.finish();
         if let Some(reg) = &registry {
             detect_report.export_metrics(reg);
@@ -190,13 +179,11 @@ fn main() {
         let alerts = detect_report.alerts.clone();
         // Publish the alert stream as the hub's rank-3 stream before
         // the trace export below, so trace.bin carries the alerts too.
-        if let Some(hub) = &hub {
-            hub.set_stream(
-                STREAM_RANK_DETECT,
-                "detect",
-                btcpart::obs::Tracer::from_records(alerts.clone()),
-            );
-        }
+        hub.set_stream(
+            STREAM_RANK_DETECT,
+            "detect",
+            btcpart::obs::Tracer::from_records(alerts.clone()),
+        );
         for (name, contents) in [
             ("alerts.bin", btcpart::obs::trace::encode_records(&alerts)),
             (

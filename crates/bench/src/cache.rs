@@ -385,7 +385,6 @@ pub struct ArtifactStore {
     staged: Vec<(u128, Vec<u8>)>,
     dirty: bool,
     reset_blobs: bool,
-    read_only: bool,
     bytes_read: u64,
     bytes_written: u64,
 }
@@ -409,7 +408,6 @@ impl ArtifactStore {
             staged: Vec::new(),
             dirty: false,
             reset_blobs: false,
-            read_only: false,
             bytes_read: 0,
             bytes_written: 0,
         };
@@ -438,55 +436,6 @@ impl ArtifactStore {
             },
         }
         Ok(store)
-    }
-
-    /// Opens an existing store for reading only: no directory creation,
-    /// no `index.bin` rewrite on open or [`flush`](Self::flush), and
-    /// inserts are silently discarded. A missing or corrupt store
-    /// degrades to empty (every lookup misses) rather than erroring, and
-    /// corruption detected during lookups evicts in memory only — the
-    /// files on disk are never touched. This lets a long-running server
-    /// replay a warm store produced by a batch run (even one still owned
-    /// by another process) without taking write access to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message only on real I/O failure reading an existing
-    /// blob or index file.
-    pub fn open_read_only(dir: impl Into<PathBuf>) -> Result<Self, String> {
-        let dir = dir.into();
-        let mut store = ArtifactStore {
-            dir,
-            index: BTreeMap::new(),
-            staged: Vec::new(),
-            dirty: false,
-            reset_blobs: false,
-            read_only: true,
-            bytes_read: 0,
-            bytes_written: 0,
-        };
-        let blobs_ok = match fs::read(store.blobs_path()) {
-            Err(_) => false,
-            Ok(bytes) => {
-                bytes.len() >= BLOB_HEADER_BYTES as usize
-                    && &bytes[..8] == BLOB_MAGIC
-                    && u32::from_le_bytes(bytes[8..12].try_into().expect("4")) == STORE_SCHEMA
-            }
-        };
-        if blobs_ok {
-            if let Ok(bytes) = fs::read(store.index_path()) {
-                if let Ok(index) = parse_index(&bytes) {
-                    store.index = index;
-                }
-            }
-        }
-        Ok(store)
-    }
-
-    /// Whether the store was opened with
-    /// [`open_read_only`](Self::open_read_only).
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
     }
 
     fn blobs_path(&self) -> PathBuf {
@@ -539,7 +488,7 @@ impl ArtifactStore {
     /// Removes a key (used on corruption detected after
     /// [`lookup`](Self::lookup), e.g. an envelope that fails to parse).
     pub fn evict(&mut self, key: Key) {
-        if self.index.remove(&key.0).is_some() && !self.read_only {
+        if self.index.remove(&key.0).is_some() {
             self.dirty = true;
         }
     }
@@ -548,10 +497,7 @@ impl ArtifactStore {
     /// [`flush`](Self::flush). Staging the same key twice, or a key the
     /// index already holds, is a no-op.
     pub fn insert(&mut self, key: Key, bytes: Vec<u8>) {
-        if self.read_only
-            || self.index.contains_key(&key.0)
-            || self.staged.iter().any(|(k, _)| *k == key.0)
-        {
+        if self.index.contains_key(&key.0) || self.staged.iter().any(|(k, _)| *k == key.0) {
             return;
         }
         self.bytes_written += bytes.len() as u64;
@@ -567,7 +513,7 @@ impl ArtifactStore {
     /// Returns a message on I/O failure; the store keeps its in-memory
     /// state so a retry is safe.
     pub fn flush(&mut self) -> Result<(), String> {
-        if self.read_only || (self.staged.is_empty() && !self.dirty) {
+        if self.staged.is_empty() && !self.dirty {
             return Ok(());
         }
         let blobs_path = self.blobs_path();
@@ -946,50 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn read_only_open_never_touches_disk() {
-        let dir = tmpdir("readonly");
-        let (k1, k2) = (Key(11), Key(12));
-        let mut writer = ArtifactStore::open(&dir).unwrap();
-        writer.insert(k1, b"warm".to_vec());
-        writer.flush().unwrap();
-
-        let index_before = fs::read(dir.join("index.bin")).unwrap();
-        let blobs_before = fs::read(dir.join("blobs.bin")).unwrap();
-
-        let mut ro = ArtifactStore::open_read_only(&dir).unwrap();
-        assert!(ro.is_read_only());
-        assert_eq!(ro.len(), 1);
-        assert_eq!(ro.lookup(k1).as_deref(), Some(&b"warm"[..]));
-        // Inserts are discarded and flush is a no-op.
-        ro.insert(k2, b"ignored".to_vec());
-        assert_eq!(ro.bytes_written(), 0);
-        ro.flush().unwrap();
-        assert!(ro.lookup(k2).is_none());
-        // Even an explicit evict stays in memory only.
-        ro.evict(k1);
-        assert!(ro.lookup(k1).is_none());
-        ro.flush().unwrap();
-
-        assert_eq!(fs::read(dir.join("index.bin")).unwrap(), index_before);
-        assert_eq!(fs::read(dir.join("blobs.bin")).unwrap(), blobs_before);
-        // The writer's view is unaffected.
-        let mut again = ArtifactStore::open(&dir).unwrap();
-        assert_eq!(again.lookup(k1).as_deref(), Some(&b"warm"[..]));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_only_open_of_missing_store_is_empty() {
-        let dir = tmpdir("readonly-missing");
-        let mut ro = ArtifactStore::open_read_only(&dir).unwrap();
-        assert!(ro.is_empty());
-        assert!(ro.lookup(Key(1)).is_none());
-        ro.flush().unwrap();
-        // Nothing was created on disk.
-        assert!(!dir.exists());
-    }
-
-    #[test]
     fn corrupted_blob_is_evicted_not_returned() {
         let dir = tmpdir("corrupt");
         let key = Key(7);
@@ -1057,10 +959,8 @@ mod tests {
         fs::write(dir.join("blobs.bin"), &blobs).unwrap();
         fs::write(dir.join("index.bin"), &index).unwrap();
 
-        let mut ro = ArtifactStore::open_read_only(&dir).unwrap();
-        assert_eq!(ro.len(), 1);
-        assert!(ro.lookup(Key(7)).is_none());
         let mut store = ArtifactStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
         assert!(store.lookup(Key(7)).is_none());
         assert!(store.is_empty(), "oversized entry evicted");
         let _ = fs::remove_dir_all(&dir);

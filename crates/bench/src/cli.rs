@@ -32,8 +32,7 @@ pub struct CliOptions {
     /// disables caching.
     pub cache: Option<String>,
     /// Directory for the detection exports `alerts.bin` /
-    /// `alerts.jsonl` / `detect_report.txt`; `None` disables the
-    /// online detection tap.
+    /// `alerts.jsonl` / `detect_report.txt`; `None` disables detection.
     pub detect: Option<String>,
     /// `--detect-matrix` was given: run the detection scoring harness
     /// (scenario matrix → `detection_roc.csv`) instead of the artifact
@@ -250,10 +249,11 @@ pub fn usage() -> String {
          \x20              config (byte-identical output, most work skipped);\n\
          \x20              with --serve / --serve-bench it persists memoized\n\
          \x20              query responses across restarts instead\n\
-         --detect DIR   tap the live trace stream through the partition-\n\
-         \x20              detection suite and write alerts.bin, alerts.jsonl\n\
-         \x20              and detect_report.txt to DIR (artifact output is\n\
-         \x20              unchanged; inspect with `trace detect`)\n\
+         --detect DIR   replay the run's trace through the partition-\n\
+         \x20              detection suite once the pipeline finishes and\n\
+         \x20              write alerts.bin, alerts.jsonl and detect_report.txt\n\
+         \x20              to DIR (artifact output is unchanged; inspect with\n\
+         \x20              `trace detect`)\n\
          --detect-matrix  run the detection scoring harness instead of the\n\
          \x20              pipeline: every detector against the benign /\n\
          \x20              cut_half / as_eclipse / miner_cut scenarios;\n\

@@ -234,10 +234,10 @@ impl<'a> Dag<'a> {
         self.execute(workers)
     }
 
-    /// Executes the graph on `workers` threads (1 = in the calling
-    /// thread) and returns every task's output, timing, and the
-    /// scheduler stats. Output bytes never depend on `workers`; only
-    /// wall times do.
+    /// Executes the graph on a pool of `workers` threads (at least one)
+    /// and returns every task's output, timing, and the scheduler
+    /// stats. One worker claims tasks in exact (rank, index) order.
+    /// Output bytes never depend on `workers`; only wall times do.
     pub fn execute(self, workers: usize) -> DagRun {
         let n = self.tasks.len();
         let max_ready = replay_max_ready(&self.tasks);
@@ -245,20 +245,7 @@ impl<'a> Dag<'a> {
         let timing_slots: Vec<Mutex<Option<Duration>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let claimed = std::sync::atomic::AtomicU64::new(0);
 
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut waiting = vec![0usize; n];
-        for (i, task) in self.tasks.iter().enumerate() {
-            waiting[i] = task.deps.len();
-            for &d in &task.deps {
-                dependents[d].push(i);
-            }
-        }
-        let mut ready = BinaryHeap::new();
-        for (i, task) in self.tasks.iter().enumerate() {
-            if task.deps.is_empty() {
-                ready.push((task.rank, Reverse(i)));
-            }
-        }
+        let (dependents, waiting, ready) = claim_state(&self.tasks);
 
         let run_task = |i: usize| {
             let task = &self.tasks[i];
@@ -274,57 +261,44 @@ impl<'a> Dag<'a> {
             *timing_slots[i].lock().unwrap() = Some(wall);
         };
 
-        if workers <= 1 {
-            // Serial fast path: the exact claim loop, one task at a time.
-            while let Some((_, Reverse(i))) = ready.pop() {
-                run_task(i);
-                for &d in &dependents[i] {
-                    waiting[d] -= 1;
-                    if waiting[d] == 0 {
-                        ready.push((self.tasks[d].rank, Reverse(d)));
-                    }
-                }
-            }
-        } else {
-            let sched = Mutex::new(Sched {
-                ready,
-                waiting,
-                completed: 0,
-                failed: false,
-            });
-            let cv = Condvar::new();
-            let pool = workers.min(n.max(1));
-            std::thread::scope(|scope| {
-                for _ in 0..pool {
-                    scope.spawn(|| {
-                        let _fail_on_panic = FailOnPanic(&sched, &cv);
-                        let mut guard = sched.lock().unwrap();
-                        loop {
-                            if guard.failed {
-                                break;
-                            }
-                            if let Some((_, Reverse(i))) = guard.ready.pop() {
-                                drop(guard);
-                                run_task(i);
-                                guard = sched.lock().unwrap();
-                                guard.completed += 1;
-                                for &d in &dependents[i] {
-                                    guard.waiting[d] -= 1;
-                                    if guard.waiting[d] == 0 {
-                                        guard.ready.push((self.tasks[d].rank, Reverse(d)));
-                                    }
-                                }
-                                cv.notify_all();
-                            } else if guard.completed == n {
-                                break;
-                            } else {
-                                guard = cv.wait(guard).unwrap();
-                            }
+        let sched = Mutex::new(Sched {
+            ready,
+            waiting,
+            completed: 0,
+            failed: false,
+        });
+        let cv = Condvar::new();
+        let pool = workers.clamp(1, n.max(1));
+        std::thread::scope(|scope| {
+            for _ in 0..pool {
+                scope.spawn(|| {
+                    let _fail_on_panic = FailOnPanic(&sched, &cv);
+                    let mut guard = sched.lock().unwrap();
+                    loop {
+                        if guard.failed {
+                            break;
                         }
-                    });
-                }
-            });
-        }
+                        if let Some((_, Reverse(i))) = guard.ready.pop() {
+                            drop(guard);
+                            run_task(i);
+                            guard = sched.lock().unwrap();
+                            guard.completed += 1;
+                            for &d in &dependents[i] {
+                                guard.waiting[d] -= 1;
+                                if guard.waiting[d] == 0 {
+                                    guard.ready.push((self.tasks[d].rank, Reverse(d)));
+                                }
+                            }
+                            cv.notify_all();
+                        } else if guard.completed == n {
+                            break;
+                        } else {
+                            guard = cv.wait(guard).unwrap();
+                        }
+                    }
+                });
+            }
+        });
 
         let walls: Vec<Duration> = timing_slots
             .iter()
@@ -372,26 +346,31 @@ impl<'a> Dag<'a> {
     }
 }
 
-/// Canonical ready-queue high-water mark: replays the claim loop one
-/// task at a time over (rank, deps) alone. A live high-water mark would
-/// vary with thread timing; this one is a pure function of the graph, so
-/// it can be exported as a deterministic metric.
-fn replay_max_ready(tasks: &[Task]) -> u64 {
-    let n = tasks.len();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut waiting = vec![0usize; n];
+/// The claim loop's starting state: each task's dependents, each task's
+/// count of unfinished dependencies, and the initially ready tasks.
+fn claim_state(tasks: &[Task]) -> (Vec<Vec<usize>>, Vec<usize>, BinaryHeap<ClaimKey>) {
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
     for (i, task) in tasks.iter().enumerate() {
-        waiting[i] = task.deps.len();
         for &d in &task.deps {
             dependents[d].push(i);
         }
     }
-    let mut ready: BinaryHeap<ClaimKey> = tasks
+    let waiting = tasks.iter().map(|t| t.deps.len()).collect();
+    let ready = tasks
         .iter()
         .enumerate()
         .filter(|(_, t)| t.deps.is_empty())
         .map(|(i, t)| (t.rank, Reverse(i)))
         .collect();
+    (dependents, waiting, ready)
+}
+
+/// Canonical ready-queue high-water mark: replays the claim loop one
+/// task at a time over (rank, deps) alone. A live high-water mark would
+/// vary with thread timing; this one is a pure function of the graph, so
+/// it can be exported as a deterministic metric.
+fn replay_max_ready(tasks: &[Task]) -> u64 {
+    let (dependents, mut waiting, mut ready) = claim_state(tasks);
     let mut max_ready = ready.len();
     while let Some((_, Reverse(i))) = ready.pop() {
         for &d in &dependents[i] {

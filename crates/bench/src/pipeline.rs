@@ -100,7 +100,7 @@ fn publish<T>(cell: &OnceLock<T>, value: T, what: &str) {
 }
 
 /// Collects the per-component flight-recorder streams of one traced run
-/// (`repro --trace`).
+/// (`repro --trace` or `--detect`).
 ///
 /// Each traced component records into its own [`Tracer`] on whatever
 /// worker thread its task happens to run, then deposits the finished
@@ -114,29 +114,9 @@ fn publish<T>(cell: &OnceLock<T>, value: T, what: &str) {
 /// logical stream (the per-λ Table VI rows) concatenate their records in
 /// presentation order before depositing, so the stream set is the same
 /// as a serial run's.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct TraceHub {
     streams: Mutex<BTreeMap<(u32, String), Tracer>>,
-    tap: Mutex<Option<StreamTap>>,
-}
-
-/// A live observer of stream deposits (`repro --detect`): invoked from
-/// [`TraceHub::set_stream`] with every `(rank, name, tracer)` as it
-/// lands — including effect replays from a warm artifact cache, so a
-/// tap-fed consumer sees the same streams whether they were simulated
-/// or replayed.
-type StreamTap = Box<dyn Fn(u32, &str, &Tracer) + Send + Sync>;
-
-impl std::fmt::Debug for TraceHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceHub")
-            .field("streams", &self.streams)
-            .field(
-                "tap",
-                &self.tap.lock().map(|t| t.is_some()).unwrap_or(false),
-            )
-            .finish()
-    }
 }
 
 /// Merge rank of the day-crawl stream.
@@ -158,20 +138,10 @@ impl TraceHub {
     /// position and the `trace.<name>.*` metric prefix; depositing the
     /// same key twice replaces the stream.
     pub fn set_stream(&self, rank: u32, name: &str, tracer: Tracer) {
-        if let Some(tap) = self.tap.lock().unwrap().as_ref() {
-            tap(rank, name, &tracer);
-        }
         self.streams
             .lock()
             .unwrap()
             .insert((rank, name.to_string()), tracer);
-    }
-
-    /// Installs a live stream tap: `tap` runs inside every subsequent
-    /// [`set_stream`](Self::set_stream) call, before the stream is
-    /// stored. One tap at a time; installing replaces the previous one.
-    pub fn set_tap(&self, tap: impl Fn(u32, &str, &Tracer) + Send + Sync + 'static) {
-        *self.tap.lock().unwrap() = Some(Box::new(tap));
     }
 
     /// Deposits the day-crawl simulation's stream.
@@ -882,8 +852,16 @@ pub fn run_pipeline(
 
 // Claim ranks: higher = claimed earlier among ready tasks. Derived from
 // the committed BENCH stage walls (longest-processing-time-first); they
-// tune wall time only, never bytes. The day crawl heads the longest
-// chain (day → general crawl → fig6_general).
+// never change bytes. The day crawl heads the longest chain (day →
+// general crawl → fig6_general).
+//
+// Ranks earn their place on memory, not on wall time. With every rank
+// forced to 0 (2-vCPU host, perfbench `pipeline-quick --seed 3
+// --seconds 15 --trace 0`, 4 alternating pairs) `GOLDEN.digests` still
+// passed and the `repro --quick --jobs 2` speedup stayed at ~1.95×, but
+// the `rss_peak_mb` median rose from 56.9 to 69.5 MiB (+22 %). p50 went
+// from 1,704 to 1,934 ms, within noise in later pairs. See
+// EXPERIMENTS.md "Claim ranks".
 const RANK_DAY: u8 = 250;
 const RANK_GENERAL: u8 = 245;
 const RANK_STATIC: u8 = 240;
@@ -1554,6 +1532,7 @@ mod tests {
 
     #[test]
     fn trace_hub_merges_in_rank_order_and_is_repeatable() {
+        use bp_obs::TraceKind::{GridMine, Mine, ModelBisect};
         let stream = |kind, n| {
             let mut tracer = Tracer::new();
             for t in 0..n {
@@ -1561,13 +1540,21 @@ mod tests {
             }
             tracer
         };
+        let kinds =
+            |hub: &TraceHub| -> Vec<_> { hub.merged().records().iter().map(|r| r.kind).collect() };
         let hub = TraceHub::new();
-        hub.set_model(stream(bp_obs::TraceKind::ModelBisect, 2));
-        hub.set_day(stream(bp_obs::TraceKind::Mine, 3));
-        let merged = hub.merged().into_records();
-        assert_eq!(merged.len(), 5);
-        assert_eq!(merged[0].kind, bp_obs::TraceKind::Mine, "day stream first");
+        hub.set_model(stream(ModelBisect, 2));
+        hub.set_day(stream(Mine, 3));
+        hub.set_grid(stream(GridMine, 1));
+        let merged = kinds(&hub);
+        assert_eq!(
+            merged,
+            [Mine, Mine, Mine, GridMine, ModelBisect, ModelBisect]
+        );
         // The hub keeps its streams, so merging again gives the same trace.
-        assert_eq!(hub.merged().into_records(), merged);
+        assert_eq!(kinds(&hub), merged);
+        // Re-depositing a key replaces its stream: the last deposit wins.
+        hub.set_day(stream(Mine, 1));
+        assert_eq!(kinds(&hub), [Mine, GridMine, ModelBisect, ModelBisect]);
     }
 }

@@ -78,7 +78,6 @@ impl std::fmt::Debug for StoreBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreBackend")
             .field("entries", &self.0.len())
-            .field("read_only", &self.0.is_read_only())
             .finish()
     }
 }
@@ -92,16 +91,6 @@ impl StoreBackend {
     /// index).
     pub fn open(dir: &str) -> Result<Self, String> {
         ArtifactStore::open(dir).map(Self)
-    }
-
-    /// Opens a store at `dir` without touching the disk — lookups hit,
-    /// inserts and flushes are no-ops. A missing store reads as empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns the store's open error.
-    pub fn open_read_only(dir: &str) -> Result<Self, String> {
-        ArtifactStore::open_read_only(dir).map(Self)
     }
 
     /// Entries resident in the underlying store.
@@ -282,13 +271,6 @@ mod tests {
         backend.insert(7, b"answer");
         backend.flush().unwrap();
         assert_eq!(backend.lookup(7).unwrap(), b"answer");
-
-        // A read-only reopen sees the flushed entry without writing.
-        let mut ro = StoreBackend::open_read_only(&dir).unwrap();
-        assert_eq!(ro.lookup(7).unwrap(), b"answer");
-        ro.insert(8, b"dropped");
-        assert!(ro.lookup(8).is_none());
-        ro.flush().unwrap();
 
         let _ = std::fs::remove_dir_all(&dir);
     }

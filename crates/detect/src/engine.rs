@@ -8,19 +8,16 @@
 //! skipped, which makes replaying a trace that already carries alerts
 //! idempotent: the recomputed alert stream is byte-identical.
 //!
-//! [`OnlineTap`] adapts the engine to the pipeline's `TraceHub`: stream
-//! deposits arrive in nondeterministic completion order, so the tap
-//! buffers them keyed by `(rank, name)` — the hub's own merge key — and
-//! [`OnlineTap::merged`] replays them in sorted order, reproducing the
-//! exact byte stream an offline `trace.bin` replay would see.
+//! `repro --detect` feeds the engine the run's merged trace once the
+//! pipeline has finished, and `trace detect` feeds it an exported
+//! `trace.bin`. Both carry the same records in the same order, so both
+//! produce the same alert stream.
 
 use crate::detector::{standard_suite, DetectConfig, Detector};
 use crate::observe::{StreamState, Tick};
 use bp_obs::trace::{TraceCategory, TraceRecord, Tracer};
 use bp_obs::Registry;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Streaming detection over trace records.
 pub struct DetectEngine {
@@ -178,46 +175,6 @@ impl DetectReport {
     }
 }
 
-/// Buffers `TraceHub` stream deposits for deterministic online replay.
-///
-/// Register a closure forwarding to [`absorb`](Self::absorb) as the
-/// hub's tap; once the pipeline finishes, [`merged`](Self::merged)
-/// yields the records in the hub's own `(rank, name)` merge order —
-/// byte-identical to `hub.merged()` and therefore to the exported
-/// `trace.bin`, at any worker count. Re-deposits of a stream key
-/// overwrite (last wins), matching hub semantics.
-#[derive(Debug, Default)]
-pub struct OnlineTap {
-    streams: Mutex<BTreeMap<(u32, String), Vec<TraceRecord>>>,
-}
-
-impl OnlineTap {
-    /// An empty tap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores one stream deposit (thread-safe; called from worker
-    /// threads as tasks publish their tracers).
-    pub fn absorb(&self, rank: u32, name: &str, records: &[TraceRecord]) {
-        self.streams
-            .lock()
-            .expect("tap lock")
-            .insert((rank, name.to_string()), records.to_vec());
-    }
-
-    /// All buffered records, concatenated in ascending `(rank, name)`
-    /// order.
-    pub fn merged(&self) -> Vec<TraceRecord> {
-        let streams = self.streams.lock().expect("tap lock");
-        let mut out = Vec::with_capacity(streams.values().map(Vec::len).sum());
-        for records in streams.values() {
-            out.extend_from_slice(records);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,27 +249,5 @@ mod tests {
         let second = engine.finish();
         assert_eq!(first.alerts, second.alerts);
         assert_eq!(first.alert_counts, second.alert_counts);
-    }
-
-    #[test]
-    fn tap_merges_in_rank_order_regardless_of_deposit_order() {
-        let tap = OnlineTap::new();
-        let mk = |t: u64, kind: TraceKind| TraceRecord {
-            time: t,
-            node: 0,
-            kind,
-            a: 0,
-            b: 0,
-        };
-        tap.absorb(2, "model", &[mk(5, TraceKind::ModelBisect)]);
-        tap.absorb(0, "day", &[mk(1, TraceKind::Mine)]);
-        tap.absorb(1, "grid", &[mk(3, TraceKind::GridMine)]);
-        // Last wins on re-deposit.
-        tap.absorb(0, "day", &[mk(2, TraceKind::Mine)]);
-        let merged = tap.merged();
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].time, 2);
-        assert_eq!(merged[1].kind, TraceKind::GridMine);
-        assert_eq!(merged[2].kind, TraceKind::ModelBisect);
     }
 }

@@ -5,16 +5,16 @@
 //! BlockAware countermeasure (§VI) is the victim noticing. This crate
 //! generalizes that into a detection *suite*: it consumes the 32-byte
 //! trace records the simulation already emits ([`bp_obs::trace`]) —
-//! either online, tapped off the pipeline's `TraceHub` while the
-//! simulation runs, or offline from a committed `trace.bin` — maintains
-//! rolling-window observables (per-node block-staleness bands, inv
-//! fan-out rate, per-AS sync-share skew, reorg-depth spikes, the
-//! getdata/inv ratio), and feeds them to pluggable [`Detector`]s.
+//! either the run's merged trace, replayed once the pipeline finishes,
+//! or a committed `trace.bin` — maintains rolling-window observables
+//! (per-node block-staleness bands, inv fan-out rate, per-AS sync-share
+//! skew, reorg-depth spikes, the getdata/inv ratio), and feeds them to
+//! pluggable [`Detector`]s.
 //!
 //! Everything is integer / fixed-point arithmetic over an already
 //! deterministic record stream, so the alert stream is byte-identical at
-//! any `--jobs` and between the online tap and offline replay. Detectors
-//! emit alerts as ordinary trace records
+//! any `--jobs` and between `repro --detect` and offline replay.
+//! Detectors emit alerts as ordinary trace records
 //! ([`bp_obs::trace::TraceCategory::Detect`] kinds), so every existing
 //! trace tool (summary, filter, diff, jsonl) works on alert streams too.
 //!
@@ -70,6 +70,6 @@ pub mod observe;
 pub mod score;
 
 pub use detector::{standard_suite, Alert, DetectConfig, Detector};
-pub use engine::{DetectEngine, DetectReport, OnlineTap};
+pub use engine::{DetectEngine, DetectReport};
 pub use observe::{StreamState, Tick};
 pub use score::{attack_windows, score_detectors, AttackWindow, DetectorScore};

@@ -1098,37 +1098,13 @@ impl Simulation {
 
     /// Mines a counterfeit block on `parent` (the temporal attacker's
     /// block factory). Returns the new block id. The block is *not*
-    /// announced; use [`Simulation::push_block`] to feed it to victims.
+    /// announced; use [`Simulation::push_chain`] to feed it to victims.
     pub fn mine_counterfeit(&mut self, parent: BlockId) -> BlockId {
         let meta = self
             .index
             .mine(parent, self.queue.now(), ADVERSARY_PRODUCER, true);
         self.stats.blocks_mined += 1;
         meta.id
-    }
-
-    /// Pushes a block directly to a node over an adversary-maintained
-    /// connection: bypasses partitions and link failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is unknown to the index (push something mined
-    /// via [`Simulation::mine_counterfeit`] or observed in the network).
-    pub fn push_block(&mut self, to: u32, block: BlockId) {
-        let dense = self
-            .index
-            .dense_of(&block)
-            .expect("pushed block must exist in the index");
-        let delay = self.config.min_latency_ms + 20;
-        self.queue.schedule_in(
-            delay,
-            NetEvent::Block {
-                from: u32::MAX,
-                to,
-                block: dense,
-                forced: true,
-            },
-        );
     }
 
     /// Pushes a whole chain ending at `tip` to a node, oldest block first,

@@ -9,18 +9,7 @@
 //! bits, no platform- or thread-dependent content anywhere.
 
 use bp_attacks::spatial::CascadeReport;
-
-/// Collapses NaN payloads and `-0.0` so equal-valued parameters encode
-/// identically (mirror of the cache key machinery's canonicalization).
-pub fn canonical_f64_bits(v: f64) -> u64 {
-    if v.is_nan() {
-        f64::NAN.to_bits()
-    } else if v == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        v.to_bits()
-    }
-}
+use btcpart::experiments::codec::canonical_f64_bits;
 
 /// A parameterized what-if question over the loaded substrate.
 ///

@@ -3,10 +3,12 @@
 //! (`tests/common/mod.rs`):
 //!
 //! * a benign traced pipeline run raises zero alerts, and replaying its
-//!   exported trace offline reproduces the online tap's report and
-//!   alert stream;
-//! * the tapped record stream, and therefore the alert stream, matches
+//!   exported trace offline reproduces the run's report and alert
+//!   stream;
+//! * the merged record stream, and therefore the alert stream, matches
 //!   its golden line at `--jobs 8` and `--jobs 2`;
+//! * `--detect` without `--trace` writes the same alerts and report as
+//!   with it;
 //! * replaying a matrix trace through the engine reproduces the alert
 //!   stream embedded in it, byte for byte;
 //! * the scored matrix meets the headline gates at test scale: zero
@@ -17,7 +19,7 @@ mod common;
 
 use bp_detect::{DetectConfig, DetectEngine, DetectReport};
 use btcpart::obs::trace::{decode_records, encode_records, TraceCategory, TraceRecord};
-use common::{assert_rows_golden, assert_rows_golden_where, read, row};
+use common::{assert_rows_golden, assert_rows_golden_where, read, row, run_pipeline_row, scratch};
 
 /// Replays records through the detection suite, as `trace detect` does.
 fn replay(records: &[TraceRecord]) -> DetectReport {
@@ -33,22 +35,41 @@ fn benign_pipeline_is_quiet_online_and_offline() {
     assert_eq!(alerts, encode_records(&[]), "benign run alerted");
     let records = decode_records(&read(&dir.join("trace/trace.bin"))).unwrap();
     assert!(!records.is_empty(), "traced run recorded nothing");
-    // The offline replay reproduces the online tap's report (record and
-    // tick counts included) and alert stream.
+    // The offline replay reproduces the run's report (record and tick
+    // counts included) and alert stream.
     let offline = replay(&records);
     assert_eq!(
         offline.render().into_bytes(),
         read(&dir.join("detect/detect_report.txt")),
-        "offline replay differs from the online tap"
+        "offline replay differs from repro --detect"
     );
     assert_eq!(encode_records(&offline.alerts), alerts);
 }
 
 #[test]
-fn tapped_stream_is_byte_identical_across_worker_counts() {
+fn merged_stream_is_byte_identical_across_worker_counts() {
     assert_rows_golden_where(&["B", "C"], |stream| {
         stream == "alerts.bin" || stream == "trace.bin"
     });
+}
+
+#[test]
+fn untraced_detect_matches_traced_detect() {
+    // `--detect` alone still records the run and replays its merged
+    // trace; adding `--trace` only exports that trace as well.
+    let dir = scratch("detect_untraced");
+    let (bare, traced) = (dir.join("bare"), dir.join("traced"));
+    run_pipeline_row(&bare, None, &["detect"], &["fig6_day"]);
+    run_pipeline_row(&traced, None, &["detect", "trace"], &["fig6_day"]);
+    assert!(!bare.join("trace").exists());
+    for file in ["alerts.bin", "detect_report.txt"] {
+        assert_eq!(
+            read(&bare.join("detect").join(file)),
+            read(&traced.join("detect").join(file)),
+            "{file} depends on --trace"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -3,9 +3,7 @@
 //! cold `--cache` and over the same cache warm gives the golden
 //! response stream, and the warm run evaluates nothing (row F of the
 //! golden matrix, `tests/common/mod.rs`). A restarted service answers
-//! from a warm persistent store without recomputing even when it
-//! reopens the store read-only (`repro --serve` against a store a batch
-//! run produced).
+//! from a warm persistent store without recomputing.
 
 mod common;
 
@@ -100,21 +98,16 @@ fn warm_store_replays_across_a_restart_without_recomputing() {
     cold.flush_backend().unwrap();
     drop(cold);
 
-    // Restarted process, store opened read-only: a fresh engine (empty
-    // memo) answers every query from disk without write access.
-    let ro = engine(
-        &substrate,
-        &config,
-        1,
-        StoreBackend::open_read_only(dir).unwrap(),
-    );
-    let (ro_stream, ro_evals) = responses(&ro, &config, 1);
-    assert_eq!(ro_evals, 0, "read-only store missed");
+    // Restarted process: a fresh engine (empty memo) over the reopened
+    // store answers every query from disk.
+    let warm = engine(&substrate, &config, 1, StoreBackend::open(dir).unwrap());
+    let (warm_stream, warm_evals) = responses(&warm, &config, 1);
+    assert_eq!(warm_evals, 0, "reopened store missed");
     common::assert_golden(
         "serve restart",
         &[
             ("serve_responses.bin".to_string(), cold_stream),
-            ("serve_responses.bin".to_string(), ro_stream),
+            ("serve_responses.bin".to_string(), warm_stream),
         ],
     );
     let _ = std::fs::remove_dir_all(dir);

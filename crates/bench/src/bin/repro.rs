@@ -26,8 +26,9 @@
 use bp_bench::cache::ArtifactStore;
 use bp_bench::cli::{parse_args, usage};
 use bp_bench::pipeline::{default_jobs, run_pipeline, TraceHub, STREAM_RANK_DETECT};
-use bp_bench::{bench_json, ARTIFACT_IDS};
+use bp_bench::{bench_json, ReproConfig, ARTIFACT_IDS};
 use bp_detect::{DetectConfig, DetectEngine};
+use btcpart::obs::{Registry, Snapshot};
 use std::path::{Path, PathBuf};
 
 /// Validates the output directories up front: every `--out` /
@@ -133,7 +134,7 @@ fn main() {
         "# generating {:?} at scale {} (day crawl: {} h, jobs: {jobs})",
         opts.ids, config.scale, config.day_hours
     );
-    let registry = opts.metrics.as_ref().map(|_| btcpart::obs::Registry::new());
+    let registry = opts.metrics.as_ref().map(|_| Registry::new());
     // --detect needs the flight recorder running even without --trace:
     // once the pipeline finishes, the detection suite replays the hub's
     // merged trace, the same record stream the trace exports carry.
@@ -228,27 +229,16 @@ fn main() {
         }
     }
     if let (Some(dir), Some(reg)) = (&opts.metrics, &registry) {
-        let metrics_dir = PathBuf::from(dir);
-        let snapshot = reg.snapshot();
-        let profile = if config == bp_bench::ReproConfig::quick() {
-            "quick"
-        } else if config == bp_bench::ReproConfig::paper() {
-            "paper"
-        } else {
-            "custom"
-        };
-        for (name, contents) in [
-            ("metrics.json", snapshot.to_json()),
-            ("metrics.csv", snapshot.to_csv()),
-            (
-                "BENCH_pipeline.json",
-                bench_json(profile, &config, Some(&report), &snapshot, None, None),
-            ),
-        ] {
-            let path = metrics_dir.join(name);
-            std::fs::write(&path, contents).expect("write metrics export");
-            eprintln!("# wrote {}", path.display());
-        }
+        write_metrics(dir, reg, |snapshot| {
+            bench_json(
+                profile(&config),
+                &config,
+                Some(&report),
+                snapshot,
+                None,
+                None,
+            )
+        });
     }
     if let Some(store) = store.as_mut() {
         store
@@ -296,26 +286,15 @@ fn run_huge_bench(opts: &bp_bench::cli::CliOptions) {
         "# huge gossip bench: 1,000,000 nodes, {} h, seed {}",
         config.day_hours, config.seed
     );
-    let registry = opts.metrics.as_ref().map(|_| btcpart::obs::Registry::new());
+    let registry = opts.metrics.as_ref().map(|_| Registry::new());
     let report = bp_bench::scale::run_huge(&config, registry.as_ref());
     let path = PathBuf::from(&opts.out_dir).join("scale_gossip.csv");
     std::fs::write(&path, &report.csv).expect("write scale_gossip.csv");
     eprintln!("# wrote {}", path.display());
     if let (Some(dir), Some(reg)) = (&opts.metrics, &registry) {
-        let metrics_dir = PathBuf::from(dir);
-        let snapshot = reg.snapshot();
-        for (name, contents) in [
-            ("metrics.json", snapshot.to_json()),
-            ("metrics.csv", snapshot.to_csv()),
-            (
-                "BENCH_pipeline.json",
-                bench_json("huge", &config, None, &snapshot, Some(&report), None),
-            ),
-        ] {
-            let path = metrics_dir.join(name);
-            std::fs::write(&path, contents).expect("write metrics export");
-            eprintln!("# wrote {}", path.display());
-        }
+        write_metrics(dir, reg, |snapshot| {
+            bench_json("huge", &config, None, snapshot, Some(&report), None)
+        });
     }
     let trend = report
         .rss_hourly_mb
@@ -471,7 +450,7 @@ fn run_serve_bench(opts: &bp_bench::cli::CliOptions) {
     );
     let engine = bp_bench::serve::build_engine(&config, workers, opts.cache.as_deref())
         .unwrap_or_else(|e| die(&e));
-    let registry = btcpart::obs::Registry::new();
+    let registry = Registry::new();
     let mut sink = Vec::new();
     let report = bp_bench::serve::run_bench(&engine, &config, workers, &registry, Some(&mut sink));
     let path = PathBuf::from(&opts.serve_out).join("serve_responses.bin");
@@ -481,27 +460,16 @@ fn run_serve_bench(opts: &bp_bench::cli::CliOptions) {
         .flush_backend()
         .unwrap_or_else(|e| die(&format!("cache flush failed: {e}")));
     if let Some(dir) = &opts.metrics {
-        let metrics_dir = PathBuf::from(dir);
-        let snapshot = registry.snapshot();
-        let profile = if config == bp_bench::ReproConfig::quick() {
-            "quick"
-        } else if config == bp_bench::ReproConfig::paper() {
-            "paper"
-        } else {
-            "custom"
-        };
-        for (name, contents) in [
-            ("metrics.json", snapshot.to_json()),
-            ("metrics.csv", snapshot.to_csv()),
-            (
-                "BENCH_pipeline.json",
-                bench_json(profile, &config, None, &snapshot, None, Some(&report)),
-            ),
-        ] {
-            let path = metrics_dir.join(name);
-            std::fs::write(&path, contents).expect("write metrics export");
-            eprintln!("# wrote {}", path.display());
-        }
+        write_metrics(dir, &registry, |snapshot| {
+            bench_json(
+                profile(&config),
+                &config,
+                None,
+                snapshot,
+                None,
+                Some(&report),
+            )
+        });
     }
     let l = &report.load;
     eprintln!(
@@ -513,6 +481,33 @@ fn run_serve_bench(opts: &bp_bench::cli::CliOptions) {
         "# memo: {} hits / {} misses, {} cold evals, {} backend hits",
         l.memo_hits, l.memo_misses, l.cold_evals, l.backend_hits
     );
+}
+
+/// The BENCH profile name of `config`: its preset, or `custom`.
+fn profile(config: &ReproConfig) -> &'static str {
+    if *config == ReproConfig::quick() {
+        "quick"
+    } else if *config == ReproConfig::paper() {
+        "paper"
+    } else {
+        "custom"
+    }
+}
+
+/// Writes the deterministic `metrics.json` / `metrics.csv` exports of
+/// `reg` and the BENCH record `bench` renders from the same snapshot
+/// (`BENCH_pipeline.json`) to `dir`.
+fn write_metrics(dir: &str, reg: &Registry, bench: impl FnOnce(&Snapshot) -> String) {
+    let snapshot = reg.snapshot();
+    for (name, contents) in [
+        ("metrics.json", snapshot.to_json()),
+        ("metrics.csv", snapshot.to_csv()),
+        ("BENCH_pipeline.json", bench(&snapshot)),
+    ] {
+        let path = Path::new(dir).join(name);
+        std::fs::write(&path, contents).expect("write metrics export");
+        eprintln!("# wrote {}", path.display());
+    }
 }
 
 fn print_help() {

@@ -34,8 +34,8 @@
 //! counts and trace streams the task recorded while running. Replaying
 //! a hit injects those effects, so a warm run's `metrics.json` and
 //! `trace.bin` are byte-identical to a cold run's. Tasks whose output
-//! cannot be serialized (live simulations handed across a side channel)
-//! are *volatile*: their envelope carries effects only, and any
+//! is not persisted (the shared builds: live simulation state, the
+//! snapshot and the crawls) are *volatile*: their envelope carries effects only, and any
 //! downstream task that needs their value forces them to run live.
 //!
 //! # Store layout
@@ -190,15 +190,6 @@ impl ObsEffects {
         }
     }
 
-    /// True when the task recorded nothing observable.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.span_counts.is_empty()
-    }
-
     /// Injects the stored effects into the run's registry and trace
     /// hub — the replay half of [`capture`](Self::capture). Counters
     /// add, gauges take the maximum, histograms merge bucket-wise, and
@@ -312,8 +303,8 @@ pub enum CacheClass {
         /// Decodes a stored payload back into a task output.
         decode: fn(&[u8]) -> Result<TaskOutput, String>,
     },
-    /// The output cannot be persisted (live simulation state moved
-    /// through a side channel). A hit can only skip the task when no
+    /// The output is not persisted (live simulation state, the shared
+    /// snapshot and crawls). A hit can only skip the task when no
     /// dependent needs its value.
     Volatile,
 }
@@ -629,23 +620,16 @@ fn parse_index(bytes: &[u8]) -> Result<BTreeMap<u128, IndexEntry>, String> {
 pub enum Decision {
     /// Execute the task's real closure.
     Run,
-    /// Skip the task; its decoded output is handed to dependents and
-    /// its stored effects are injected.
+    /// Skip the task and inject its stored effects (empty when nothing
+    /// was stored or the task records nothing).
     Replay {
         /// The decoded output, taken exactly once by the substitute
-        /// closure.
-        value: Mutex<Option<TaskOutput>>,
+        /// closure and handed to dependents; `None` when no dependent
+        /// needs the value.
+        value: Option<Mutex<Option<TaskOutput>>>,
         /// Effects to inject at merge time.
         effects: ObsEffects,
     },
-    /// Skip the task; only its stored effects are injected (no
-    /// dependent needs the value).
-    ReplayEffects {
-        /// Effects to inject at merge time.
-        effects: ObsEffects,
-    },
-    /// Skip the task entirely (no value needed, nothing observable).
-    SkipSilent,
 }
 
 /// Cache outcome of one task, as reported in BENCH rows.
@@ -716,7 +700,7 @@ pub struct TaskInfo<'t> {
 }
 
 /// Derives every task's key, resolves envelopes from the store, and
-/// decides per task whether to run, replay, or skip. `required` lists
+/// decides per task whether to run or replay it. `required` lists
 /// the task indices whose outputs the caller reads after the run (the
 /// per-job artifact tasks); `metrics_on` / `trace_on` are the run's
 /// observability flags (folded into the keys, and deciding whether a
@@ -765,8 +749,8 @@ pub fn plan_run(
 
     // Reverse pass: dependencies always have lower indices, so walking
     // back-to-front sees every dependent's verdict before the task's
-    // own. `need_value` marks tasks whose output (or side-channel
-    // effect — the DAG edges cover both) some running dependent reads.
+    // own. `need_value` marks tasks whose output some running
+    // dependent reads.
     let mut need_value = vec![false; n];
     for &r in required {
         need_value[r] = true;
@@ -789,7 +773,7 @@ pub fn plan_run(
                     match decode(payload) {
                         Ok(value) => {
                             decisions[i] = Some(Decision::Replay {
-                                value: Mutex::new(Some(value)),
+                                value: Some(Mutex::new(Some(value))),
                                 effects: env.effects,
                             });
                             statuses[i] = TaskCacheStatus::Hit;
@@ -816,12 +800,9 @@ pub fn plan_run(
             match env {
                 Some(env) => {
                     statuses[i] = TaskCacheStatus::Hit;
-                    decisions[i] = Some(if env.effects.is_empty() {
-                        Decision::SkipSilent
-                    } else {
-                        Decision::ReplayEffects {
-                            effects: env.effects,
-                        }
+                    decisions[i] = Some(Decision::Replay {
+                        value: None,
+                        effects: env.effects,
                     });
                 }
                 None => {
@@ -832,7 +813,10 @@ pub fn plan_run(
                     if obs_on && metas[i].observable {
                         run(&mut decisions, &mut need_value);
                     } else {
-                        decisions[i] = Some(Decision::SkipSilent);
+                        decisions[i] = Some(Decision::Replay {
+                            value: None,
+                            effects: ObsEffects::default(),
+                        });
                     }
                 }
             }
@@ -978,7 +962,7 @@ mod tests {
         for i in 0..5 {
             t.record(bp_obs::TraceKind::Mine, i, 0, i, i + 1);
         }
-        hub.set_day(t);
+        hub.set_stream(crate::pipeline::STREAM_RANK_DAY, "day", t);
 
         let env = Envelope {
             payload: Some(b"payload-bytes".to_vec()),
@@ -986,7 +970,7 @@ mod tests {
         };
         let back = Envelope::decode(&env.encode()).unwrap();
         assert_eq!(back, env);
-        assert!(!back.effects.is_empty());
+        assert_ne!(back.effects, ObsEffects::default());
 
         // Replaying into a fresh registry reproduces the counters.
         let fresh = Registry::new();
@@ -1025,7 +1009,7 @@ mod tests {
         let hub = TraceHub::new();
         let mut t = Tracer::new();
         t.record(bp_obs::TraceKind::Mine, 1, 0, 1, 1);
-        hub.set_day(t);
+        hub.set_stream(crate::pipeline::STREAM_RANK_DAY, "day", t);
         let mut blob = Envelope {
             payload: Some(btcpart::experiments::codec::encode_value(&5u64)),
             effects: ObsEffects::capture(&Registry::new(), &hub),
@@ -1125,10 +1109,16 @@ mod tests {
 
         let warm = plan_run(&mut store, &info, &metas(7), &[2], false, false);
         assert_eq!(warm.hits, 3);
-        assert!(matches!(warm.tasks[0].decision, Decision::SkipSilent));
-        assert!(matches!(warm.tasks[1].decision, Decision::SkipSilent));
+        for upstream in &warm.tasks[..2] {
+            assert!(matches!(
+                &upstream.decision,
+                Decision::Replay { value: None, effects } if *effects == ObsEffects::default()
+            ));
+        }
         match &warm.tasks[2].decision {
-            Decision::Replay { value, .. } => {
+            Decision::Replay {
+                value: Some(value), ..
+            } => {
                 let out = value.lock().unwrap().take().unwrap();
                 assert_eq!(*out.downcast_ref::<u64>().unwrap(), 30);
             }
@@ -1199,7 +1189,10 @@ mod tests {
         let warm = plan_run(&mut store, &info, &metas, &[1], true, false);
         assert_eq!(warm.hits, 2);
         match &warm.tasks[0].decision {
-            Decision::ReplayEffects { effects } => {
+            Decision::Replay {
+                value: None,
+                effects,
+            } => {
                 let fresh = Registry::new();
                 effects.replay(Some(&fresh), None);
                 assert_eq!(fresh.snapshot().counter("net.day.samples"), 5);

@@ -60,16 +60,14 @@ pub type TaskFn<'a> = Box<dyn Fn(&TaskCtx) -> TaskOutput + Send + Sync + 'a>;
 
 /// What [`Dag::execute_planned`] should do with one task. The cache
 /// planner emits one action per task; `Substitute` is how a cache hit
-/// hands its stored output to dependents without running the original
-/// closure, and `Skip` is a pure no-op (the slot is filled with `()`
-/// so the scheduler's accounting never changes shape).
+/// hands its stored output to dependents (or `()` when none reads it)
+/// without running the original closure, so the scheduler's accounting
+/// never changes shape.
 pub enum TaskAction<'a> {
     /// Execute the task's original closure.
     Run,
     /// Execute this closure instead of the original.
     Substitute(TaskFn<'a>),
-    /// Fill the output slot with `()` without doing any work.
-    Skip,
 }
 
 /// One schedulable unit of work.
@@ -213,8 +211,8 @@ impl<'a> Dag<'a> {
     }
 
     /// Executes the graph with per-task actions applied: `Run` keeps
-    /// the original closure, `Substitute` swaps it (cache replay), and
-    /// `Skip` replaces it with a no-op producing `()`. Scheduling is
+    /// the original closure and `Substitute` swaps it (cache replay).
+    /// Scheduling is
     /// untouched — every task is still spawned and claimed, so
     /// `DagStats` counts are identical to an unplanned run; only the
     /// work inside each claim changes.
@@ -225,10 +223,8 @@ impl<'a> Dag<'a> {
     pub fn execute_planned(mut self, workers: usize, actions: Vec<TaskAction<'a>>) -> DagRun {
         assert_eq!(actions.len(), self.tasks.len(), "one TaskAction per task");
         for (task, action) in self.tasks.iter_mut().zip(actions) {
-            match action {
-                TaskAction::Run => {}
-                TaskAction::Substitute(f) => task.run = f,
-                TaskAction::Skip => task.run = Box::new(|_| Box::new(()) as TaskOutput),
+            if let TaskAction::Substitute(f) = action {
+                task.run = f;
             }
         }
         self.execute(workers)

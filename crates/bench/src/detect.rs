@@ -229,18 +229,11 @@ mod tests {
     #[ignore = "diagnostic dump"]
     fn dump_trains() {
         use bp_detect::StreamState;
-        use bp_obs::trace::TraceCategory;
         let config = ReproConfig::quick();
         for name in SCENARIOS {
             let records = run_scenario(&config, name);
             let mut state = StreamState::new();
             for r in &records {
-                if matches!(
-                    r.kind.category(),
-                    TraceCategory::Attack | TraceCategory::Detect
-                ) {
-                    continue;
-                }
                 state.consume(r);
             }
             println!("== {name} ==");

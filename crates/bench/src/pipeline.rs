@@ -1,13 +1,15 @@
 //! Deterministic parallel artifact pipeline on a fine-grained task DAG.
 //!
-//! Every paper artifact is modelled as a *job* with explicit shared
-//! inputs (the static snapshot + census, the one-day crawl, the general
-//! crawl). Each run compiles the selected jobs into one
+//! Every paper artifact is modelled as a *job* that reads at most one
+//! shared [`Input`] (the static snapshot + census, the one-day crawl, or
+//! the general crawl). Each run compiles the selected jobs into one
 //! [`dag::Dag`](crate::dag): the static build and the day crawl are
 //! independent root tasks that run concurrently, the general crawl
 //! continues the day crawl's simulation, and each job's [`JOBS`] row
-//! names its one build. A render job is a single task with dependency
-//! edges on exactly the shared inputs it reads; a fan-out job (`ablations`,
+//! names its one build. A shared build returns its input as its task
+//! output, and readers get it along their dependency edge — there is no
+//! other channel. A render job is a single task whose dependency 0 is
+//! the shared build it reads; a fan-out job (`ablations`,
 //! `countermeasures`, `table6`, `propagation`, `fifty_one`) is compiled
 //! by its builder into one task per independently-seeded inner
 //! simulation plus a pure merge that folds unit results in a fixed
@@ -40,63 +42,19 @@ use btcpart::topology::Snapshot;
 use btcpart::{Lab, Scenario};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The shared inputs a job may depend on. Each is computed at most once
-/// per pipeline run and handed to jobs by reference. The fields are
-/// write-once cells so each shared-build task can publish its input
-/// from whichever worker runs it while tasks that do not need it are
-/// already running (see [`run_pipeline`]).
-///
-/// One measurement network backs both crawls. The day task publishes
-/// its crawl and the snapshot its lab was built from, and hands the
-/// simulation itself to the general task as its task output; no job
-/// reads the simulation.
-#[derive(Debug, Default)]
-pub struct SharedInputs {
-    /// Snapshot + census without a simulation (spatial/logical jobs).
-    static_env: OnceLock<(Snapshot, PoolCensus)>,
-    /// The one-day, 1-minute-sampled crawl and its lab's snapshot
-    /// (Figure 6(b,c), Table V, Table VII, Figure 8).
-    day: OnceLock<(CrawlResult, Snapshot)>,
-    /// The long, 10-minute-sampled crawl of Figure 6(a), continuing the
-    /// day crawl.
-    general: OnceLock<CrawlResult>,
-}
-
-impl SharedInputs {
-    fn static_env(&self) -> (&Snapshot, &PoolCensus) {
-        let (s, c) = self
-            .static_env
-            .get()
-            .expect("job requires the static snapshot input");
-        (s, c)
-    }
-
-    fn day(&self) -> (&CrawlResult, &Snapshot) {
-        let (c, s) = self
-            .day
-            .get()
-            .expect("job requires the one-day crawl input");
-        (c, s)
-    }
-
-    fn general(&self) -> &CrawlResult {
-        self.general
-            .get()
-            .expect("job requires the general crawl input")
-    }
-}
-
-/// Publishes one shared input into its cell.
-///
-/// # Panics
-///
-/// Panics if the input was already set — each shared input is built
-/// exactly once per run.
-fn publish<T>(cell: &OnceLock<T>, value: T, what: &str) {
-    assert!(cell.set(value).is_ok(), "{what} built twice");
+/// The day task's output: the one-day, 1-minute-sampled crawl (Figure
+/// 6(b,c), Table V, Table VII, Figure 8), the snapshot its lab was
+/// built from, and the lab's simulation where the crawl left it. One
+/// measurement network backs both crawls: the general task continues
+/// the simulation (single consumer — it moves through a `Mutex`); no
+/// job reads it.
+struct DayCrawl {
+    crawl: CrawlResult,
+    snapshot: Snapshot,
+    sim: Mutex<Simulation>,
 }
 
 /// Collects the per-component flight-recorder streams of one traced run
@@ -144,21 +102,6 @@ impl TraceHub {
             .insert((rank, name.to_string()), tracer);
     }
 
-    /// Deposits the day-crawl simulation's stream.
-    pub fn set_day(&self, tracer: Tracer) {
-        self.set_stream(STREAM_RANK_DAY, "day", tracer);
-    }
-
-    /// Deposits the grid simulation's stream.
-    pub fn set_grid(&self, tracer: Tracer) {
-        self.set_stream(STREAM_RANK_GRID, "grid", tracer);
-    }
-
-    /// Deposits the model sweep's stream.
-    pub fn set_model(&self, tracer: Tracer) {
-        self.set_stream(STREAM_RANK_MODEL, "model", tracer);
-    }
-
     /// Snapshot of all deposited streams in ascending `(rank, name)`
     /// order — the cache layer persists these as task effects.
     pub fn streams(&self) -> Vec<(u32, String, Tracer)> {
@@ -193,46 +136,27 @@ impl TraceHub {
     }
 }
 
-/// Which shared inputs a job reads (used to decide what to precompute).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Needs {
+/// The shared input a job reads. No job reads two, so a reader's input
+/// is always its dependency 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Input {
+    /// Reads no shared input.
+    None,
     /// Static snapshot + census.
-    pub static_env: bool,
-    /// One-day crawl.
-    pub day: bool,
+    Static,
+    /// One-day crawl and its lab's snapshot.
+    Day,
     /// General (long) crawl.
-    pub general: bool,
+    General,
 }
 
-const STATIC_ONLY: Needs = Needs {
-    static_env: true,
-    day: false,
-    general: false,
-};
-const DAY_ONLY: Needs = Needs {
-    static_env: false,
-    day: true,
-    general: false,
-};
-const GENERAL_ONLY: Needs = Needs {
-    static_env: false,
-    day: false,
-    general: true,
-};
-const NOTHING: Needs = Needs {
-    static_env: false,
-    day: false,
-    general: false,
-};
-
 /// Everything a render job is allowed to see: the seeded configuration
-/// and the precomputed shared inputs. Jobs must derive all randomness
-/// from these — that is what makes the fan-out deterministic.
+/// and the output of the shared build its [`Input`] names. Jobs must
+/// derive all randomness from these — that is what makes the fan-out
+/// deterministic.
 pub struct JobCtx<'a> {
     /// The reproduction parameters.
     pub config: &'a ReproConfig,
-    /// The shared inputs computed for this run.
-    pub shared: &'a SharedInputs,
     /// Optional metrics registry (`repro --metrics`). Jobs that count
     /// internal work record into it; `None` costs nothing. Recording
     /// never changes artifact output — see the `bp-obs` crate docs.
@@ -241,16 +165,35 @@ pub struct JobCtx<'a> {
     /// deposit their event streams here; `None` records nothing.
     /// Recording never changes artifact output either.
     pub trace: Option<&'a TraceHub>,
+    task: &'a TaskCtx<'a>,
+}
+
+impl JobCtx<'_> {
+    /// The static snapshot and census ([`Input::Static`]).
+    pub fn static_env(&self) -> (&Snapshot, &PoolCensus) {
+        let (snapshot, census) = self.task.dep::<(Snapshot, PoolCensus)>(0);
+        (snapshot, census)
+    }
+
+    /// The one-day crawl and its lab's snapshot ([`Input::Day`]).
+    pub fn day(&self) -> (&CrawlResult, &Snapshot) {
+        let day = self.task.dep::<DayCrawl>(0);
+        (&day.crawl, &day.snapshot)
+    }
+
+    /// The general crawl ([`Input::General`]).
+    pub fn general(&self) -> &CrawlResult {
+        self.task.dep(0)
+    }
 }
 
 /// What a fan-out builder gets besides the graph: the owning job's
-/// index, the run's configuration and shared inputs, and the
-/// shared-build tasks the job's [`Needs`] resolve to.
+/// index, the run's configuration, and the shared-build task its
+/// [`Input`] resolves to (empty for [`Input::None`]).
 struct FanOut<'a> {
     job: usize,
     config: &'a ReproConfig,
-    shared: &'a SharedInputs,
-    shared_deps: Vec<usize>,
+    input: Vec<usize>,
 }
 
 /// How [`run_pipeline`] compiles a job into the task DAG.
@@ -262,77 +205,77 @@ enum Build {
     FanOut(for<'a> fn(&mut DagBuilder<'a>, FanOut<'a>) -> usize),
 }
 
-/// One artifact job: a stable id (matching [`ARTIFACT_IDS`](crate::ARTIFACT_IDS)), its
-/// declared shared-input needs, and how it compiles into the task DAG —
+/// One artifact job: a stable id (matching [`ARTIFACT_IDS`](crate::ARTIFACT_IDS)), the
+/// shared input it reads, and how it compiles into the task DAG —
 /// every job has exactly one path. A job may emit more than one artifact
 /// (`table8` also emits the CVE exposure table, `countermeasures` emits
 /// four artifacts, `ablations` three).
 pub struct JobSpec {
     /// Stable identifier, equal to the corresponding `ARTIFACT_IDS` entry.
     pub id: &'static str,
-    /// Shared inputs the job reads.
-    pub needs: Needs,
+    /// The shared input the job reads.
+    pub input: Input,
     build: Build,
 }
 
 fn job_table1(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![spatial::table1(ctx.shared.static_env().0)]
+    vec![spatial::table1(ctx.static_env().0)]
 }
 fn job_table2(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![spatial::table2(ctx.shared.static_env().0)]
+    vec![spatial::table2(ctx.static_env().0)]
 }
 fn job_table3(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![spatial::table3(ctx.shared.static_env().0)]
+    vec![spatial::table3(ctx.static_env().0)]
 }
 fn job_table4(ctx: &JobCtx) -> Vec<Artifact> {
-    let (snapshot, census) = ctx.shared.static_env();
+    let (snapshot, census) = ctx.static_env();
     vec![spatial::table4(snapshot, census)]
 }
 fn job_fig3(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![spatial::fig3(ctx.shared.static_env().0)]
+    vec![spatial::fig3(ctx.static_env().0)]
 }
 fn job_fig4(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![spatial::fig4(ctx.shared.static_env().0)]
+    vec![spatial::fig4(ctx.static_env().0)]
 }
 fn job_fig6_general(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::fig6(ctx.shared.general(), "general", None)]
+    vec![temporal::fig6(ctx.general(), "general", None)]
 }
 fn job_fig6_day(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::fig6(ctx.shared.day().0, "day", None)]
+    vec![temporal::fig6(ctx.day().0, "day", None)]
 }
 fn job_fig6_minute(ctx: &JobCtx) -> Vec<Artifact> {
     // Figure 6(c) zooms into the consensus pruning between two
     // successive blocks: a ~30-minute window of the 1-minute samples.
-    let crawl = ctx.shared.day().0;
+    let crawl = ctx.day().0;
     let len = crawl.series.len();
     let window = len.saturating_sub(30)..len;
     vec![temporal::fig6(crawl, "minute", Some(window))]
 }
 fn job_table5(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::table5(ctx.shared.day().0, 60)]
+    vec![temporal::table5(ctx.day().0, 60)]
 }
 fn job_fig7(ctx: &JobCtx) -> Vec<Artifact> {
     let mut tracer = ctx.trace.map(|_| Tracer::new());
     let artifact = temporal::fig7(ctx.metrics, tracer.as_mut());
     if let (Some(hub), Some(tracer)) = (ctx.trace, tracer) {
-        hub.set_grid(tracer);
+        hub.set_stream(STREAM_RANK_GRID, "grid", tracer);
     }
     vec![artifact]
 }
 fn job_table7(ctx: &JobCtx) -> Vec<Artifact> {
-    let (crawl, snapshot) = ctx.shared.day();
+    let (crawl, snapshot) = ctx.day();
     vec![combined::table7(crawl, snapshot)]
 }
 fn job_fig8(ctx: &JobCtx) -> Vec<Artifact> {
-    let (crawl, snapshot) = ctx.shared.day();
+    let (crawl, snapshot) = ctx.day();
     vec![combined::fig8(crawl, snapshot)]
 }
 fn job_table8(ctx: &JobCtx) -> Vec<Artifact> {
-    let snapshot = ctx.shared.static_env().0;
+    let snapshot = ctx.static_env().0;
     vec![logical::table8(snapshot), logical::cve_exposure(snapshot)]
 }
 fn job_implications(ctx: &JobCtx) -> Vec<Artifact> {
-    let (snapshot, census) = ctx.shared.static_env();
+    let (snapshot, census) = ctx.static_env();
     vec![combined::implications(snapshot, census)]
 }
 fn job_cascade(ctx: &JobCtx) -> Vec<Artifact> {
@@ -341,10 +284,10 @@ fn job_cascade(ctx: &JobCtx) -> Vec<Artifact> {
 }
 
 /// A [`JOBS`] row compiled to one render task.
-const fn render(id: &'static str, needs: Needs, f: fn(&JobCtx) -> Vec<Artifact>) -> JobSpec {
+const fn render(id: &'static str, input: Input, f: fn(&JobCtx) -> Vec<Artifact>) -> JobSpec {
     JobSpec {
         id,
-        needs,
+        input,
         build: Build::Render(f),
     }
 }
@@ -352,12 +295,12 @@ const fn render(id: &'static str, needs: Needs, f: fn(&JobCtx) -> Vec<Artifact>)
 /// A [`JOBS`] row compiled by its fan-out builder.
 const fn fan_out(
     id: &'static str,
-    needs: Needs,
+    input: Input,
     f: for<'a> fn(&mut DagBuilder<'a>, FanOut<'a>) -> usize,
 ) -> JobSpec {
     JobSpec {
         id,
-        needs,
+        input,
         build: Build::FanOut(f),
     }
 }
@@ -365,27 +308,27 @@ const fn fan_out(
 /// The full job table, in presentation order; [`ARTIFACT_IDS`](crate::ARTIFACT_IDS)
 /// is its id column.
 pub const JOBS: [JobSpec; 21] = [
-    render("table1", STATIC_ONLY, job_table1),
-    render("table2", STATIC_ONLY, job_table2),
-    render("table3", STATIC_ONLY, job_table3),
-    render("table4", STATIC_ONLY, job_table4),
-    render("fig3", STATIC_ONLY, job_fig3),
-    render("fig4", STATIC_ONLY, job_fig4),
-    render("fig6_general", GENERAL_ONLY, job_fig6_general),
-    render("fig6_day", DAY_ONLY, job_fig6_day),
-    render("fig6_minute", DAY_ONLY, job_fig6_minute),
-    render("table5", DAY_ONLY, job_table5),
-    fan_out("table6", NOTHING, push_table6),
-    render("fig7", NOTHING, job_fig7),
-    render("table7", DAY_ONLY, job_table7),
-    render("fig8", DAY_ONLY, job_fig8),
-    render("table8", STATIC_ONLY, job_table8),
-    render("implications", STATIC_ONLY, job_implications),
-    render("cascade", NOTHING, job_cascade),
-    fan_out("fifty_one", NOTHING, push_fifty_one),
-    fan_out("propagation", NOTHING, push_propagation),
-    fan_out("countermeasures", STATIC_ONLY, push_countermeasures),
-    fan_out("ablations", NOTHING, push_ablations),
+    render("table1", Input::Static, job_table1),
+    render("table2", Input::Static, job_table2),
+    render("table3", Input::Static, job_table3),
+    render("table4", Input::Static, job_table4),
+    render("fig3", Input::Static, job_fig3),
+    render("fig4", Input::Static, job_fig4),
+    render("fig6_general", Input::General, job_fig6_general),
+    render("fig6_day", Input::Day, job_fig6_day),
+    render("fig6_minute", Input::Day, job_fig6_minute),
+    render("table5", Input::Day, job_table5),
+    fan_out("table6", Input::None, push_table6),
+    render("fig7", Input::None, job_fig7),
+    render("table7", Input::Day, job_table7),
+    render("fig8", Input::Day, job_fig8),
+    render("table8", Input::Static, job_table8),
+    render("implications", Input::Static, job_implications),
+    render("cascade", Input::None, job_cascade),
+    fan_out("fifty_one", Input::None, push_fifty_one),
+    fan_out("propagation", Input::None, push_propagation),
+    fan_out("countermeasures", Input::Static, push_countermeasures),
+    fan_out("ablations", Input::None, push_ablations),
 ];
 
 /// Wall time and output sizes of one pipeline stage (a shared-input
@@ -602,7 +545,7 @@ fn shared_stage_timings(
 /// fine-grained task DAG executed on a single worker pool: the static
 /// build and the day crawl run as independent concurrent tasks, the
 /// general crawl runs on from where the day crawl stopped, jobs depend
-/// only on the specific shared inputs they declare, and the multi-run
+/// only on the shared input they read, and the multi-run
 /// jobs fan out one task per independently-seeded inner simulation.
 /// Scheduling never changes the output: the graph is the
 /// same for any worker count, every task derives all randomness from
@@ -642,14 +585,8 @@ pub fn run_pipeline(
 ) -> (Vec<Artifact>, RunReport) {
     let start = Instant::now();
     let selected = selected_jobs(ids);
-    let needs = selected.iter().fold(Needs::default(), |acc, job| Needs {
-        static_env: acc.static_env || job.needs.static_env,
-        day: acc.day || job.needs.day,
-        general: acc.general || job.needs.general,
-    });
     let workers = workers.max(1);
 
-    let shared = SharedInputs::default();
     // The graph is a pure function of (config, selection): the same
     // tasks, edges and ranks are built for any worker count, which is
     // what keeps the scheduler counters in `--metrics` byte-identical
@@ -660,14 +597,7 @@ pub fn run_pipeline(
         cells,
         shared_tasks,
         artifact_tasks,
-    } = build_dag(
-        config,
-        &selected,
-        &shared,
-        needs,
-        reg.is_some(),
-        hub.is_some(),
-    );
+    } = build_dag(config, &selected, reg.is_some(), hub.is_some());
 
     let plan = store.as_deref_mut().map(|s| {
         let infos: Vec<cache::TaskInfo> = dag
@@ -694,14 +624,16 @@ pub fn run_pipeline(
             .iter()
             .map(|t| match &t.decision {
                 Decision::Run => TaskAction::Run,
-                Decision::Replay { value, .. } => TaskAction::Substitute(Box::new(move |_| {
-                    value
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("a replayed task executes exactly once")
-                })),
-                Decision::ReplayEffects { .. } | Decision::SkipSilent => TaskAction::Skip,
+                Decision::Replay { value, .. } => {
+                    TaskAction::Substitute(Box::new(move |_| match value {
+                        Some(value) => value
+                            .lock()
+                            .unwrap()
+                            .take()
+                            .expect("a replayed task executes exactly once"),
+                        None => Box::new(()),
+                    }))
+                }
             })
             .collect(),
     };
@@ -743,10 +675,7 @@ pub fn run_pipeline(
                     }
                 }
             }
-            Some(Decision::Replay { effects, .. } | Decision::ReplayEffects { effects }) => {
-                effects.replay(reg, hub)
-            }
-            Some(Decision::SkipSilent) => {}
+            Some(Decision::Replay { effects, .. }) => effects.replay(reg, hub),
         }
     }
 
@@ -1001,12 +930,11 @@ struct DagParts<'a> {
 fn build_dag<'a>(
     config: &'a ReproConfig,
     selected: &[&'static JobSpec],
-    shared: &'a SharedInputs,
-    needs: Needs,
     metrics_on: bool,
     trace_on: bool,
 ) -> DagParts<'a> {
     let mut b = DagBuilder::new(metrics_on, trace_on);
+    let reads = |input| selected.iter().any(|job| job.input == input);
 
     // Shared inputs are volatile: live simulation state cannot be
     // persisted, but a crawl's metrics and the day trace *can* — a warm
@@ -1019,7 +947,7 @@ fn build_dag<'a>(
         let slice = cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
         CacheMeta::volatile(LV_SHARED, slice, true)
     };
-    let static_task = needs.static_env.then(|| {
+    let static_task = reads(Input::Static).then(|| {
         b.push(
             "static",
             None,
@@ -1028,17 +956,15 @@ fn build_dag<'a>(
             CacheMeta::volatile(LV_SHARED, scale_seed(config), false),
             move |_, _| {
                 let env = Scenario::new().scale(config.scale).seed(config.seed);
-                publish(&shared.static_env, env.build_static(), "static input");
-                Box::new(()) as TaskOutput
+                Box::new(env.build_static()) as TaskOutput
             },
         )
     });
-    // The day task runs whenever either crawl is needed: its simulation,
-    // handed on as the task output, is the one the general crawl
-    // continues (single consumer — it moves through a `Mutex`). The
-    // tracer leaves the simulation at the end of the day, so the trace
-    // covers the day crawl alone.
-    let day_task = (needs.day || needs.general).then(|| {
+    // The day task runs whenever either crawl is read: its simulation
+    // is the one the general crawl continues. The tracer leaves the
+    // simulation at the end of the day, so the trace covers the day
+    // crawl alone.
+    let day_task = (reads(Input::Day) || reads(Input::General)).then(|| {
         let meta = crawl_meta(config.day_hours);
         b.push("day_crawl", None, RANK_DAY, vec![], meta, move |_, obs| {
             let (crawl, mut lab) = day_crawl(config, obs.metrics, obs.trace.is_some());
@@ -1047,14 +973,17 @@ fn build_dag<'a>(
             }
             if let Some(hub) = obs.trace {
                 if let Some(tracer) = lab.sim.take_tracer() {
-                    hub.set_day(tracer);
+                    hub.set_stream(STREAM_RANK_DAY, "day", tracer);
                 }
             }
-            publish(&shared.day, (crawl, lab.snapshot), "day crawl");
-            Box::new(Mutex::new(lab.sim)) as TaskOutput
+            Box::new(DayCrawl {
+                crawl,
+                snapshot: lab.snapshot,
+                sim: Mutex::new(lab.sim),
+            }) as TaskOutput
         })
     });
-    let general_task = needs.general.then(|| {
+    let general_task = reads(Input::General).then(|| {
         let day = day_task.expect("the day crawl is scheduled with the general crawl");
         let meta = crawl_meta(config.general_hours());
         b.push(
@@ -1064,17 +993,16 @@ fn build_dag<'a>(
             vec![day],
             meta,
             move |ctx, obs| {
-                let mut sim = ctx
-                    .dep::<Mutex<Simulation>>(0)
+                let day = ctx.dep::<DayCrawl>(0);
+                let mut sim = day
+                    .sim
                     .lock()
                     .expect("the general crawl is the simulation's only user");
-                let (day, snapshot) = shared.day();
-                let crawl = general_crawl(config, day, &mut sim, snapshot, obs.metrics);
+                let crawl = general_crawl(config, &day.crawl, &mut sim, &day.snapshot, obs.metrics);
                 if let Some(reg) = obs.metrics {
                     sim.export_metrics(reg, "net.general");
                 }
-                publish(&shared.general, crawl, "general crawl");
-                Box::new(()) as TaskOutput
+                Box::new(crawl) as TaskOutput
             },
         )
     });
@@ -1086,18 +1014,15 @@ fn build_dag<'a>(
     .into_iter()
     .filter_map(|(id, idx)| Some((id, idx?)))
     .collect();
-    let deps_for = |needs: Needs| -> Vec<usize> {
-        let mut deps = Vec::new();
-        if needs.static_env {
-            deps.push(static_task.expect("static build scheduled"));
+    let input_deps = |input| -> Vec<usize> {
+        match input {
+            Input::None => None,
+            Input::Static => static_task,
+            Input::Day => day_task,
+            Input::General => general_task,
         }
-        if needs.day {
-            deps.push(day_task.expect("day crawl scheduled"));
-        }
-        if needs.general {
-            deps.push(general_task.expect("general crawl scheduled"));
-        }
-        deps
+        .into_iter()
+        .collect()
     };
 
     let mut artifact_tasks = Vec::with_capacity(selected.len());
@@ -1108,8 +1033,7 @@ fn build_dag<'a>(
                 FanOut {
                     job: j,
                     config,
-                    shared,
-                    shared_deps: deps_for(job.needs),
+                    input: input_deps(job.input),
                 },
             ),
             Build::Render(render) => {
@@ -1126,14 +1050,14 @@ fn build_dag<'a>(
                     job.id,
                     Some(j),
                     simple_rank(job.id),
-                    deps_for(job.needs),
+                    input_deps(job.input),
                     meta,
-                    move |_, obs| {
+                    move |task, obs| {
                         let ctx = JobCtx {
                             config,
-                            shared,
                             metrics: obs.metrics,
                             trace: obs.trace,
+                            task,
                         };
                         Box::new(render(&ctx)) as TaskOutput
                     },
@@ -1232,8 +1156,7 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let FanOut {
         job: j,
         config,
-        shared,
-        shared_deps,
+        input,
     } = fan;
     let mut deps = Vec::new();
     for &threshold in defense::BLOCKAWARE_SWEEP_THRESHOLDS.iter() {
@@ -1258,9 +1181,12 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         "countermeasures/purging",
         Some(j),
         RANK_SIMPLE,
-        shared_deps,
+        input,
         CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
-        move |_, _| Box::new(defense::route_purging(shared.static_env().0)) as TaskOutput,
+        |ctx, _| {
+            let (snapshot, _) = ctx.dep::<(Snapshot, PoolCensus)>(0);
+            Box::new(defense::route_purging(snapshot)) as TaskOutput
+        },
     ));
     // A long enough window that (a) post-capture staleness alarms
     // fire — at 30 % hash the counterfeit inter-block gap averages
@@ -1360,7 +1286,7 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
                 }
             }
             if let Some(hub) = obs.trace {
-                hub.set_model(merged);
+                hub.set_stream(STREAM_RANK_MODEL, "model", merged);
             }
             Box::new(vec![temporal::table6_from_rows(&grid)]) as TaskOutput
         },
@@ -1450,21 +1376,21 @@ mod tests {
             scale: 0.02,
             ..ReproConfig::quick()
         };
-        let shared = SharedInputs::default();
-        let needs = Needs {
-            static_env: true,
-            day: false,
-            general: false,
-        };
+        let selected = selected_jobs(&["table1".to_string()]);
         let DagParts {
-            dag, shared_tasks, ..
-        } = build_dag(&config, &[], &shared, needs, false, false);
-        dag.execute(1);
-        assert!(shared.static_env.get().is_some());
-        assert!(shared.day.get().is_none());
-        assert!(shared.general.get().is_none());
-        assert_eq!(shared_tasks.len(), 1);
-        assert_eq!(shared_tasks[0].0, "static");
+            dag,
+            shared_tasks,
+            artifact_tasks,
+            ..
+        } = build_dag(&config, &selected, false, false);
+        // Only the static build is scheduled, and table1 reads it.
+        assert_eq!(shared_tasks, [("static", 0)]);
+        assert_eq!(artifact_tasks, [1]);
+        assert_eq!(dag.tasks()[1].deps, [0]);
+        let run = dag.execute(1);
+        assert_eq!(run.outputs.len(), 2);
+        assert!(run.outputs[0].is::<(Snapshot, PoolCensus)>());
+        assert!(run.outputs[1].is::<Vec<Artifact>>());
     }
 
     #[test]
@@ -1543,9 +1469,9 @@ mod tests {
         let kinds =
             |hub: &TraceHub| -> Vec<_> { hub.merged().records().iter().map(|r| r.kind).collect() };
         let hub = TraceHub::new();
-        hub.set_model(stream(ModelBisect, 2));
-        hub.set_day(stream(Mine, 3));
-        hub.set_grid(stream(GridMine, 1));
+        hub.set_stream(STREAM_RANK_MODEL, "model", stream(ModelBisect, 2));
+        hub.set_stream(STREAM_RANK_DAY, "day", stream(Mine, 3));
+        hub.set_stream(STREAM_RANK_GRID, "grid", stream(GridMine, 1));
         let merged = kinds(&hub);
         assert_eq!(
             merged,
@@ -1554,7 +1480,7 @@ mod tests {
         // The hub keeps its streams, so merging again gives the same trace.
         assert_eq!(kinds(&hub), merged);
         // Re-depositing a key replaces its stream: the last deposit wins.
-        hub.set_day(stream(Mine, 1));
+        hub.set_stream(STREAM_RANK_DAY, "day", stream(Mine, 1));
         assert_eq!(kinds(&hub), [Mine, GridMine, ModelBisect, ModelBisect]);
     }
 }

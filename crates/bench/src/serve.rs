@@ -37,15 +37,13 @@ pub const BENCH_QUERIES: usize = 10_000;
 /// identical inputs. No query reads the general crawl, so it is not
 /// built.
 pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
-    let substrate = Substrate::new();
-    substrate.set_static(
-        btcpart::Scenario::new()
-            .scale(config.scale)
-            .seed(config.seed)
-            .build_static(),
-    );
-    substrate.set_day(crate::day_crawl(config, None, false));
-    Arc::new(substrate)
+    let env = btcpart::Scenario::new()
+        .scale(config.scale)
+        .seed(config.seed);
+    Arc::new(Substrate::new(
+        env.build_static(),
+        Some(crate::day_crawl(config, None, false)),
+    ))
 }
 
 /// The serve-query cache-key function for `config`: the artifact-cache

@@ -22,8 +22,8 @@
 use bp_detect::score::{roc_rows, ROC_HEADER};
 use bp_detect::{attack_windows, score_detectors, DetectConfig, DetectEngine, StreamState};
 use bp_obs::trace::{
-    decode_records, filter_records, first_divergence, summary, timeline, timeline_csv,
-    TraceCategory, TraceFilter, TraceKind, TraceRecord,
+    decode_records, filter_records, first_divergence, summary, TraceCategory, TraceFilter,
+    TraceKind, TraceRecord,
 };
 
 /// Result of one `trace` invocation: what to print and the process exit
@@ -154,7 +154,7 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
             if by_as {
                 return Ok(Outcome::ok(by_as_csv(&records)));
             }
-            let csv = timeline_csv(&timeline(&records));
+            let csv = timeline_csv(&records);
             match check {
                 None => Ok(Outcome::ok(csv)),
                 Some(reference_path) => {
@@ -215,6 +215,25 @@ pub fn run(args: &[String]) -> Result<Outcome, String> {
     }
 }
 
+/// The crawler's block-lag series rebuilt from a trace: one row per
+/// `crawl_sample` record with the lag-band counts [`StreamState`] holds
+/// at that tick, in the header and row shape of the published `fig6_*`
+/// series.
+pub fn timeline_csv(records: &[TraceRecord]) -> String {
+    let mut state = StreamState::new();
+    let mut out = String::from("t_secs,synced,one_behind,two_to_four,five_to_ten,ten_plus\n");
+    for r in records {
+        if let Some(tick) = state.consume(r) {
+            let [synced, one, two_to_four, five_to_ten, ten_plus] = state.lag_counts();
+            out.push_str(&format!(
+                "{},{synced},{one},{two_to_four},{five_to_ten},{ten_plus}\n",
+                tick.t_ms / 1000
+            ));
+        }
+    }
+    out
+}
+
 /// The per-AS sync breakdown: one row per (tick, populated AS slot),
 /// with the slot's synced count against the tick's global total. Dark
 /// slots — populated ASes contributing zero synced nodes — keep their
@@ -224,12 +243,6 @@ fn by_as_csv(records: &[TraceRecord]) -> String {
     let mut state = StreamState::new();
     let mut out = String::from("t_secs,asn,synced,total_synced,share_permille\n");
     for r in records {
-        if matches!(
-            r.kind.category(),
-            TraceCategory::Attack | TraceCategory::Detect
-        ) {
-            continue;
-        }
         if let Some(tick) = state.consume(r) {
             let total: u64 = state.as_synced().iter().sum();
             for (slot, &synced) in state.as_synced().iter().enumerate() {

@@ -3,10 +3,9 @@
 //! [`DetectEngine`] pairs a [`StreamState`] with a detector suite and
 //! runs the suite once per crawler tick, stamping each firing into an
 //! alert [`Tracer`]. It consumes exactly the net/crawler portion of a
-//! trace — attack-category records live in a different time domain and
-//! detect-category records are the engine's own output, so both are
-//! skipped, which makes replaying a trace that already carries alerts
-//! idempotent: the recomputed alert stream is byte-identical.
+//! trace — the state skips attack- and detect-category records, which
+//! makes replaying a trace that already carries alerts idempotent: the
+//! recomputed alert stream is byte-identical.
 //!
 //! `repro --detect` feeds the engine the run's merged trace once the
 //! pipeline has finished, and `trace detect` feeds it an exported
@@ -15,7 +14,7 @@
 
 use crate::detector::{standard_suite, DetectConfig, Detector};
 use crate::observe::{StreamState, Tick};
-use bp_obs::trace::{TraceCategory, TraceRecord, Tracer};
+use bp_obs::trace::{TraceRecord, Tracer};
 use bp_obs::Registry;
 use std::fmt::Write as _;
 
@@ -61,10 +60,6 @@ impl DetectEngine {
 
     /// Consumes one record; detectors run when it is a sample tick.
     pub fn feed(&mut self, r: &TraceRecord) {
-        match r.kind.category() {
-            TraceCategory::Attack | TraceCategory::Detect => return,
-            TraceCategory::Net | TraceCategory::Crawler => {}
-        }
         if let Some(tick) = self.state.consume(r) {
             self.run_suite(&tick);
         }

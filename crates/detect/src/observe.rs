@@ -1,18 +1,23 @@
 //! Rolling-window observables reconstructed from the record stream.
 //!
-//! [`StreamState`] replays net/crawler records the same way
-//! `bp_obs::trace::timeline` does — per-node tip heights, the network
-//! best from `Mine` records — and additionally keeps per-node last-accept
-//! times, the node→AS slot join from `node_as` records, and window
-//! accumulators (invs, getdatas, mines, reorg depth) that are cut on
-//! every `crawl_sample` record. Detectors are evaluated once per such
-//! [`Tick`], the crawler's own cadence, and never see raw
-//! `partition_apply` / `partition_heal` ground truth: those records are
-//! deliberately not part of the state, so detectors can only infer a
-//! partition from its symptoms.
+//! [`StreamState`] replays net/crawler records into per-node tip
+//! heights and the network best from `Mine` records — the crawler's
+//! block-lag bands at each tick, which `trace timeline` prints. It also
+//! keeps per-node last-accept times, the node→AS slot join from
+//! `node_as` records, and window accumulators (invs, getdatas, mines,
+//! reorg depth) that are cut on every `crawl_sample` record. Detectors
+//! are evaluated once per such [`Tick`], the crawler's own cadence, and
+//! never see raw `partition_apply` / `partition_heal` ground truth:
+//! those records are deliberately not part of the state, so detectors
+//! can only infer a partition from its symptoms.
+//!
+//! Attack-category records live in a different time domain, and
+//! detect-category records are a detection run's own output; the state
+//! skips both, so replaying a trace that already carries alerts
+//! observes exactly what the first pass did.
 
 use bp_attacks::countermeasures::blockaware_stale;
-use bp_obs::trace::{TraceKind, TraceRecord};
+use bp_obs::trace::{TraceCategory, TraceKind, TraceRecord};
 use std::collections::BTreeMap;
 
 /// Marks "never" in per-node last-accept times.
@@ -81,10 +86,16 @@ impl StreamState {
         Self::default()
     }
 
-    /// Consumes one net/crawler record; returns the cut observables when
-    /// the record is a sample tick. Attack- and detect-category records
-    /// must be filtered out by the caller (the engine does).
+    /// Consumes one record; returns the cut observables when the record
+    /// is a sample tick. Attack- and detect-category records are skipped
+    /// and not counted.
     pub fn consume(&mut self, r: &TraceRecord) -> Option<Tick> {
+        if matches!(
+            r.kind.category(),
+            TraceCategory::Attack | TraceCategory::Detect
+        ) {
+            return None;
+        }
         self.records += 1;
         match r.kind {
             TraceKind::Mine => {
@@ -319,6 +330,35 @@ mod tests {
         assert_eq!(tick.seq, 1);
         assert_eq!(tick.mine_count, 0);
         assert_eq!(tick.inv_count, 0);
+    }
+
+    #[test]
+    fn timeline_reconstructs_lag_classes() {
+        // Two nodes; node 0 accepts height 1, node 1 stays at 0 while the
+        // network advances to height 3 → node 0 lags 2 (class 2), node 1
+        // lags 3 (class 2).
+        let mut s = StreamState::new();
+        s.consume(&rec(100, 0, TraceKind::Mine, 1, 1));
+        s.consume(&rec(150, 0, TraceKind::BlockAccept, 1, 1));
+        s.consume(&rec(200, 0, TraceKind::Mine, 2, 3));
+        let tick = s
+            .consume(&rec(60_000, 2, TraceKind::CrawlSample, 0, 3))
+            .unwrap();
+        assert_eq!(tick.t_ms, 60_000);
+        assert_eq!(tick.best, 3);
+        assert_eq!(s.lag_counts(), [0, 0, 2, 0, 0]);
+    }
+
+    #[test]
+    fn timeline_ignores_attack_records() {
+        let mut s = StreamState::new();
+        assert!(s.consume(&rec(5, 1, TraceKind::GridMine, 40, 5)).is_none());
+        let tick = s
+            .consume(&rec(1000, 1, TraceKind::CrawlSample, 1, 0))
+            .unwrap();
+        assert_eq!(tick.best, 0);
+        assert_eq!(s.lag_counts(), [1, 0, 0, 0, 0]);
+        assert_eq!(s.records(), 1);
     }
 
     #[test]

@@ -294,25 +294,7 @@ impl Registry {
     ///
     /// Panics if an existing histogram under `name` has different bounds.
     pub fn merge_histogram(&self, name: &str, hist: &Histogram) {
-        self.with_inner(|i| match i.histograms.get_mut(name) {
-            None => {
-                i.histograms.insert(name.to_string(), hist.clone());
-            }
-            Some(existing) => {
-                assert_eq!(
-                    existing.bounds(),
-                    hist.bounds(),
-                    "histogram {name} merged with different bounds"
-                );
-                for (c, add) in existing.counts.iter_mut().zip(&hist.counts) {
-                    *c += add;
-                }
-                existing.overflow += hist.overflow;
-                existing.total += hist.total;
-                existing.sum += hist.sum;
-                existing.max = existing.max.max(hist.max);
-            }
-        });
+        self.with_inner(|i| merge_histogram_into(&mut i.histograms, name, hist));
     }
 
     /// Starts a wall-clock span; the elapsed time is recorded under
@@ -380,25 +362,7 @@ impl Registry {
                 }
             }
             for (name, hist) in &snap.histograms {
-                match i.histograms.get_mut(name) {
-                    None => {
-                        i.histograms.insert(name.clone(), hist.clone());
-                    }
-                    Some(existing) => {
-                        assert_eq!(
-                            existing.bounds(),
-                            hist.bounds(),
-                            "histogram {name} merged with different bounds"
-                        );
-                        for (c, add) in existing.counts.iter_mut().zip(&hist.counts) {
-                            *c += add;
-                        }
-                        existing.overflow += hist.overflow;
-                        existing.total += hist.total;
-                        existing.sum += hist.sum;
-                        existing.max = existing.max.max(hist.max);
-                    }
-                }
+                merge_histogram_into(&mut i.histograms, name, hist);
             }
             for (name, stats) in &snap.spans {
                 let s = i.spans.entry(name.clone()).or_default();
@@ -406,6 +370,38 @@ impl Registry {
                 s.total += stats.total;
             }
         });
+    }
+}
+
+/// Bucket-wise sum of `hist` into `histograms[name]`, inserting it when
+/// absent.
+///
+/// # Panics
+///
+/// Panics if the existing histogram under `name` has different bounds.
+fn merge_histogram_into(
+    histograms: &mut BTreeMap<String, Histogram>,
+    name: &str,
+    hist: &Histogram,
+) {
+    match histograms.get_mut(name) {
+        None => {
+            histograms.insert(name.to_string(), hist.clone());
+        }
+        Some(existing) => {
+            assert_eq!(
+                existing.bounds(),
+                hist.bounds(),
+                "histogram {name} merged with different bounds"
+            );
+            for (c, add) in existing.counts.iter_mut().zip(&hist.counts) {
+                *c += add;
+            }
+            existing.overflow += hist.overflow;
+            existing.total += hist.total;
+            existing.sum += hist.sum;
+            existing.max = existing.max.max(hist.max);
+        }
     }
 }
 

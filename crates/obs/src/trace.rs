@@ -3,9 +3,9 @@
 //! While the [`Registry`] answers "how many", the flight
 //! recorder answers "in what order": it captures a compact, fixed-width
 //! stream of simulation events (mining, relay, reorgs, partitions, crawler
-//! samples, attack-grid steps) that can be dumped, filtered, diffed for the
-//! first divergence between two runs, and replayed into per-node timeline
-//! series.
+//! samples, attack-grid steps) that can be dumped, filtered, and diffed
+//! for the first divergence between two runs; `bp_detect::StreamState`
+//! replays it into per-node state (the `trace timeline` series).
 //!
 //! The recorder obeys the same determinism contract as the metrics layer:
 //!
@@ -741,94 +741,6 @@ pub fn summary(records: &[TraceRecord]) -> String {
     out
 }
 
-/// One reconstructed crawler sample: lag-class counts at a sample tick.
-///
-/// Bucket boundaries mirror the crawler's `LagClass`: synced (lag 0), one
-/// behind, 2–4, 5–10, and 11+.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Sample time in simulated milliseconds.
-    pub t_ms: u64,
-    /// Network best height at the sample.
-    pub network_best: u64,
-    /// Nodes per lag class: `[synced, one_behind, two_to_four, five_to_ten, ten_plus]`.
-    pub lag_counts: [u64; 5],
-}
-
-/// Replays a trace into per-node tip heights and reconstructs the crawler's
-/// block-lag series from `BlockAccept` / `Mine` / `CrawlSample` records
-/// alone.
-///
-/// Net records carry enough state to maintain each node's best height
-/// (`BlockAccept.b`) and the network best (max of `Mine.b`); every
-/// `CrawlSample` record then yields one [`TimelinePoint`] by classifying
-/// `network_best - height` for all `CrawlSample.node` nodes (nodes that
-/// never accepted a block sit at height 0, like freshly seeded views).
-/// Attack-category records are ignored — their time domain is unrelated.
-pub fn timeline(records: &[TraceRecord]) -> Vec<TimelinePoint> {
-    let mut heights: Vec<u64> = Vec::new();
-    let mut network_best = 0u64;
-    let mut points = Vec::new();
-    for r in records {
-        match r.kind {
-            TraceKind::Mine => {
-                network_best = network_best.max(r.b);
-            }
-            TraceKind::BlockAccept => {
-                let idx = r.node as usize;
-                if idx >= heights.len() {
-                    heights.resize(idx + 1, 0);
-                }
-                heights[idx] = r.b;
-            }
-            TraceKind::CrawlSample => {
-                let total = r.node as usize;
-                if total > heights.len() {
-                    heights.resize(total, 0);
-                }
-                let mut counts = [0u64; 5];
-                for &h in heights.iter().take(total) {
-                    let lag = network_best.saturating_sub(h);
-                    let class = match lag {
-                        0 => 0,
-                        1 => 1,
-                        2..=4 => 2,
-                        5..=10 => 3,
-                        _ => 4,
-                    };
-                    counts[class] += 1;
-                }
-                points.push(TimelinePoint {
-                    t_ms: r.time,
-                    network_best,
-                    lag_counts: counts,
-                });
-            }
-            _ => {}
-        }
-    }
-    points
-}
-
-/// Renders timeline points as CSV with the same header and row shape as
-/// the crawler's published `fig6_*` series.
-pub fn timeline_csv(points: &[TimelinePoint]) -> String {
-    let mut out = String::from("t_secs,synced,one_behind,two_to_four,five_to_ten,ten_plus\n");
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{}",
-            p.t_ms / 1000,
-            p.lag_counts[0],
-            p.lag_counts[1],
-            p.lag_counts[2],
-            p.lag_counts[3],
-            p.lag_counts[4]
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,76 +971,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("{\"seq\":0,\"t\":1000,\"cat\":\"net\",\"kind\":\"mine\""));
         assert!(lines[3].contains("\"cat\":\"crawler\""));
-    }
-
-    #[test]
-    fn timeline_reconstructs_lag_classes() {
-        // Two nodes; node 0 accepts height 1, node 1 stays at 0 while the
-        // network advances to height 3 → node 0 lags 2 (class 2), node 1
-        // lags 3 (class 2).
-        let records = vec![
-            TraceRecord {
-                time: 100,
-                node: 0,
-                kind: TraceKind::Mine,
-                a: 1,
-                b: 1,
-            },
-            TraceRecord {
-                time: 150,
-                node: 0,
-                kind: TraceKind::BlockAccept,
-                a: 1,
-                b: 1,
-            },
-            TraceRecord {
-                time: 200,
-                node: 0,
-                kind: TraceKind::Mine,
-                a: 2,
-                b: 3,
-            },
-            TraceRecord {
-                time: 60_000,
-                node: 2,
-                kind: TraceKind::CrawlSample,
-                a: 0,
-                b: 3,
-            },
-        ];
-        let points = timeline(&records);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].t_ms, 60_000);
-        assert_eq!(points[0].network_best, 3);
-        assert_eq!(points[0].lag_counts, [0, 0, 2, 0, 0]);
-        let csv = timeline_csv(&points);
-        assert_eq!(
-            csv,
-            "t_secs,synced,one_behind,two_to_four,five_to_ten,ten_plus\n60,0,0,2,0,0\n"
-        );
-    }
-
-    #[test]
-    fn timeline_ignores_attack_records() {
-        let records = vec![
-            TraceRecord {
-                time: 5,
-                node: 1,
-                kind: TraceKind::GridMine,
-                a: 40,
-                b: 5,
-            },
-            TraceRecord {
-                time: 1000,
-                node: 1,
-                kind: TraceKind::CrawlSample,
-                a: 1,
-                b: 0,
-            },
-        ];
-        let points = timeline(&records);
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].network_best, 0);
-        assert_eq!(points[0].lag_counts, [1, 0, 0, 0, 0]);
     }
 }

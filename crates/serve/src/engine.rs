@@ -219,7 +219,8 @@ impl QueryEngine {
             cold.push(i);
         }
 
-        // Phase 2: distinct cold queries fan out over scoped workers.
+        // Phase 2: distinct cold queries fan out over the calling thread
+        // and scoped helpers.
         let unique: Vec<(u128, &Query)> = cold_keys
             .iter()
             .map(|&key| {
@@ -232,27 +233,25 @@ impl QueryEngine {
             .collect();
         let slots: Vec<OnceLock<Arc<Vec<u8>>>> =
             (0..unique.len()).map(|_| OnceLock::new()).collect();
-        let workers = self.workers.min(unique.len());
-        if workers <= 1 {
-            for ((_, query), slot) in unique.iter().zip(&slots) {
-                slot.set(Arc::new(self.eval(query))).expect("slot set once");
+        let claim = AtomicUsize::new(0);
+        let claim_loop = || loop {
+            let at = claim.fetch_add(1, Ordering::Relaxed);
+            let Some((_, query)) = unique.get(at) else {
+                break;
+            };
+            slots[at]
+                .set(Arc::new(self.eval(query)))
+                .expect("slot set once");
+        };
+        // The calling thread claims too, so one worker spawns no thread,
+        // and neither does a batch with no cold keys.
+        let helpers = self.workers.min(unique.len()).saturating_sub(1);
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(claim_loop);
             }
-        } else {
-            let claim = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let at = claim.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, query)) = unique.get(at) else {
-                            break;
-                        };
-                        slots[at]
-                            .set(Arc::new(self.eval(query)))
-                            .expect("slot set once");
-                    });
-                }
-            });
-        }
+            claim_loop();
+        });
 
         // Phase 3: publish in ascending key-discovery order (fixed for a
         // given batch, independent of which worker computed what).
@@ -388,8 +387,10 @@ mod tests {
     use std::collections::HashMap;
 
     fn test_substrate() -> Arc<Substrate> {
-        let substrate = Substrate::new();
-        substrate.set_static(Scenario::new().scale(0.05).seed(20_180_228).build_static());
+        let substrate = Substrate::new(
+            Scenario::new().scale(0.05).seed(20_180_228).build_static(),
+            None,
+        );
         Arc::new(substrate)
     }
 

@@ -6,8 +6,8 @@
 //! false-alarm rate at this λ?" (§VI), "how long must the temporal
 //! attacker sustain an isolation of these targets?" (§V-B) — used to
 //! cost a full pipeline run. This crate is the serving edge: the
-//! expensive substrate (snapshot, census, day crawl) loads exactly once
-//! behind write-once cells ([`Substrate`]), and parameterized queries
+//! expensive substrate (snapshot, census, day crawl) is built exactly
+//! once ([`Substrate`]), and parameterized queries
 //! ([`Query`]) are answered from a sharded generation-stamped memo table
 //! ([`memo::MemoTable`]) with cold misses fanned out across scoped
 //! worker threads ([`QueryEngine`]).
@@ -25,8 +25,7 @@
 //! use btcpart::Scenario;
 //! use std::sync::Arc;
 //!
-//! let substrate = Substrate::new();
-//! substrate.set_static(Scenario::new().scale(0.02).build_static());
+//! let substrate = Substrate::new(Scenario::new().scale(0.02).build_static(), None);
 //! let engine = QueryEngine::new(Arc::new(substrate), EngineOptions::default());
 //! let hot = engine.execute(&Query::PartitionCost { target_as: 24940 });
 //! assert_eq!(*engine.execute(&Query::PartitionCost { target_as: 24940 }), *hot);

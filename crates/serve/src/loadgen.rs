@@ -359,8 +359,10 @@ mod tests {
 
     #[test]
     fn drive_replays_byte_identically() {
-        let substrate = Substrate::new();
-        substrate.set_static(Scenario::new().scale(0.05).seed(20_180_228).build_static());
+        let substrate = Substrate::new(
+            Scenario::new().scale(0.05).seed(20_180_228).build_static(),
+            None,
+        );
         let substrate = Arc::new(substrate);
         let cfg = ScriptConfig {
             seed: 5,

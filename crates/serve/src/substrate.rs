@@ -1,95 +1,54 @@
-//! The write-once substrate the query engine serves from.
+//! The substrate the query engine serves from.
 //!
 //! A server pays the expensive pipeline inputs — calibrated snapshot,
 //! pool census, the day crawl and its simulation — exactly once, then
 //! every query borrows them immutably. No query reads the general crawl,
-//! so the substrate does not hold one. Each part lives behind a
-//! [`OnceLock`] cell: publishing twice is a bug (panics), and queries
-//! that reach an unbuilt part fail loudly instead of silently rebuilding
-//! it, mirroring the bench pipeline's `SharedInputs` discipline.
+//! so the substrate does not hold one. A substrate is built whole; one
+//! built without the day crawl serves the static queries, and a query
+//! that reaches the missing day fails loudly instead of silently
+//! building it.
 
 use bp_crawler::CrawlResult;
 use bp_mining::PoolCensus;
 use bp_net::Simulation;
 use bp_topology::Snapshot;
 use btcpart::Lab;
-use std::sync::OnceLock;
 
 /// The loaded substrate: static environment plus the day crawl.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Substrate {
-    static_env: OnceLock<(Snapshot, PoolCensus)>,
-    day: OnceLock<(CrawlResult, Lab)>,
+    static_env: (Snapshot, PoolCensus),
+    day: Option<(CrawlResult, Lab)>,
 }
 
 impl Substrate {
-    /// An empty substrate; publish parts with the `set_*` methods.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes the static environment (snapshot + census).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static environment was already published.
-    pub fn set_static(&self, value: (Snapshot, PoolCensus)) {
-        assert!(
-            self.static_env.set(value).is_ok(),
-            "static environment built twice"
-        );
-    }
-
-    /// Publishes the one-day, minute-sampled crawl and its lab.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the day crawl was already published.
-    pub fn set_day(&self, value: (CrawlResult, Lab)) {
-        assert!(self.day.set(value).is_ok(), "day crawl built twice");
-    }
-
-    /// Whether the static environment has been published.
-    pub fn has_static(&self) -> bool {
-        self.static_env.get().is_some()
-    }
-
-    /// Whether the day crawl has been published.
-    pub fn has_day(&self) -> bool {
-        self.day.get().is_some()
+    /// A substrate over the static environment (snapshot + census) and,
+    /// when given, the one-day, minute-sampled crawl and its lab.
+    pub fn new(static_env: (Snapshot, PoolCensus), day: Option<(CrawlResult, Lab)>) -> Self {
+        Self { static_env, day }
     }
 
     /// The calibrated snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static environment is not loaded.
     pub fn snapshot(&self) -> &Snapshot {
-        &self.static_part().0
+        &self.static_env.0
     }
 
     /// The Table IV pool census.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static environment is not loaded.
     pub fn census(&self) -> &PoolCensus {
-        &self.static_part().1
+        &self.static_env.1
     }
 
-    fn static_part(&self) -> &(Snapshot, PoolCensus) {
-        self.static_env
-            .get()
-            .expect("query requires the static environment")
+    fn day(&self) -> &(CrawlResult, Lab) {
+        self.day.as_ref().expect("query requires the day crawl")
     }
 
     /// The day crawl result (per-node lag matrix and series).
     ///
     /// # Panics
     ///
-    /// Panics if the day crawl is not loaded.
+    /// Panics if the substrate was built without the day crawl.
     pub fn day_crawl(&self) -> &CrawlResult {
-        &self.day.get().expect("query requires the day crawl").0
+        &self.day().0
     }
 
     /// The simulation state left behind by the day crawl — the peer
@@ -97,9 +56,9 @@ impl Substrate {
     ///
     /// # Panics
     ///
-    /// Panics if the day crawl is not loaded.
+    /// Panics if the substrate was built without the day crawl.
     pub fn day_sim(&self) -> &Simulation {
-        &self.day.get().expect("query requires the day crawl").1.sim
+        &self.day().1.sim
     }
 }
 
@@ -110,27 +69,15 @@ mod tests {
 
     #[test]
     fn parts_publish_once_and_read_back() {
-        let sub = Substrate::new();
-        assert!(!sub.has_static());
-        sub.set_static(Scenario::new().scale(0.02).build_static());
-        assert!(sub.has_static());
+        let sub = Substrate::new(Scenario::new().scale(0.02).build_static(), None);
         assert!(sub.snapshot().node_count() > 0);
         assert!(!sub.census().is_empty());
-        assert!(!sub.has_day());
-    }
-
-    #[test]
-    #[should_panic(expected = "built twice")]
-    fn double_publish_panics() {
-        let sub = Substrate::new();
-        sub.set_static(Scenario::new().scale(0.02).build_static());
-        sub.set_static(Scenario::new().scale(0.02).build_static());
     }
 
     #[test]
     #[should_panic(expected = "requires the day crawl")]
     fn missing_part_fails_loudly() {
-        let sub = Substrate::new();
+        let sub = Substrate::new(Scenario::new().scale(0.02).build_static(), None);
         let _ = sub.day_crawl();
     }
 }

@@ -287,8 +287,10 @@ mod tests {
     use btcpart::Scenario;
 
     fn test_engine() -> Arc<QueryEngine> {
-        let substrate = Substrate::new();
-        substrate.set_static(Scenario::new().scale(0.05).seed(20_180_228).build_static());
+        let substrate = Substrate::new(
+            Scenario::new().scale(0.05).seed(20_180_228).build_static(),
+            None,
+        );
         Arc::new(QueryEngine::new(
             Arc::new(substrate),
             EngineOptions::default(),

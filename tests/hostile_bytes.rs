@@ -7,7 +7,7 @@
 //! A panic, or an allocation abort, fails the test.
 
 use bp_bench::cache::{fnv128, ArtifactStore, Envelope, Key, ObsEffects, STORE_SCHEMA};
-use bp_bench::pipeline::TraceHub;
+use bp_bench::pipeline::{TraceHub, STREAM_RANK_DAY};
 use bp_serve::wire::{decode_request, decode_response, encode_request, encode_response};
 use bp_serve::Query;
 use btcpart::attacks::countermeasures::BlockAwareTradeoff;
@@ -75,7 +75,7 @@ fn sample_envelope() -> Vec<u8> {
     for i in 0..3 {
         tracer.record(TraceKind::Mine, i, 0, i, i + 1);
     }
-    hub.set_day(tracer);
+    hub.set_stream(STREAM_RANK_DAY, "day", tracer);
     Envelope {
         payload: Some(b"payload".to_vec()),
         effects: ObsEffects::capture(&reg, &hub),

@@ -3,12 +3,15 @@
 //! one worker (row A of the golden matrix, `tests/common/mod.rs`) or
 //! many (row B), in presentation order, and a subset selection (row D)
 //! produces exactly the full run's CSVs while building only the shared
-//! inputs it needs.
+//! inputs it needs. A job that reads a shared input prints the full
+//! run's text when selected alone, too.
 
 mod common;
 
+use bp_bench::cli::parse_args;
+use bp_bench::pipeline::run_pipeline;
 use bp_bench::ARTIFACT_IDS;
-use common::{assert_golden, assert_rows_golden_where, json_str, read, row};
+use common::{assert_golden, assert_rows_golden_where, json_str, read, row, PIPELINE};
 use std::path::Path;
 
 /// The shared stages a pipeline run in `dir` built, in build order.
@@ -87,4 +90,28 @@ fn general_only_selection_runs_the_day_crawl_first() {
         &[("csv/fig6_general.csv".to_string(), csv)],
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A static render, a day render and the one fan-out that reads a
+/// shared input, each selected alone and run in process, print exactly
+/// the text the full run (row A) prints for them. None of the three
+/// exports a CSV, so their printed bodies are what pins them.
+#[test]
+fn shared_input_readers_alone_match_the_full_run() {
+    let full = String::from_utf8(read(&row("A").join("stdout"))).unwrap();
+    for id in ["table8", "table7", "countermeasures"] {
+        let args: Vec<String> = PIPELINE
+            .iter()
+            .chain(&[id])
+            .map(|s| s.to_string())
+            .collect();
+        let opts = parse_args(&args).unwrap();
+        let (artifacts, _) = run_pipeline(&opts.config, &opts.ids, 2, None, None, None);
+        let printed: String = artifacts.iter().map(|a| format!("{a}\n")).collect();
+        assert!(!artifacts.is_empty(), "{id} alone renders nothing");
+        assert!(
+            full.contains(&printed),
+            "{id} alone prints text the full run does not:\n{printed}"
+        );
+    }
 }

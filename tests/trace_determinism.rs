@@ -12,7 +12,8 @@ mod common;
 
 use bp_bench::cli::parse_args;
 use bp_bench::pipeline::{run_pipeline, TraceHub};
-use btcpart::obs::trace::{decode_records, timeline, timeline_csv, TraceCategory, TraceKind};
+use bp_bench::trace_cli::timeline_csv;
+use btcpart::obs::trace::{decode_records, TraceCategory, TraceKind};
 use btcpart::obs::Registry;
 use common::{assert_golden, assert_rows_golden_where, read, row, PIPELINE, SUBSET};
 use std::sync::OnceLock;
@@ -66,7 +67,7 @@ fn timeline_reconstructs_the_day_crawl_series() {
     let dir = row("E");
     let records = decode_records(&read(&dir.join("trace/trace.bin"))).unwrap();
     let published = String::from_utf8(read(&dir.join("out/fig6_day.csv"))).unwrap();
-    let rebuilt = timeline_csv(&timeline(&records));
+    let rebuilt = timeline_csv(&records);
     for (i, (ours, theirs)) in rebuilt.lines().zip(published.lines()).enumerate() {
         assert_eq!(ours, theirs, "timeline diverges at line {}", i + 1);
     }

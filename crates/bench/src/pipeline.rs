@@ -784,13 +784,11 @@ pub fn run_pipeline(
 // never change bytes. The day crawl heads the longest chain (day →
 // general crawl → fig6_general).
 //
-// Ranks earn their place on memory, not on wall time. With every rank
-// forced to 0 (2-vCPU host, perfbench `pipeline-quick --seed 3
-// --seconds 15 --trace 0`, 4 alternating pairs) `GOLDEN.digests` still
-// passed and the `repro --quick --jobs 2` speedup stayed at ~1.95×, but
-// the `rss_peak_mb` median rose from 56.9 to 69.5 MiB (+22 %). p50 went
-// from 1,704 to 1,934 ms, within noise in later pairs. See
-// EXPERIMENTS.md "Claim ranks".
+// With every rank forced to 0 (2-vCPU host, perfbench `pipeline-quick
+// --seed 3 --seconds 15 --trace 0`, 4 alternating pairs) the
+// `rss_peak_mb` median rose from 13.6 to 14.3 MiB (+5 %, lower with
+// ranks in all 4 pairs) and p50 went from 1,355 to 1,384 ms, within
+// noise. See EXPERIMENTS.md "Claim ranks".
 const RANK_DAY: u8 = 250;
 const RANK_GENERAL: u8 = 245;
 const RANK_STATIC: u8 = 240;
@@ -1078,35 +1076,27 @@ fn build_dag<'a>(
 /// `ablations` fan-out: one task per `(case, seed)` simulation of the
 /// relay, out-degree and span-ratio sweeps, merged in case-major /
 /// seed-minor order (a fixed accumulation order, floating point
-/// included). Units are cached as volatile (their result types
-/// have no canonical codec): a warm run replays the merge's artifact
-/// payload and skips every unit.
+/// included). The relay and out-degree sweeps run each distinct
+/// configuration once ([`ablation::NetSweep`]); the merge maps every
+/// cell to its simulation's units. Units are cached as volatile (their
+/// result types have no canonical codec): a warm run replays the
+/// merge's artifact payload and skips every unit.
 fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, seed) = (fan.job, fan.config.seed);
     let seed_slice = cfg(&[seed]);
     let n_seeds = ablation::AVERAGING_SEEDS.len();
+    let sweep = ablation::NetSweep::new();
     let mut deps = Vec::new();
-    for case in 0..ablation::RELAY_CASES.len() {
+    for cell in &sweep.cells {
         for s in 0..n_seeds {
+            let config = cell.config.clone();
             deps.push(b.push(
-                format!("ablations/relay[{case},s{s}]"),
+                format!("ablations/{}[{},s{s}]", cell.sweep, cell.index),
                 Some(j),
                 RANK_NET_UNIT,
                 vec![],
                 CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
-                move |_, _| Box::new(ablation::relay_unit(seed, case, s)) as TaskOutput,
-            ));
-        }
-    }
-    for degree in 0..ablation::OUT_DEGREES.len() {
-        for s in 0..n_seeds {
-            deps.push(b.push(
-                format!("ablations/degree[{degree},s{s}]"),
-                Some(j),
-                RANK_NET_UNIT,
-                vec![],
-                CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
-                move |_, _| Box::new(ablation::degree_unit(seed, degree, s)) as TaskOutput,
+                move |_, _| Box::new(ablation::net_unit(seed, &config, s)) as TaskOutput,
             ));
         }
     }
@@ -1122,8 +1112,7 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             ));
         }
     }
-    let relay_n = ablation::RELAY_CASES.len() * n_seeds;
-    let degree_n = ablation::OUT_DEGREES.len() * n_seeds;
+    let net_n = sweep.cells.len() * n_seeds;
     let span_n = ablation::SPAN_RATIOS.len() * n_seeds;
     let meta = CacheMeta::payload::<Vec<Artifact>>(LV_ABLATIONS, Vec::new(), false);
     b.push(
@@ -1133,17 +1122,12 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         deps,
         meta,
         move |ctx, _| {
-            let relay: Vec<ablation::NetUnit> = (0..relay_n).map(|k| *ctx.dep(k)).collect();
-            let degree: Vec<ablation::NetUnit> =
-                (relay_n..relay_n + degree_n).map(|k| *ctx.dep(k)).collect();
-            let span: Vec<ablation::SpanUnit> = (relay_n + degree_n..relay_n + degree_n + span_n)
+            let net: Vec<ablation::NetUnit> = (0..net_n).map(|k| *ctx.dep(k)).collect();
+            let span: Vec<ablation::SpanUnit> = (net_n..net_n + span_n)
                 .map(|k| ctx.dep::<ablation::SpanUnit>(k).clone())
                 .collect();
-            Box::new(vec![
-                ablation::relay_mode_from_units(&relay),
-                ablation::out_degree_from_units(&degree),
-                ablation::span_ratio_from_units(&span),
-            ]) as TaskOutput
+            let [relay, degree] = sweep.render(&net);
+            Box::new(vec![relay, degree, ablation::span_ratio_from_units(&span)]) as TaskOutput
         },
     )
 }

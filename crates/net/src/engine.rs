@@ -12,7 +12,9 @@
 //!   sorted once when the clock reaches its slot, so the per-event cost
 //!   is a small sort share instead of a `log n` heap walk over hundreds
 //!   of thousands of pending events (the measured high-water mark of a
-//!   paper-profile crawl is ≈300 k).
+//!   paper-profile crawl is ≈300 k). The sorted bucket's buffer is then
+//!   drained in place, so the wheel holds memory only for the events it
+//!   holds.
 //! * [`HeapQueue`] — the original binary-heap queue, kept as the reference
 //!   model. The property tests drive both implementations with identical
 //!   schedules and assert the pop sequences match exactly.
@@ -218,16 +220,6 @@ const SLOT_COUNT: u64 = 8192;
 /// aim events exactly at slot edges).
 pub const WHEEL_SLOT_MS: u64 = 1 << SLOT_SHIFT;
 
-/// Capacity (in events) above which a drained wheel bucket's allocation
-/// is released instead of kept for reuse. Gossip waves at large scale
-/// concentrate tens of millions of events into the few slots nearest
-/// `now`; since every wave lands on different ring offsets, retained
-/// bucket capacity otherwise accretes monotonically across the whole
-/// ring — gigabytes over a simulated day at a million nodes. Buckets at
-/// or below the threshold (the steady-state case) keep their allocation,
-/// so ordinary traffic never reallocates; a mega-wave bucket regrows
-/// from empty on the next wave, which is amortized O(1) per event.
-const SLOT_RETAIN_CAP: usize = 1024;
 /// Span of the whole wheel in milliseconds: events scheduled at
 /// `now + WHEEL_SPAN_MS` or later (relative to the current slot's start)
 /// take the overflow path; nearer future events land in the wheel.
@@ -242,18 +234,20 @@ fn slot_of(t: SimTime) -> u64 {
 /// Pops events in exactly the `(time, seq)` order of [`HeapQueue`]:
 /// FIFO among simultaneous events, validated by reference-equivalence
 /// tests. Internally, events within the wheel horizon append O(1) to a
-/// per-slot bucket that is sorted once when the clock enters the slot;
-/// events for the current slot (or the past) go to a small heap, and
-/// events beyond the horizon wait in an overflow heap that cascades back
-/// into the wheel as the clock advances.
+/// per-slot bucket that is sorted once when the clock enters the slot
+/// and then drained in place; events for the current slot (or the past)
+/// go to a small heap, and events beyond the horizon wait in an overflow
+/// heap that cascades back into the wheel as the clock advances.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Ring of future-slot buckets, indexed by `slot % SLOT_COUNT`; holds
     /// events with `cur_slot < slot < cur_slot + SLOT_COUNT`, unsorted.
+    /// A bucket has capacity only while it holds events.
     wheel: Vec<Vec<(SimTime, u64, E)>>,
     /// Events in wheel buckets (so empty-wheel fast paths are O(1)).
     wheel_len: usize,
-    /// The current slot's events, sorted, drained from the front.
+    /// The current slot's bucket, taken out of the ring, sorted and
+    /// drained from the front.
     active: VecDeque<(SimTime, u64, E)>,
     /// Events scheduled into the current slot after it was sorted, or
     /// clamped from the past; merged with `active` by `(time, seq)`.
@@ -346,15 +340,6 @@ impl<E> EventQueue<E> {
     /// `active` or `late`. Caller must ensure `len > 0`.
     fn position(&mut self) {
         while self.active.is_empty() && self.late.is_empty() {
-            // Both staging structures are empty here; if either adopted a
-            // mega-wave's footprint, release it before the next bucket
-            // moves in. Pure allocation behaviour — order is untouched.
-            if self.active.capacity() > SLOT_RETAIN_CAP {
-                self.active = VecDeque::new();
-            }
-            if self.late.capacity() > SLOT_RETAIN_CAP {
-                self.late = BinaryHeap::new();
-            }
             self.cur_slot += 1;
             if self.wheel_len == 0 {
                 // Nothing inside the horizon: jump straight to the slot
@@ -376,16 +361,22 @@ impl<E> EventQueue<E> {
                 self.wheel_len += 1;
                 self.wheel[(slot_of(t) % SLOT_COUNT) as usize].push((t, seq, event));
             }
-            let bucket = &mut self.wheel[(self.cur_slot % SLOT_COUNT) as usize];
+            // `VecDeque::from` adopts the bucket's buffer without a copy;
+            // the drained slot keeps no allocation.
+            let mut bucket = std::mem::take(&mut self.wheel[(self.cur_slot % SLOT_COUNT) as usize]);
             if !bucket.is_empty() {
                 bucket.sort_unstable_by_key(|a| (a.0, a.1));
                 self.wheel_len -= bucket.len();
-                self.active.extend(bucket.drain(..));
-                if bucket.capacity() > SLOT_RETAIN_CAP {
-                    *bucket = Vec::new();
-                }
+                self.active = VecDeque::from(bucket);
             }
         }
+    }
+
+    /// Events the ring's buckets have room for: their allocation, not
+    /// their occupancy.
+    #[cfg(test)]
+    pub(crate) fn wheel_capacity(&self) -> usize {
+        self.wheel.iter().map(Vec::capacity).sum()
     }
 
     /// Whether the next event comes from `active` rather than `late`.
@@ -650,48 +641,29 @@ mod tests {
         assert_eq!(s.overflow, 1);
     }
 
-    /// A burst far above [`SLOT_RETAIN_CAP`] must not leave its capacity
-    /// behind after draining: gossip waves land on different ring
-    /// offsets every time, so retained mega-buckets accrete across the
-    /// whole ring over a long run (gigabytes at a million nodes).
-    /// Steady-state-sized buckets keep their allocation.
+    /// A drained bucket keeps no capacity: its buffer leaves the ring
+    /// with its events, so the ring's memory follows what is pending
+    /// whether a wave is steady-state sized or a large-scale burst
+    /// (gossip waves land on different ring offsets every time, so
+    /// retained buffers would accrete across the whole ring).
     #[test]
     fn drained_mega_buckets_release_their_allocation() {
         let mut q: EventQueue<u64> = EventQueue::new();
-        // One wave: far more than SLOT_RETAIN_CAP events into one slot.
-        let at = SimTime(3 * WHEEL_SLOT_MS);
-        for i in 0..(SLOT_RETAIN_CAP as u64 * 4) {
-            q.schedule(at, i);
+        for wave in [64u64, 4_096] {
+            let at = SimTime(q.now().0 + 3 * WHEEL_SLOT_MS);
+            for i in 0..wave {
+                q.schedule(at, i);
+            }
+            assert!(q.wheel_capacity() >= wave as usize);
+            // Pops still come out in schedule order.
+            for i in 0..wave {
+                assert_eq!(q.pop(), Some((at, i)));
+            }
+            assert!(q.is_empty());
+            assert!(
+                q.wheel.iter().all(|bucket| bucket.capacity() == 0),
+                "a bucket kept capacity after a wave of {wave} drained"
+            );
         }
-        let slot = (slot_of(at) % SLOT_COUNT) as usize;
-        assert!(q.wheel[slot].capacity() > SLOT_RETAIN_CAP);
-        // Drain the wave; pops must still come out in schedule order.
-        for i in 0..(SLOT_RETAIN_CAP as u64 * 4) {
-            assert_eq!(q.pop(), Some((at, i)));
-        }
-        assert!(q.is_empty());
-        assert_eq!(
-            q.wheel[slot].capacity(),
-            0,
-            "mega-bucket capacity retained after drain"
-        );
-        // The adopting deque was trimmed once it emptied.
-        q.schedule(SimTime(q.now().0 + WHEEL_SLOT_MS), 0);
-        q.pop();
-        assert!(q.active.capacity() <= SLOT_RETAIN_CAP * 2);
-        // A bucket at steady-state size keeps its allocation.
-        let at2 = SimTime(q.now().0 + 2 * WHEEL_SLOT_MS);
-        for i in 0..64u64 {
-            q.schedule(at2, i);
-        }
-        let slot2 = (slot_of(at2) % SLOT_COUNT) as usize;
-        let cap_before = q.wheel[slot2].capacity();
-        assert!(cap_before > 0 && cap_before <= SLOT_RETAIN_CAP);
-        while q.pop().is_some() {}
-        assert_eq!(
-            q.wheel[slot2].capacity(),
-            cap_before,
-            "small bucket should keep its allocation for reuse"
-        );
     }
 }

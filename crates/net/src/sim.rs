@@ -1738,6 +1738,23 @@ mod tests {
         );
     }
 
+    /// The calendar wheel's buckets hold memory only while they hold
+    /// events, so after a long run the ring's capacity stays within
+    /// the queue's own high-water mark rather than each bucket's
+    /// largest wave.
+    #[test]
+    fn wheel_capacity_follows_pending_events() {
+        let mut s = sim();
+        s.run_for_secs(2 * 3600);
+        let hwm = s.metrics().queue_depth_hwm;
+        assert!(hwm > 0);
+        let capacity = s.queue.wheel_capacity();
+        assert!(
+            capacity <= 2 * hwm,
+            "wheel capacity {capacity} events exceeds twice the high-water mark {hwm}"
+        );
+    }
+
     #[test]
     fn simulation_is_deterministic() {
         let snap = tiny_snapshot();

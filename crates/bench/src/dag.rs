@@ -8,19 +8,20 @@
 //! worker pool.
 //!
 //! Determinism contract: the *task graph* is a pure function of the
-//! configuration — the same tasks, edges and ranks are built whether the
-//! run uses 1 worker or 16. Scheduling decides only *when* a task runs;
-//! every task derives its output from seeded inputs and its declared
+//! configuration — the same tasks and edges, in the same order, are
+//! built whether the run uses 1 worker or 16. Scheduling decides only
+//! *when* a task runs; every task derives its output from seeded inputs and its declared
 //! dependencies, and merges fold results in construction order, so the
 //! pipeline's bytes cannot depend on the worker count. The scheduler
 //! stats exported to metrics ([`DagStats::spawned`],
 //! [`DagStats::claimed`], [`DagStats::max_ready`]) are likewise replayed
 //! from the graph alone, never measured from live thread timing.
 //!
-//! Claim order: ready tasks are claimed highest [`rank`](Task::rank)
-//! first, construction order breaking ties. Ranks encode expected cost
-//! (longest-processing-time-first keeps the pool busy at the tail), and
-//! the fixed tie-break makes the serial execution order reproducible.
+//! Claim order: among ready tasks the lowest index is claimed first.
+//! The serial execution order is therefore reproducible, and a task
+//! built early — the pipeline pushes its shared crawls, the head of the
+//! longest chain, first — is claimed the moment it becomes ready, even
+//! ahead of tasks that have waited longer.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -77,9 +78,6 @@ pub struct Task<'a> {
     /// Index of the owning pipeline job, if any (`None` for shared
     /// builds); the pipeline sums member-task walls into per-job rows.
     pub job: Option<usize>,
-    /// Static claim priority: higher ranks are claimed first among ready
-    /// tasks. Encodes expected cost, never correctness.
-    pub rank: u8,
     /// Indices of tasks this one reads. Must all be smaller than this
     /// task's own index (the DAG is built in topological order).
     pub deps: Vec<usize>,
@@ -107,7 +105,7 @@ pub struct DagStats {
     /// count.
     pub claimed: u64,
     /// High-water mark of the ready queue, replayed canonically from the
-    /// graph's (rank, deps) structure alone — the live queue depth
+    /// graph's construction order and deps alone — the live queue depth
     /// depends on thread timing and would break metrics byte-identity
     /// across `--jobs N`. Identical for any worker count.
     pub max_ready: u64,
@@ -133,11 +131,11 @@ pub struct Dag<'a> {
     tasks: Vec<Task<'a>>,
 }
 
-/// Claim key: highest rank first, then lowest task index.
-type ClaimKey = (u8, Reverse<usize>);
+/// Ready tasks, lowest index on top.
+type ReadyQueue = BinaryHeap<Reverse<usize>>;
 
 struct Sched {
-    ready: BinaryHeap<ClaimKey>,
+    ready: ReadyQueue,
     waiting: Vec<usize>,
     completed: usize,
     /// A worker panicked: `completed` can no longer reach the task
@@ -174,7 +172,7 @@ impl<'a> Dag<'a> {
         self.tasks.is_empty()
     }
 
-    /// Read-only view of the tasks added so far (labels, deps, ranks) —
+    /// Read-only view of the tasks added so far (labels, jobs, deps) —
     /// the cache planner derives keys from this without consuming the
     /// graph.
     pub fn tasks(&self) -> &[Task<'a>] {
@@ -191,7 +189,6 @@ impl<'a> Dag<'a> {
         &mut self,
         label: impl Into<String>,
         job: Option<usize>,
-        rank: u8,
         deps: Vec<usize>,
         run: impl Fn(&TaskCtx) -> TaskOutput + Send + Sync + 'a,
     ) -> usize {
@@ -203,7 +200,6 @@ impl<'a> Dag<'a> {
         self.tasks.push(Task {
             label: label.into(),
             job,
-            rank,
             deps,
             run: Box::new(run),
         });
@@ -232,7 +228,7 @@ impl<'a> Dag<'a> {
 
     /// Executes the graph on a pool of `workers` threads (at least one)
     /// and returns every task's output, timing, and the scheduler
-    /// stats. One worker claims tasks in exact (rank, index) order.
+    /// stats. One worker claims ready tasks lowest index first.
     /// Output bytes never depend on `workers`; only wall times do.
     pub fn execute(self, workers: usize) -> DagRun {
         let n = self.tasks.len();
@@ -274,7 +270,7 @@ impl<'a> Dag<'a> {
                         if guard.failed {
                             break;
                         }
-                        if let Some((_, Reverse(i))) = guard.ready.pop() {
+                        if let Some(Reverse(i)) = guard.ready.pop() {
                             drop(guard);
                             run_task(i);
                             guard = sched.lock().unwrap();
@@ -282,7 +278,7 @@ impl<'a> Dag<'a> {
                             for &d in &dependents[i] {
                                 guard.waiting[d] -= 1;
                                 if guard.waiting[d] == 0 {
-                                    guard.ready.push((self.tasks[d].rank, Reverse(d)));
+                                    guard.ready.push(Reverse(d));
                                 }
                             }
                             cv.notify_all();
@@ -344,7 +340,7 @@ impl<'a> Dag<'a> {
 
 /// The claim loop's starting state: each task's dependents, each task's
 /// count of unfinished dependencies, and the initially ready tasks.
-fn claim_state(tasks: &[Task]) -> (Vec<Vec<usize>>, Vec<usize>, BinaryHeap<ClaimKey>) {
+fn claim_state(tasks: &[Task]) -> (Vec<Vec<usize>>, Vec<usize>, ReadyQueue) {
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
     for (i, task) in tasks.iter().enumerate() {
         for &d in &task.deps {
@@ -356,23 +352,23 @@ fn claim_state(tasks: &[Task]) -> (Vec<Vec<usize>>, Vec<usize>, BinaryHeap<Claim
         .iter()
         .enumerate()
         .filter(|(_, t)| t.deps.is_empty())
-        .map(|(i, t)| (t.rank, Reverse(i)))
+        .map(|(i, _)| Reverse(i))
         .collect();
     (dependents, waiting, ready)
 }
 
 /// Canonical ready-queue high-water mark: replays the claim loop one
-/// task at a time over (rank, deps) alone. A live high-water mark would
+/// task at a time over the graph's deps alone. A live high-water mark would
 /// vary with thread timing; this one is a pure function of the graph, so
 /// it can be exported as a deterministic metric.
 fn replay_max_ready(tasks: &[Task]) -> u64 {
     let (dependents, mut waiting, mut ready) = claim_state(tasks);
     let mut max_ready = ready.len();
-    while let Some((_, Reverse(i))) = ready.pop() {
+    while let Some(Reverse(i)) = ready.pop() {
         for &d in &dependents[i] {
             waiting[d] -= 1;
             if waiting[d] == 0 {
-                ready.push((tasks[d].rank, Reverse(d)));
+                ready.push(Reverse(d));
             }
         }
         max_ready = max_ready.max(ready.len());
@@ -393,9 +389,9 @@ mod tests {
     fn outputs_flow_through_dependencies() {
         for workers in [1, 4] {
             let mut dag = Dag::new();
-            let a = dag.push("a", None, 0, vec![], |_| boxed(2u64));
-            let b = dag.push("b", None, 0, vec![], |_| boxed(3u64));
-            dag.push("c", None, 0, vec![a, b], |ctx| {
+            let a = dag.push("a", None, vec![], |_| boxed(2u64));
+            let b = dag.push("b", None, vec![], |_| boxed(3u64));
+            dag.push("c", None, vec![a, b], |ctx| {
                 boxed(ctx.dep::<u64>(0) * ctx.dep::<u64>(1))
             });
             let run = dag.execute(workers);
@@ -408,18 +404,20 @@ mod tests {
     }
 
     #[test]
-    fn serial_claim_order_is_rank_then_index() {
+    fn serial_claim_order_is_construction_order() {
+        // `late` becomes ready only when `root` finishes, after `early`
+        // has been waiting; its lower index still puts it first.
         let order = Mutex::new(Vec::new());
         let mut dag = Dag::new();
-        for (label, rank) in [("low", 1u8), ("high", 9), ("mid", 5), ("high2", 9)] {
+        for (label, deps) in [("root", vec![]), ("late", vec![0]), ("early", vec![])] {
             let order = &order;
-            dag.push(label, None, rank, vec![], move |_| {
+            dag.push(label, None, deps, move |_| {
                 order.lock().unwrap().push(label);
                 boxed(())
             });
         }
         dag.execute(1);
-        assert_eq!(*order.lock().unwrap(), vec!["high", "high2", "mid", "low"]);
+        assert_eq!(*order.lock().unwrap(), vec!["root", "late", "early"]);
     }
 
     #[test]
@@ -429,10 +427,10 @@ mod tests {
         // workers.
         let build = || {
             let mut dag = Dag::new();
-            let root = dag.push("root", None, 0, vec![], |_| boxed(()));
-            let l = dag.push("l", None, 0, vec![root], |_| boxed(()));
-            let r = dag.push("r", None, 0, vec![root], |_| boxed(()));
-            dag.push("join", None, 0, vec![l, r], |_| boxed(()));
+            let root = dag.push("root", None, vec![], |_| boxed(()));
+            let l = dag.push("l", None, vec![root], |_| boxed(()));
+            let r = dag.push("r", None, vec![root], |_| boxed(()));
+            dag.push("join", None, vec![l, r], |_| boxed(()));
             dag
         };
         for workers in [1, 2, 8] {
@@ -449,7 +447,7 @@ mod tests {
             let count = &count;
             let deps = prev.into_iter().collect();
             // A mix of chains and independent tasks.
-            let idx = dag.push(format!("t{i}"), None, (i % 7) as u8, deps, move |_| {
+            let idx = dag.push(format!("t{i}"), None, deps, move |_| {
                 count.fetch_add(1, Ordering::Relaxed);
                 boxed(i)
             });
@@ -471,13 +469,13 @@ mod tests {
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(|| {
                 let mut dag = Dag::new();
-                let boom = dag.push("boom", None, 9, vec![], |_| -> TaskOutput {
+                let boom = dag.push("boom", None, vec![], |_| -> TaskOutput {
                     panic!("task failed")
                 });
                 for i in 0..8 {
-                    dag.push(format!("t{i}"), None, 0, vec![], |_| boxed(()));
+                    dag.push(format!("t{i}"), None, vec![], |_| boxed(()));
                 }
-                dag.push("after", None, 0, vec![boom], |_| boxed(()));
+                dag.push("after", None, vec![boom], |_| boxed(()));
                 dag.execute(4);
             });
             tx.send(outcome.is_err()).unwrap();
@@ -492,6 +490,6 @@ mod tests {
     #[should_panic(expected = "not added yet")]
     fn forward_dependency_rejected() {
         let mut dag = Dag::new();
-        dag.push("bad", None, 0, vec![3], |_| boxed(()));
+        dag.push("bad", None, vec![3], |_| boxed(()));
     }
 }

@@ -588,9 +588,9 @@ pub fn run_pipeline(
     let workers = workers.max(1);
 
     // The graph is a pure function of (config, selection): the same
-    // tasks, edges and ranks are built for any worker count, which is
-    // what keeps the scheduler counters in `--metrics` byte-identical
-    // across `--jobs N`.
+    // tasks and edges are built in the same order for any worker count,
+    // which is what keeps the scheduler counters in `--metrics`
+    // byte-identical across `--jobs N`.
     let DagParts {
         dag,
         metas,
@@ -779,38 +779,6 @@ pub fn run_pipeline(
     (artifacts, report)
 }
 
-// Claim ranks: higher = claimed earlier among ready tasks. Derived from
-// the committed BENCH stage walls (longest-processing-time-first); they
-// never change bytes. The day crawl heads the longest chain (day →
-// general crawl → fig6_general).
-//
-// With every rank forced to 0 (2-vCPU host, perfbench `pipeline-quick
-// --seed 3 --seconds 15 --trace 0`, 4 alternating pairs) the
-// `rss_peak_mb` median rose from 13.6 to 14.3 MiB (+5 %, lower with
-// ranks in all 4 pairs) and p50 went from 1,355 to 1,384 ms, within
-// noise. See EXPERIMENTS.md "Claim ranks".
-const RANK_DAY: u8 = 250;
-const RANK_GENERAL: u8 = 245;
-const RANK_STATIC: u8 = 240;
-const RANK_ARM: u8 = 90; // countermeasures temporal-attack arms
-const RANK_NET_UNIT: u8 = 85; // ablation relay/degree simulations
-const RANK_PREP: u8 = 80; // propagation / fifty_one sim prep + finals
-const RANK_GRID: u8 = 60; // fig7 grid simulation
-const RANK_SPAN_UNIT: u8 = 55; // ablation grid-sim units
-const RANK_CASCADE: u8 = 50;
-const RANK_MODEL_ROW: u8 = 40; // table6 per-λ bisections
-const RANK_MERGE: u8 = 30;
-const RANK_SIMPLE: u8 = 20; // shared-input-bound artifact renders
-const RANK_CHEAP: u8 = 10; // closed-form countermeasure cells
-
-fn simple_rank(id: &str) -> u8 {
-    match id {
-        "fig7" => RANK_GRID,
-        "cascade" => RANK_CASCADE,
-        _ => RANK_SIMPLE,
-    }
-}
-
 // Per-task-family logic versions, folded into every cache key. Bump a
 // family's version whenever its task code changes behaviour without a
 // config or dependency change — old store entries then miss instead of
@@ -888,7 +856,6 @@ impl<'a> DagBuilder<'a> {
         &mut self,
         label: impl Into<String>,
         job: Option<usize>,
-        rank: u8,
         deps: Vec<usize>,
         meta: CacheMeta,
         run: impl Fn(&TaskCtx, ObsCtx<'_>) -> TaskOutput + Send + Sync + 'a,
@@ -896,7 +863,7 @@ impl<'a> DagBuilder<'a> {
         let cell = Arc::new(TaskObs::default());
         let scoped = Arc::clone(&cell);
         let (metrics_on, trace_on) = (self.metrics_on, self.trace_on);
-        let idx = self.dag.push(label, job, rank, deps, move |ctx| {
+        let idx = self.dag.push(label, job, deps, move |ctx| {
             let obs = ObsCtx {
                 metrics: if metrics_on { Some(&scoped.reg) } else { None },
                 trace: if trace_on { Some(&scoped.hub) } else { None },
@@ -949,7 +916,6 @@ fn build_dag<'a>(
         b.push(
             "static",
             None,
-            RANK_STATIC,
             vec![],
             CacheMeta::volatile(LV_SHARED, scale_seed(config), false),
             move |_, _| {
@@ -964,7 +930,7 @@ fn build_dag<'a>(
     // crawl alone.
     let day_task = (reads(Input::Day) || reads(Input::General)).then(|| {
         let meta = crawl_meta(config.day_hours);
-        b.push("day_crawl", None, RANK_DAY, vec![], meta, move |_, obs| {
+        b.push("day_crawl", None, vec![], meta, move |_, obs| {
             let (crawl, mut lab) = day_crawl(config, obs.metrics, obs.trace.is_some());
             if let Some(reg) = obs.metrics {
                 lab.sim.export_metrics(reg, "net.day");
@@ -984,25 +950,18 @@ fn build_dag<'a>(
     let general_task = reads(Input::General).then(|| {
         let day = day_task.expect("the day crawl is scheduled with the general crawl");
         let meta = crawl_meta(config.general_hours());
-        b.push(
-            "general_crawl",
-            None,
-            RANK_GENERAL,
-            vec![day],
-            meta,
-            move |ctx, obs| {
-                let day = ctx.dep::<DayCrawl>(0);
-                let mut sim = day
-                    .sim
-                    .lock()
-                    .expect("the general crawl is the simulation's only user");
-                let crawl = general_crawl(config, &day.crawl, &mut sim, &day.snapshot, obs.metrics);
-                if let Some(reg) = obs.metrics {
-                    sim.export_metrics(reg, "net.general");
-                }
-                Box::new(crawl) as TaskOutput
-            },
-        )
+        b.push("general_crawl", None, vec![day], meta, move |ctx, obs| {
+            let day = ctx.dep::<DayCrawl>(0);
+            let mut sim = day
+                .sim
+                .lock()
+                .expect("the general crawl is the simulation's only user");
+            let crawl = general_crawl(config, &day.crawl, &mut sim, &day.snapshot, obs.metrics);
+            if let Some(reg) = obs.metrics {
+                sim.export_metrics(reg, "net.general");
+            }
+            Box::new(crawl) as TaskOutput
+        })
     });
     let shared_tasks = [
         ("static", static_task),
@@ -1047,7 +1006,6 @@ fn build_dag<'a>(
                 b.push(
                     job.id,
                     Some(j),
-                    simple_rank(job.id),
                     input_deps(job.input),
                     meta,
                     move |task, obs| {
@@ -1093,7 +1051,6 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             deps.push(b.push(
                 format!("ablations/{}[{},s{s}]", cell.sweep, cell.index),
                 Some(j),
-                RANK_NET_UNIT,
                 vec![],
                 CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
                 move |_, _| Box::new(ablation::net_unit(seed, &config, s)) as TaskOutput,
@@ -1105,7 +1062,6 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             deps.push(b.push(
                 format!("ablations/span[{ratio},s{s}]"),
                 Some(j),
-                RANK_SPAN_UNIT,
                 vec![],
                 CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
                 move |_, _| Box::new(ablation::span_unit(seed, ratio, s)) as TaskOutput,
@@ -1115,21 +1071,14 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let net_n = sweep.cells.len() * n_seeds;
     let span_n = ablation::SPAN_RATIOS.len() * n_seeds;
     let meta = CacheMeta::payload::<Vec<Artifact>>(LV_ABLATIONS, Vec::new(), false);
-    b.push(
-        "ablations/merge",
-        Some(j),
-        RANK_MERGE,
-        deps,
-        meta,
-        move |ctx, _| {
-            let net: Vec<ablation::NetUnit> = (0..net_n).map(|k| *ctx.dep(k)).collect();
-            let span: Vec<ablation::SpanUnit> = (net_n..net_n + span_n)
-                .map(|k| ctx.dep::<ablation::SpanUnit>(k).clone())
-                .collect();
-            let [relay, degree] = sweep.render(&net);
-            Box::new(vec![relay, degree, ablation::span_ratio_from_units(&span)]) as TaskOutput
-        },
-    )
+    b.push("ablations/merge", Some(j), deps, meta, move |ctx, _| {
+        let net: Vec<ablation::NetUnit> = (0..net_n).map(|k| *ctx.dep(k)).collect();
+        let span: Vec<ablation::SpanUnit> = (net_n..net_n + span_n)
+            .map(|k| ctx.dep::<ablation::SpanUnit>(k).clone())
+            .collect();
+        let [relay, degree] = sweep.render(&net);
+        Box::new(vec![relay, degree, ablation::span_ratio_from_units(&span)]) as TaskOutput
+    })
 }
 
 /// `countermeasures` fan-out: the closed-form sweep cells, the stratum
@@ -1147,7 +1096,6 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         deps.push(b.push(
             format!("countermeasures/sweep[{threshold}]"),
             Some(j),
-            RANK_CHEAP,
             vec![],
             CacheMeta::payload::<BlockAwareTradeoff>(LV_COUNTERMEASURES, Vec::new(), false),
             move |_, _| Box::new(defense::blockaware_sweep_row(threshold)) as TaskOutput,
@@ -1156,7 +1104,6 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     deps.push(b.push(
         "countermeasures/stratum",
         Some(j),
-        RANK_CHEAP,
         vec![],
         CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
         |_, _| Box::new(defense::stratum_diversification()) as TaskOutput,
@@ -1164,7 +1111,6 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     deps.push(b.push(
         "countermeasures/purging",
         Some(j),
-        RANK_SIMPLE,
         input,
         CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
         |ctx, _| {
@@ -1191,7 +1137,7 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             scale_seed(config),
             false,
         );
-        deps.push(b.push(label, Some(j), RANK_ARM, vec![], meta, move |_, _| {
+        deps.push(b.push(label, Some(j), vec![], meta, move |_, _| {
             let mut lab = measurement_lab(config);
             lab.sim.run_for_secs(4 * 600);
             let cfg = if protected {
@@ -1206,7 +1152,6 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     b.push(
         "countermeasures/merge",
         Some(j),
-        RANK_MERGE,
         deps,
         CacheMeta::payload::<Vec<Artifact>>(LV_COUNTERMEASURES, Vec::new(), false),
         move |ctx, _| {
@@ -1239,7 +1184,6 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         deps.push(b.push(
             format!("table6/row[{li}]"),
             Some(j),
-            RANK_MODEL_ROW,
             vec![],
             CacheMeta::payload::<Table6Row>(LV_TABLE6, Vec::new(), true),
             move |_, obs| {
@@ -1253,47 +1197,40 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         ));
     }
     let meta = CacheMeta::payload::<Vec<Artifact>>(LV_TABLE6, Vec::new(), true);
-    b.push(
-        "table6/merge",
-        Some(j),
-        RANK_MERGE,
-        deps,
-        meta,
-        move |ctx, obs| {
-            let mut grid = Vec::with_capacity(n);
-            let mut merged = Tracer::new();
-            for k in 0..n {
-                let (row, tracer) = ctx.dep::<Table6Row>(k);
-                grid.push(row.clone());
-                if let Some(t) = tracer {
-                    merged.append(t.clone());
-                }
+    b.push("table6/merge", Some(j), deps, meta, move |ctx, obs| {
+        let mut grid = Vec::with_capacity(n);
+        let mut merged = Tracer::new();
+        for k in 0..n {
+            let (row, tracer) = ctx.dep::<Table6Row>(k);
+            grid.push(row.clone());
+            if let Some(t) = tracer {
+                merged.append(t.clone());
             }
-            if let Some(hub) = obs.trace {
-                hub.set_stream(STREAM_RANK_MODEL, "model", merged);
-            }
-            Box::new(vec![temporal::table6_from_rows(&grid)]) as TaskOutput
-        },
-    )
+        }
+        if let Some(hub) = obs.trace {
+            hub.set_stream(STREAM_RANK_MODEL, "model", merged);
+        }
+        Box::new(vec![temporal::table6_from_rows(&grid)]) as TaskOutput
+    })
 }
 
 /// `propagation` chain: warm a measurement lab, then crawl it. Two
 /// tasks so the warmup runs concurrently with unrelated work while the
-/// measure step still sees the exact serial state (single consumer —
-/// the lab moves through a `Mutex`).
+/// measure step still sees the exact serial state. The measure step is
+/// the lab's only reader: it takes the lab out of the prep output and
+/// drops it on return, so the lab is not held until the run ends.
 fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, config) = (fan.job, fan.config);
     let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
     let prep = b.push(
         "propagation/prep",
         Some(j),
-        RANK_PREP,
         vec![],
         prep_meta,
         move |_, _| {
             let mut lab = measurement_lab(config);
             lab.sim.run_for_secs(2 * 600);
-            Box::new(Mutex::new(lab)) as TaskOutput
+            Box::new(Mutex::new(Some(lab))) as TaskOutput
         },
     );
     let meta = CacheMeta::payload::<Vec<Artifact>>(
@@ -1304,12 +1241,15 @@ fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     b.push(
         "propagation/measure",
         Some(j),
-        RANK_PREP,
         vec![prep],
         meta,
         move |ctx, _| {
-            let mut lab = ctx.dep::<Mutex<Lab>>(0).lock().unwrap();
-            let lab = &mut *lab;
+            let mut lab = ctx
+                .dep::<Mutex<Option<Lab>>>(0)
+                .lock()
+                .unwrap()
+                .take()
+                .expect("propagation/measure is the prep lab's only reader");
             Box::new(vec![temporal::propagation(
                 &mut lab.sim,
                 &lab.snapshot,
@@ -1323,28 +1263,24 @@ fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
 fn push_fifty_one<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, config) = (fan.job, fan.config);
     let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
-    let prep = b.push(
-        "fifty_one/prep",
-        Some(j),
-        RANK_PREP,
-        vec![],
-        prep_meta,
-        move |_, _| {
-            let mut lab = measurement_lab(config);
-            lab.sim.run_for_secs(2 * 600);
-            Box::new(Mutex::new(lab)) as TaskOutput
-        },
-    );
+    let prep = b.push("fifty_one/prep", Some(j), vec![], prep_meta, move |_, _| {
+        let mut lab = measurement_lab(config);
+        lab.sim.run_for_secs(2 * 600);
+        Box::new(Mutex::new(Some(lab))) as TaskOutput
+    });
     let meta = CacheMeta::payload::<Vec<Artifact>>(LV_SIM_CHAIN, Vec::new(), false);
     b.push(
         "fifty_one/measure",
         Some(j),
-        RANK_PREP,
         vec![prep],
         meta,
         move |ctx, _| {
-            let mut lab = ctx.dep::<Mutex<Lab>>(0).lock().unwrap();
-            let lab = &mut *lab;
+            let mut lab = ctx
+                .dep::<Mutex<Option<Lab>>>(0)
+                .lock()
+                .unwrap()
+                .take()
+                .expect("fifty_one/measure is the prep lab's only reader");
             Box::new(vec![combined::fifty_one(&mut lab.sim, &lab.census)]) as TaskOutput
         },
     )
@@ -1375,6 +1311,46 @@ mod tests {
         assert_eq!(run.outputs.len(), 2);
         assert!(run.outputs[0].is::<(Snapshot, PoolCensus)>());
         assert!(run.outputs[1].is::<Vec<Artifact>>());
+    }
+
+    #[test]
+    fn shared_builds_precede_every_job_task() {
+        // Ready tasks are claimed lowest index first, so building the
+        // shared inputs first is what claims the day crawl (head of the
+        // longest chain) first and the general crawl as soon as it is
+        // ready.
+        let config = ReproConfig::quick();
+        let selected = selected_jobs(&["all".to_string()]);
+        let DagParts {
+            dag, shared_tasks, ..
+        } = build_dag(&config, &selected, false, false);
+        assert_eq!(
+            shared_tasks,
+            [("static", 0), ("day_crawl", 1), ("general_crawl", 2)]
+        );
+        assert!(dag.tasks()[3..].iter().all(|t| t.job.is_some()));
+    }
+
+    #[test]
+    fn measure_tasks_free_their_prep_labs() {
+        let config = ReproConfig {
+            scale: 0.02,
+            day_hours: 1,
+            ..ReproConfig::quick()
+        };
+        let selected = selected_jobs(&["propagation".to_string(), "fifty_one".to_string()]);
+        let DagParts { dag, .. } = build_dag(&config, &selected, false, false);
+        let preps: Vec<usize> = (0..dag.len())
+            .filter(|&i| dag.tasks()[i].label.ends_with("/prep"))
+            .collect();
+        assert_eq!(preps.len(), 2);
+        let run = dag.execute(2);
+        for i in preps {
+            let lab = run.outputs[i]
+                .downcast_ref::<Mutex<Option<Lab>>>()
+                .expect("a prep task outputs its lab");
+            assert!(lab.lock().unwrap().is_none(), "task {i} kept its lab");
+        }
     }
 
     #[test]

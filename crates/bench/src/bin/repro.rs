@@ -6,7 +6,7 @@
 //! repro table5 fig4    # selected artifacts
 //! repro --scale 0.25 --out out/ all
 //! repro --quick --jobs 1 --timings all   # serial run with timing table
-//! repro --quick --cache cache/ all       # warm runs replay cached tasks
+//! repro --quick --cache cache/ all       # warm runs replay cached jobs
 //! ```
 //!
 //! Flags are order-insensitive: `--quick` selects the preset and the
@@ -19,9 +19,10 @@
 //! `--trace DIR` additionally records the deterministic flight-recorder
 //! trace (`trace.bin` / `trace.jsonl`) — byte-identical for any
 //! `--jobs N`, inspectable with the `trace` binary.
-//! `--cache DIR` keeps a content-addressed store of task results: a
-//! rerun with the same config replays cached tasks (byte-identical
-//! artifacts, metrics and traces) instead of recomputing them.
+//! `--cache DIR` keeps a content-addressed store with one entry per job
+//! and per shared build: a rerun with the same config replays cached
+//! jobs (byte-identical artifacts, metrics and traces) instead of
+//! recomputing them.
 
 use bp_bench::cache::ArtifactStore;
 use bp_bench::cli::{parse_args, usage};

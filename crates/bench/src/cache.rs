@@ -1,42 +1,48 @@
 //! Content-addressed incremental recomputation for the artifact
 //! pipeline (`repro --cache DIR`).
 //!
+//! # Units
+//!
+//! The cache stores one entry per *unit*: an artifact job (all of its
+//! DAG tasks together) or a shared build (`static`, `day_crawl`,
+//! `general_crawl`). A hit skips every task of the unit.
+//!
 //! # Keys
 //!
-//! Every DAG task gets a 128-bit key derived — Merkle style — from
+//! Every unit gets a 128-bit key derived — Merkle style — from
 //! everything that can change its output:
 //!
 //! * the key-schema tag [`KEY_SCHEMA`] and the crate version, so a new
 //!   build or a format change silently invalidates old stores;
 //! * the observability flags (`--metrics` / `--trace` on or off),
-//!   because a traced task's stored effects differ from an untraced
+//!   because a traced unit's stored effects differ from an untraced
 //!   one's;
-//! * the task label and a per-task logic version (bumped when the
-//!   task's code changes behaviour);
+//! * the unit id and a per-family logic version (bumped when the
+//!   code changes behaviour);
 //! * a canonical encoding of exactly the [`ReproConfig`](crate::ReproConfig)
-//!   fields the task reads (`f64` values normalized via
+//!   fields the unit's tasks read (`f64` values normalized via
 //!   [`canonical_f64_bits`], so `-0.0` and every NaN hash alike); and
-//! * the keys of its dependencies, recursively — flipping `--seed`
-//!   invalidates the crawls and everything downstream of them, while
-//!   the closed-form tasks that read no seed still hit.
+//! * the key of the shared build it reads — flipping `--seed`
+//!   invalidates the crawls and every job that reads them, while the
+//!   closed-form jobs that read no seed still hit.
 //!
 //! Keys are derived from *inputs*, not from hashed outputs: the planner
 //! can therefore decide hits before running anything and skip a hit
-//! task's whole upstream subgraph. The store separately hashes each
-//! blob's bytes, so corruption is detected on read (the entry is
-//! evicted and the task recomputed — never a panic).
+//! job's shared build. The store separately hashes each blob's bytes,
+//! so corruption is detected on read (the entry is evicted and the unit
+//! recomputed — never a panic).
 //!
 //! # Envelopes
 //!
-//! A cached task stores an [`Envelope`]: an optional canonical payload
-//! (the task's output, via the [`Stable`] codecs) plus the task's
-//! *observable effects* — the metric counters, gauges, histograms, span
-//! counts and trace streams the task recorded while running. Replaying
-//! a hit injects those effects, so a warm run's `metrics.json` and
-//! `trace.bin` are byte-identical to a cold run's. Tasks whose output
-//! is not persisted (the shared builds: live simulation state, the
-//! snapshot and the crawls) are *volatile*: their envelope carries effects only, and any
-//! downstream task that needs their value forces them to run live.
+//! A cached unit stores an [`Envelope`]: a job's artifacts (via the
+//! [`Stable`] codecs) plus the *observable effects* of all its tasks —
+//! the metric counters, gauges, histograms, span counts and trace
+//! streams they recorded while running. Replaying a hit injects those
+//! effects, so a warm run's `metrics.json` and `trace.bin` are
+//! byte-identical to a cold run's. A shared build's value (live
+//! simulation state, the snapshot and the crawls) is not persisted: its
+//! envelope carries effects only, and a job that misses forces the
+//! build it reads to run live.
 //!
 //! # Store layout
 //!
@@ -46,15 +52,14 @@
 //! rows `(key u128, offset u64, len u64, blob-hash u128)`, rewritten
 //! atomically (temp file + rename) on flush.
 
-use crate::dag::TaskOutput;
 use crate::pipeline::TraceHub;
 use bp_obs::{Histogram, Registry, Tracer};
-use btcpart::experiments::codec::{canonical_f64_bits, Dec, Enc, Stable};
+use btcpart::experiments::codec::{canonical_f64_bits, decode_value, Dec, Enc, Stable};
+use btcpart::experiments::Artifact;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Key-derivation schema tag; folded into every key so a change to the
@@ -71,7 +76,7 @@ const BLOB_MAGIC: &[u8; 8] = b"BPCBLOB1";
 const INDEX_MAGIC: &[u8; 8] = b"BPCIDX01";
 const BLOB_HEADER_BYTES: u64 = 16;
 
-/// A 128-bit content-address for one task's cached result.
+/// A 128-bit content-address for one unit's cached result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(pub u128);
 
@@ -155,9 +160,9 @@ impl Default for KeyBuilder {
     }
 }
 
-/// The observable effects one task recorded while running: everything a
-/// replay must inject so a warm run's metrics and trace exports are
-/// byte-identical to a cold run's. Span wall times are deliberately
+/// The observable effects one unit's tasks recorded while running:
+/// everything a replay must inject so a warm run's metrics and trace
+/// exports are byte-identical to a cold run's. Span wall times are deliberately
 /// reduced to counts — the deterministic metric renderers export span
 /// counts only.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -170,9 +175,9 @@ pub struct ObsEffects {
 }
 
 impl ObsEffects {
-    /// Captures everything recorded into a task's scoped registry and
+    /// Captures everything recorded into a unit's scoped registry and
     /// trace hub. Volatile counters are excluded by design — they are
-    /// run metadata (cache hit rates themselves), not task effects.
+    /// run metadata (cache hit rates themselves), not unit effects.
     pub fn capture(reg: &Registry, hub: &TraceHub) -> Self {
         let snap = reg.snapshot();
         ObsEffects {
@@ -194,7 +199,7 @@ impl ObsEffects {
     /// hub — the replay half of [`capture`](Self::capture). Counters
     /// add, gauges take the maximum, histograms merge bucket-wise, and
     /// spans replay count-only (zero wall), exactly mirroring how a
-    /// live task's scoped registry is merged.
+    /// live unit's scoped registry is merged.
     pub fn replay(&self, reg: Option<&Registry>, hub: Option<&TraceHub>) {
         if let Some(reg) = reg {
             for (name, v) in &self.counters {
@@ -239,14 +244,14 @@ impl Stable for ObsEffects {
     }
 }
 
-/// One cached task result: the optional canonical payload plus the
-/// task's observable effects.
+/// One cached unit: the optional canonical payload plus the unit's
+/// observable effects.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Envelope {
-    /// Canonically encoded task output ([`Stable`]); `None` for
-    /// volatile tasks whose value cannot be persisted.
+    /// A job's canonically encoded artifacts ([`Stable`]); `None` for a
+    /// shared build, whose value cannot be persisted.
     pub payload: Option<Vec<u8>>,
-    /// The effects to replay when the task is skipped.
+    /// The effects to replay when the unit is skipped.
     pub effects: ObsEffects,
 }
 
@@ -292,74 +297,6 @@ impl Envelope {
     }
 }
 
-/// How a task's output relates to the cache.
-pub enum CacheClass {
-    /// The output has a canonical codec: a hit replays the value (and
-    /// the effects) without running the task or its ancestors.
-    Payload {
-        /// Encodes the task's output; `None` only on a type mismatch
-        /// (a construction bug).
-        encode: fn(&TaskOutput) -> Option<Vec<u8>>,
-        /// Decodes a stored payload back into a task output.
-        decode: fn(&[u8]) -> Result<TaskOutput, String>,
-    },
-    /// The output is not persisted (live simulation state, the shared
-    /// snapshot and crawls). A hit can only skip the task when no
-    /// dependent needs its value.
-    Volatile,
-}
-
-/// The planner's per-task cache description, built alongside the DAG.
-pub struct CacheMeta {
-    /// Bumped when the task's logic changes behaviour without a config
-    /// or dependency change.
-    pub logic_version: u32,
-    /// Canonical encoding of exactly the config fields the task reads
-    /// (dependency keys carry everything upstream).
-    pub config_bytes: Vec<u8>,
-    /// Whether the task records metrics or trace streams when run —
-    /// a missing envelope for an observable task forces a live run (to
-    /// regenerate its effects) even when no dependent needs its value.
-    pub observable: bool,
-    /// Payload or volatile.
-    pub class: CacheClass,
-}
-
-impl CacheMeta {
-    /// A payload-cached task producing a `T`.
-    pub fn payload<T: Stable + Send + Sync + 'static>(
-        logic_version: u32,
-        config_bytes: Vec<u8>,
-        observable: bool,
-    ) -> Self {
-        CacheMeta {
-            logic_version,
-            config_bytes,
-            observable,
-            class: CacheClass::Payload {
-                encode: |out| {
-                    out.downcast_ref::<T>()
-                        .map(btcpart::experiments::codec::encode_value)
-                },
-                decode: |bytes| {
-                    btcpart::experiments::codec::decode_value::<T>(bytes)
-                        .map(|v| Box::new(v) as TaskOutput)
-                },
-            },
-        }
-    }
-
-    /// A volatile (effects-only) task.
-    pub fn volatile(logic_version: u32, config_bytes: Vec<u8>, observable: bool) -> Self {
-        CacheMeta {
-            logic_version,
-            config_bytes,
-            observable,
-            class: CacheClass::Volatile,
-        }
-    }
-}
-
 struct IndexEntry {
     offset: u64,
     len: u64,
@@ -383,7 +320,7 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     /// Opens (creating if needed) the store under `dir`. A corrupt or
     /// version-mismatched index is discarded — the store degrades to
-    /// empty and every task recomputes — never an error for the caller
+    /// empty and every unit recomputes — never an error for the caller
     /// beyond real I/O failures (unwritable directory).
     ///
     /// # Errors
@@ -616,31 +553,29 @@ fn parse_index(bytes: &[u8]) -> Result<BTreeMap<u128, IndexEntry>, String> {
     Ok(index)
 }
 
-/// How the planner disposed of one task.
-pub enum Decision {
-    /// Execute the task's real closure.
+/// How the planner disposed of one unit.
+pub(crate) enum Decision {
+    /// Run the unit's tasks.
     Run,
-    /// Skip the task and inject its stored effects (empty when nothing
-    /// was stored or the task records nothing).
+    /// Skip the unit's tasks and inject its stored effects (empty when
+    /// nothing was stored).
     Replay {
-        /// The decoded output, taken exactly once by the substitute
-        /// closure and handed to dependents; `None` when no dependent
-        /// needs the value.
-        value: Option<Mutex<Option<TaskOutput>>>,
+        /// A hit job's stored artifacts; `None` for a shared build.
+        artifacts: Option<Vec<Artifact>>,
         /// Effects to inject at merge time.
         effects: ObsEffects,
     },
 }
 
-/// Cache outcome of one task, as reported in BENCH rows.
+/// Cache outcome of one unit, reported on each of its tasks' BENCH rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskCacheStatus {
-    /// Key found; the stored result was used (task skipped).
+    /// Key found; the stored result was used (tasks skipped).
     Hit,
     /// Key not found (or entry corrupt): the result was computed.
     Miss,
-    /// Key found but the task ran anyway — a volatile task whose value
-    /// a dependent (cache miss downstream) needed live.
+    /// Key found but the unit ran anyway — a shared build whose value a
+    /// missing job needed live.
     Live,
 }
 
@@ -655,18 +590,9 @@ impl TaskCacheStatus {
     }
 }
 
-/// One task's plan entry.
-pub struct TaskPlan {
-    /// The task's derived cache key.
-    pub key: Key,
-    /// Hit / miss / live, for reporting.
-    pub status: TaskCacheStatus,
-    /// What the executor should do.
-    pub decision: Decision,
-}
-
 /// Cache totals of one pipeline run, surfaced in the
 /// [`RunReport`](crate::pipeline::RunReport) and `BENCH_pipeline.json`.
+/// Task counts: every task reports its unit's outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSummary {
     /// Tasks satisfied from the store.
@@ -681,172 +607,140 @@ pub struct CacheSummary {
     pub bytes_written: u64,
 }
 
-/// The full plan for a run: one entry per task, plus summary counts.
-pub struct CachePlan {
-    /// Per-task entries, in DAG construction order.
-    pub tasks: Vec<TaskPlan>,
-    /// Tasks whose stored result was used.
-    pub hits: u64,
-    /// Tasks computed (or skipped silently) because no entry resolved.
-    pub misses: u64,
+/// One cache unit as the planner sees it: a job, whose entry holds its
+/// artifacts plus the effects of all its tasks, or a shared build,
+/// whose entry holds effects only (its value is live simulation state).
+pub(crate) struct Unit {
+    /// Job id, or `static` / `day_crawl` / `general_crawl`.
+    pub id: &'static str,
+    /// Bumped when the unit's code changes behaviour without a config
+    /// or input change.
+    pub logic_version: u32,
+    /// Canonical encoding of exactly the config fields the unit's tasks
+    /// read (the input's key carries everything upstream).
+    pub config_bytes: Vec<u8>,
+    /// The shared-build unit this unit reads; always a lower index.
+    pub input: Option<usize>,
+    /// A job rather than a shared build.
+    pub job: bool,
 }
 
-/// The planner's read-only view of one DAG task.
-pub struct TaskInfo<'t> {
-    /// The task's display label (part of its key).
-    pub label: &'t str,
-    /// Dependency indices (always lower than the task's own index).
-    pub deps: &'t [usize],
+/// One unit's plan entry.
+pub(crate) struct UnitPlan {
+    /// The unit's derived cache key.
+    pub key: Key,
+    /// Hit / miss / live, for reporting.
+    pub status: TaskCacheStatus,
+    /// What the executor should do.
+    pub decision: Decision,
 }
 
-/// Derives every task's key, resolves envelopes from the store, and
-/// decides per task whether to run or replay it. `required` lists
-/// the task indices whose outputs the caller reads after the run (the
-/// per-job artifact tasks); `metrics_on` / `trace_on` are the run's
-/// observability flags (folded into the keys, and deciding whether a
-/// missing envelope for an observable task forces a live run).
-pub fn plan_run(
+/// A stored entry's decoded parts: a job's artifacts and the effects.
+fn decode_entry(blob: &[u8], job: bool) -> Result<(Option<Vec<Artifact>>, ObsEffects), String> {
+    let env = Envelope::decode(blob)?;
+    let artifacts = match (job, env.payload) {
+        (false, _) => None,
+        (true, Some(bytes)) => Some(decode_value(&bytes)?),
+        (true, None) => return Err("job entry without artifacts".to_string()),
+    };
+    Ok((artifacts, env.effects))
+}
+
+/// Derives every unit's key, resolves entries from the store, and
+/// decides per unit whether to run or replay it. Units are ordered so
+/// an input precedes its readers; `metrics_on` / `trace_on` are the
+/// run's observability flags (folded into the keys, and deciding
+/// whether a shared build with no entry runs to regenerate its effects).
+pub(crate) fn plan_run(
     store: &mut ArtifactStore,
-    infos: &[TaskInfo],
-    metas: &[CacheMeta],
-    required: &[usize],
+    units: &[Unit],
     metrics_on: bool,
     trace_on: bool,
-) -> CachePlan {
-    assert_eq!(infos.len(), metas.len(), "one CacheMeta per task");
-    let n = infos.len();
-    let obs_on = metrics_on || trace_on;
-
-    // Forward pass: Merkle keys, then eager envelope reads. Structural
-    // corruption surfaces here and evicts the entry.
-    let mut keys: Vec<Key> = Vec::with_capacity(n);
-    let mut envelopes: Vec<Option<Envelope>> = Vec::with_capacity(n);
-    for (info, meta) in infos.iter().zip(metas) {
+) -> Vec<UnitPlan> {
+    // Forward pass: Merkle keys, then eager entry reads. A corrupt entry
+    // — bad envelope, or a job whose artifacts do not decode — is
+    // evicted and counts as missing.
+    let mut keys: Vec<Key> = Vec::with_capacity(units.len());
+    let mut entries = Vec::with_capacity(units.len());
+    for unit in units {
         let mut kb = KeyBuilder::new();
         kb.push_str(KEY_SCHEMA);
         kb.push_str(env!("CARGO_PKG_VERSION"));
         kb.push_u64(metrics_on as u64);
         kb.push_u64(trace_on as u64);
-        kb.push_str(info.label);
-        kb.push_u64(meta.logic_version as u64);
-        kb.push_bytes(&meta.config_bytes);
-        for &d in info.deps {
-            kb.push_key(keys[d]);
+        kb.push_str(unit.id);
+        kb.push_u64(unit.logic_version as u64);
+        kb.push_bytes(&unit.config_bytes);
+        if let Some(input) = unit.input {
+            kb.push_key(keys[input]);
         }
         let key = kb.finish();
-        let envelope = store
+        let entry = store
             .lookup(key)
-            .and_then(|blob| match Envelope::decode(&blob) {
-                Ok(env) => Some(env),
+            .and_then(|blob| match decode_entry(&blob, unit.job) {
+                Ok(entry) => Some(entry),
                 Err(_) => {
                     store.evict(key);
                     None
                 }
             });
         keys.push(key);
-        envelopes.push(envelope);
+        entries.push(entry);
     }
 
-    // Reverse pass: dependencies always have lower indices, so walking
-    // back-to-front sees every dependent's verdict before the task's
-    // own. `need_value` marks tasks whose output some running
-    // dependent reads.
-    let mut need_value = vec![false; n];
-    for &r in required {
-        need_value[r] = true;
-    }
-    let mut decisions: Vec<Option<Decision>> = (0..n).map(|_| None).collect();
-    let mut statuses: Vec<TaskCacheStatus> = vec![TaskCacheStatus::Miss; n];
-    for i in (0..n).rev() {
-        let env = envelopes[i].take();
-        let hit = env.is_some();
-        let run = |decisions: &mut Vec<Option<Decision>>, need_value: &mut Vec<bool>| {
-            for &d in infos[i].deps {
-                need_value[d] = true;
-            }
-            decisions[i] = Some(Decision::Run);
-        };
-        if need_value[i] {
-            let replayed = match (&metas[i].class, env) {
-                (CacheClass::Payload { decode, .. }, Some(env)) if env.payload.is_some() => {
-                    let payload = env.payload.as_deref().expect("checked is_some");
-                    match decode(payload) {
-                        Ok(value) => {
-                            decisions[i] = Some(Decision::Replay {
-                                value: Some(Mutex::new(Some(value))),
-                                effects: env.effects,
-                            });
-                            statuses[i] = TaskCacheStatus::Hit;
-                            true
-                        }
-                        Err(_) => {
-                            // Payload corrupt despite a valid blob hash
-                            // (e.g. a codec change without a version
-                            // bump): evict and recompute.
-                            store.evict(keys[i]);
-                            false
-                        }
-                    }
-                }
-                _ => false,
-            };
-            if !replayed {
-                run(&mut decisions, &mut need_value);
-                if hit {
-                    statuses[i] = TaskCacheStatus::Live;
-                }
-            }
+    // Reverse pass: every reader is decided before its input. A job
+    // runs when its entry is missing; a shared build runs when a running
+    // unit reads its value or, with metrics or trace on, to regenerate
+    // effects it has no entry for.
+    let obs_on = metrics_on || trace_on;
+    let mut needed = vec![false; units.len()];
+    let mut plans = Vec::with_capacity(units.len());
+    for (i, unit) in units.iter().enumerate().rev() {
+        let entry = entries[i].take();
+        let stored = entry.is_some();
+        let run = if unit.job {
+            !stored
         } else {
-            match env {
-                Some(env) => {
-                    statuses[i] = TaskCacheStatus::Hit;
-                    decisions[i] = Some(Decision::Replay {
-                        value: None,
-                        effects: env.effects,
-                    });
+            needed[i] || (!stored && obs_on)
+        };
+        let (status, decision) = match entry {
+            _ if run => {
+                if let Some(input) = unit.input {
+                    needed[input] = true;
                 }
-                None => {
-                    // No stored entry and no dependent needs the value.
-                    // An observable task must still run so the warm
-                    // run's metrics/trace match a cold run's; anything
-                    // else is skipped and left uncached.
-                    if obs_on && metas[i].observable {
-                        run(&mut decisions, &mut need_value);
-                    } else {
-                        decisions[i] = Some(Decision::Replay {
-                            value: None,
-                            effects: ObsEffects::default(),
-                        });
-                    }
-                }
+                let status = if stored {
+                    TaskCacheStatus::Live
+                } else {
+                    TaskCacheStatus::Miss
+                };
+                (status, Decision::Run)
             }
-        }
-    }
-
-    let tasks: Vec<TaskPlan> = keys
-        .into_iter()
-        .zip(decisions)
-        .zip(statuses)
-        .map(|((key, decision), status)| TaskPlan {
-            key,
+            Some((artifacts, effects)) => (
+                TaskCacheStatus::Hit,
+                Decision::Replay { artifacts, effects },
+            ),
+            None => (
+                TaskCacheStatus::Miss,
+                Decision::Replay {
+                    artifacts: None,
+                    effects: ObsEffects::default(),
+                },
+            ),
+        };
+        plans.push(UnitPlan {
+            key: keys[i],
             status,
-            decision: decision.expect("every task decided"),
-        })
-        .collect();
-    let hits = tasks
-        .iter()
-        .filter(|t| t.status == TaskCacheStatus::Hit)
-        .count() as u64;
-    CachePlan {
-        hits,
-        misses: tasks.len() as u64 - hits,
-        tasks,
+            decision,
+        });
     }
+    plans.reverse();
+    plans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btcpart::experiments::codec::encode_value;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bp-cache-test-{tag}-{}", std::process::id()));
@@ -999,19 +893,15 @@ mod tests {
     fn older_envelope_version_is_evicted_as_a_miss() {
         let dir = tmpdir("old-envelope");
         let mut store = ArtifactStore::open(&dir).unwrap();
-        let info = [TaskInfo {
-            label: "a",
-            deps: &[],
-        }];
-        let metas = [CacheMeta::payload::<u64>(1, vec![], false)];
-        let cold = plan_run(&mut store, &info, &metas, &[0], false, false);
+        let units = [job("a", None)];
+        let cold = plan_run(&mut store, &units, false, false);
 
         let hub = TraceHub::new();
         let mut t = Tracer::new();
         t.record(bp_obs::TraceKind::Mine, 1, 0, 1, 1);
         hub.set_stream(crate::pipeline::STREAM_RANK_DAY, "day", t);
         let mut blob = Envelope {
-            payload: Some(btcpart::experiments::codec::encode_value(&5u64)),
+            payload: Some(encode_value(&artifacts("a"))),
             effects: ObsEffects::capture(&Registry::new(), &hub),
         }
         .encode();
@@ -1019,14 +909,13 @@ mod tests {
         assert!(Envelope::decode(&blob)
             .unwrap_err()
             .contains("envelope version 1"));
-        store.insert(cold.tasks[0].key, blob);
+        store.insert(cold[0].key, blob);
         store.flush().unwrap();
         assert_eq!(store.len(), 1);
 
-        let warm = plan_run(&mut store, &info, &metas, &[0], false, false);
-        assert_eq!((warm.hits, warm.misses), (0, 1));
-        assert_eq!(warm.tasks[0].status, TaskCacheStatus::Miss);
-        assert!(matches!(warm.tasks[0].decision, Decision::Run));
+        let warm = plan_run(&mut store, &units, false, false);
+        assert_eq!(warm[0].status, TaskCacheStatus::Miss);
+        assert!(matches!(warm[0].decision, Decision::Run));
         assert!(store.is_empty(), "the stale entry is evicted");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1065,83 +954,95 @@ mod tests {
         assert_ne!(x.finish(), y.finish());
     }
 
-    /// A 3-task chain `a -> b -> c` with `c` required: cold runs all,
-    /// warm replays `c` and skips its whole upstream subgraph; flipping
-    /// `a`'s config invalidates everything downstream.
+    /// A job unit `id` reading shared unit `input`, keyed on nothing else.
+    fn job(id: &'static str, input: Option<usize>) -> Unit {
+        Unit {
+            id,
+            logic_version: 1,
+            config_bytes: Vec::new(),
+            input,
+            job: true,
+        }
+    }
+
+    /// A shared-build unit `id` whose key folds in `seed`.
+    fn shared(id: &'static str, seed: u64, input: Option<usize>) -> Unit {
+        let mut e = Enc::new();
+        e.put_u64(seed);
+        Unit {
+            id,
+            logic_version: 1,
+            config_bytes: e.into_bytes(),
+            input,
+            job: false,
+        }
+    }
+
+    fn artifacts(id: &str) -> Vec<Artifact> {
+        vec![Artifact::new(id, "title", format!("{id} body"))]
+    }
+
+    /// Stages the entry a finished run stores for a unit that ran and
+    /// recorded nothing.
+    fn store_entry(store: &mut ArtifactStore, key: Key, job: Option<&str>) {
+        let payload = job.map(|id| encode_value(&artifacts(id)));
+        let effects = ObsEffects::default();
+        store.insert(key, Envelope { payload, effects }.encode());
+    }
+
+    fn ran(plan: &[UnitPlan]) -> Vec<bool> {
+        plan.iter()
+            .map(|u| matches!(u.decision, Decision::Run))
+            .collect()
+    }
+
+    fn statuses(plan: &[UnitPlan]) -> Vec<&'static str> {
+        plan.iter().map(|u| u.status.as_str()).collect()
+    }
+
+    /// A shared build `a` read by a job `c`: cold runs both, warm
+    /// replays `c`'s stored artifacts and skips `a`; flipping `a`'s
+    /// config invalidates both; evicting `c` reruns it and runs `a`
+    /// live for its value.
     #[test]
     fn planner_skips_upstream_subgraph_and_invalidates_on_config_change() {
         let dir = tmpdir("planner");
         let mut store = ArtifactStore::open(&dir).unwrap();
-        let deps: [&[usize]; 3] = [&[], &[0], &[1]];
-        let infos = |labels: [&'static str; 3]| {
-            labels
-                .into_iter()
-                .zip(deps)
-                .map(|(label, deps)| TaskInfo { label, deps })
-                .collect::<Vec<_>>()
-        };
-        let metas = |seed: u64| {
-            (0..3)
-                .map(|_| {
-                    let mut e = Enc::new();
-                    e.put_u64(seed);
-                    CacheMeta::payload::<u64>(1, e.into_bytes(), false)
-                })
-                .collect::<Vec<_>>()
-        };
-        let info = infos(["a", "b", "c"]);
+        let units = |seed| [shared("a", seed, None), job("c", Some(0))];
 
-        let cold = plan_run(&mut store, &info, &metas(7), &[2], false, false);
-        assert_eq!(cold.hits, 0);
-        assert!(cold
-            .tasks
-            .iter()
-            .all(|t| matches!(t.decision, Decision::Run)));
+        let cold = plan_run(&mut store, &units(7), false, false);
+        assert_eq!(ran(&cold), [true, true]);
+        assert_eq!(statuses(&cold), ["miss", "miss"]);
         // Simulate the post-run store step.
-        for (t, v) in cold.tasks.iter().zip([10u64, 20, 30]) {
-            let env = Envelope {
-                payload: Some(btcpart::experiments::codec::encode_value(&v)),
-                effects: ObsEffects::default(),
-            };
-            store.insert(t.key, env.encode());
-        }
+        store_entry(&mut store, cold[0].key, None);
+        store_entry(&mut store, cold[1].key, Some("c"));
         store.flush().unwrap();
 
-        let warm = plan_run(&mut store, &info, &metas(7), &[2], false, false);
-        assert_eq!(warm.hits, 3);
-        for upstream in &warm.tasks[..2] {
-            assert!(matches!(
-                &upstream.decision,
-                Decision::Replay { value: None, effects } if *effects == ObsEffects::default()
-            ));
-        }
-        match &warm.tasks[2].decision {
+        let warm = plan_run(&mut store, &units(7), false, false);
+        assert_eq!(statuses(&warm), ["hit", "hit"]);
+        assert!(matches!(
+            &warm[0].decision,
+            Decision::Replay { artifacts: None, effects } if *effects == ObsEffects::default()
+        ));
+        match &warm[1].decision {
             Decision::Replay {
-                value: Some(value), ..
-            } => {
-                let out = value.lock().unwrap().take().unwrap();
-                assert_eq!(*out.downcast_ref::<u64>().unwrap(), 30);
-            }
-            _ => panic!("required task with a stored payload must replay"),
+                artifacts: Some(replayed),
+                ..
+            } => assert_eq!(*replayed, artifacts("c")),
+            _ => panic!("a job with a stored entry must replay its artifacts"),
         }
 
-        // A config flip (new seed) misses everything downstream.
-        let flipped = plan_run(&mut store, &info, &metas(8), &[2], false, false);
-        assert_eq!(flipped.hits, 0);
+        // A config flip (new seed) misses the build and its reader.
+        let flipped = plan_run(&mut store, &units(8), false, false);
+        assert_eq!(ran(&flipped), [true, true]);
+        assert_eq!(statuses(&flipped), ["miss", "miss"]);
 
-        // Corrupting one payload (wrong type bytes) evicts and reruns
-        // that subgraph; the unaffected dependency keys still resolve.
-        let key_c = warm.tasks[2].key;
-        store.evict(key_c);
-        let partial = plan_run(&mut store, &info, &metas(7), &[2], false, false);
-        assert!(matches!(partial.tasks[2].decision, Decision::Run));
-        assert_eq!(
-            partial.tasks[2].status,
-            TaskCacheStatus::Miss,
-            "evicted required task recomputes"
-        );
-        // c now needs b's value: b replays from its stored payload.
-        assert!(matches!(partial.tasks[1].decision, Decision::Replay { .. }));
+        // Evicting the job reruns it, and the build it reads runs live
+        // even though its own key still hits.
+        store.evict(warm[1].key);
+        let partial = plan_run(&mut store, &units(7), false, false);
+        assert_eq!(ran(&partial), [true, true]);
+        assert_eq!(statuses(&partial), ["live", "miss"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1149,79 +1050,71 @@ mod tests {
     fn planner_runs_observable_misses_and_replays_volatile_effects() {
         let dir = tmpdir("volatile");
         let mut store = ArtifactStore::open(&dir).unwrap();
-        // day_crawl (volatile, observable) -> fig6 (payload, required).
-        let info = vec![
-            TaskInfo {
-                label: "day_crawl",
-                deps: &[],
-            },
-            TaskInfo {
-                label: "fig6",
-                deps: &[0],
-            },
-        ];
-        let metas = vec![
-            CacheMeta::volatile(1, vec![], true),
-            CacheMeta::payload::<u64>(1, vec![], false),
+        // day_crawl -> general_crawl -> fig6_general, the shared builds
+        // effects-only and observable.
+        let units = [
+            shared("day_crawl", 1, None),
+            shared("general_crawl", 1, Some(0)),
+            job("fig6_general", Some(1)),
         ];
 
-        let cold = plan_run(&mut store, &info, &metas, &[1], true, false);
-        assert!(cold
-            .tasks
-            .iter()
-            .all(|t| matches!(t.decision, Decision::Run)));
-        // Store both: the crawl's envelope is effects-only.
+        let cold = plan_run(&mut store, &units, true, false);
+        assert_eq!(ran(&cold), [true, true, true]);
         let reg = Registry::new();
         reg.add("net.day.samples", 5);
-        let crawl_env = Envelope {
+        let effects = ObsEffects::capture(&reg, &TraceHub::new());
+        let crawl = Envelope {
             payload: None,
-            effects: ObsEffects::capture(&reg, &TraceHub::new()),
+            effects,
         };
-        store.insert(cold.tasks[0].key, crawl_env.encode());
-        let fig_env = Envelope {
-            payload: Some(btcpart::experiments::codec::encode_value(&9u64)),
-            effects: ObsEffects::default(),
-        };
-        store.insert(cold.tasks[1].key, fig_env.encode());
+        store.insert(cold[0].key, crawl.encode());
+        store_entry(&mut store, cold[1].key, None);
+        store_entry(&mut store, cold[2].key, Some("fig6_general"));
         store.flush().unwrap();
 
-        // Warm: fig6 replays, the crawl's effects replay without a run.
-        let warm = plan_run(&mut store, &info, &metas, &[1], true, false);
-        assert_eq!(warm.hits, 2);
-        match &warm.tasks[0].decision {
+        // Warm: the job replays, the crawls' effects replay without a run.
+        let warm = plan_run(&mut store, &units, true, false);
+        assert_eq!(ran(&warm), [false, false, false]);
+        assert_eq!(statuses(&warm), ["hit", "hit", "hit"]);
+        match &warm[0].decision {
             Decision::Replay {
-                value: None,
+                artifacts: None,
                 effects,
             } => {
                 let fresh = Registry::new();
                 effects.replay(Some(&fresh), None);
                 assert_eq!(fresh.snapshot().counter("net.day.samples"), 5);
             }
-            _ => panic!("volatile hit with effects must replay them"),
+            _ => panic!("a shared build with stored effects must replay them"),
         }
 
-        // Evict fig6: it must run live, which forces the volatile crawl
-        // to run too (its value is needed) even though its key hits.
-        store.evict(warm.tasks[1].key);
-        let partial = plan_run(&mut store, &info, &metas, &[1], true, false);
-        assert!(matches!(partial.tasks[1].decision, Decision::Run));
-        assert!(matches!(partial.tasks[0].decision, Decision::Run));
-        assert_eq!(partial.tasks[0].status, TaskCacheStatus::Live);
+        // Evict the job: it reruns, which runs both crawls live.
+        store.evict(warm[2].key);
+        let partial = plan_run(&mut store, &units, true, false);
+        assert_eq!(ran(&partial), [true, true, true]);
+        assert_eq!(statuses(&partial), ["live", "live", "miss"]);
 
-        // Evict the observable crawl instead (fig6 still cached): with
-        // metrics on it must run live to regenerate its effects.
-        let mut store2 = ArtifactStore::open(&dir).unwrap();
-        store2.evict(warm.tasks[0].key);
-        let regen = plan_run(&mut store2, &info, &metas, &[1], true, false);
-        assert!(matches!(regen.tasks[0].decision, Decision::Run));
-        assert!(matches!(regen.tasks[1].decision, Decision::Replay { .. }));
-        // With observability off the same miss is skipped silently
-        // (nothing to regenerate) — but the keys differ, so re-plan
-        // against a fresh store with obs off.
+        // Evict the general crawl instead (the job still cached): with
+        // metrics on it runs to regenerate its effects, and the day crawl
+        // runs live because the general crawl continues its simulation.
+        let mut store = ArtifactStore::open(&dir).unwrap();
+        store.evict(warm[1].key);
+        let regen = plan_run(&mut store, &units, true, false);
+        assert_eq!(ran(&regen), [true, true, false]);
+        assert_eq!(statuses(&regen), ["live", "miss", "hit"]);
+
+        // With observability off the same miss has nothing to
+        // regenerate: the crawls are skipped and the job replays. The
+        // keys differ, so this plans over a store of obs-off entries.
         let dir2 = tmpdir("volatile-off");
-        let mut store3 = ArtifactStore::open(&dir2).unwrap();
-        let off = plan_run(&mut store3, &info, &metas, &[1], false, false);
-        assert!(matches!(off.tasks[1].decision, Decision::Run));
+        let mut store = ArtifactStore::open(&dir2).unwrap();
+        let off = plan_run(&mut store, &units, false, false);
+        assert_eq!(ran(&off), [true, true, true]);
+        store_entry(&mut store, off[2].key, Some("fig6_general"));
+        store.flush().unwrap();
+        let off = plan_run(&mut store, &units, false, false);
+        assert_eq!(ran(&off), [false, false, false]);
+        assert_eq!(statuses(&off), ["miss", "miss", "hit"]);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&dir2);
     }

@@ -244,7 +244,7 @@ pub fn usage() -> String {
          --trace DIR    write the deterministic flight-recorder trace.bin and\n\
          \x20              trace.jsonl to DIR (artifact output is unchanged;\n\
          \x20              inspect with the `trace` binary)\n\
-         --cache DIR    content-addressed artifact cache: store task results in\n\
+         --cache DIR    content-addressed artifact cache: store job results in\n\
          \x20              DIR and replay them on later runs with the same\n\
          \x20              config (byte-identical output, most work skipped);\n\
          \x20              with --serve / --serve-bench it persists memoized\n\

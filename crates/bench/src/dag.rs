@@ -56,21 +56,6 @@ impl TaskCtx<'_> {
     }
 }
 
-/// A boxed task closure: dependencies in, type-erased output out.
-pub type TaskFn<'a> = Box<dyn Fn(&TaskCtx) -> TaskOutput + Send + Sync + 'a>;
-
-/// What [`Dag::execute_planned`] should do with one task. The cache
-/// planner emits one action per task; `Substitute` is how a cache hit
-/// hands its stored output to dependents (or `()` when none reads it)
-/// without running the original closure, so the scheduler's accounting
-/// never changes shape.
-pub enum TaskAction<'a> {
-    /// Execute the task's original closure.
-    Run,
-    /// Execute this closure instead of the original.
-    Substitute(TaskFn<'a>),
-}
-
 /// One schedulable unit of work.
 pub struct Task<'a> {
     /// Display label (lands in the per-task timing rows).
@@ -81,7 +66,8 @@ pub struct Task<'a> {
     /// Indices of tasks this one reads. Must all be smaller than this
     /// task's own index (the DAG is built in topological order).
     pub deps: Vec<usize>,
-    run: TaskFn<'a>,
+    /// Dependencies in, type-erased output out.
+    run: Box<dyn Fn(&TaskCtx) -> TaskOutput + Send + Sync + 'a>,
 }
 
 /// Wall time of one executed task.
@@ -172,9 +158,7 @@ impl<'a> Dag<'a> {
         self.tasks.is_empty()
     }
 
-    /// Read-only view of the tasks added so far (labels, jobs, deps) —
-    /// the cache planner derives keys from this without consuming the
-    /// graph.
+    /// Read-only view of the tasks added so far (labels, jobs, deps).
     pub fn tasks(&self) -> &[Task<'a>] {
         &self.tasks
     }
@@ -206,31 +190,26 @@ impl<'a> Dag<'a> {
         index
     }
 
-    /// Executes the graph with per-task actions applied: `Run` keeps
-    /// the original closure and `Substitute` swaps it (cache replay).
-    /// Scheduling is
-    /// untouched — every task is still spawned and claimed, so
-    /// `DagStats` counts are identical to an unplanned run; only the
-    /// work inside each claim changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actions` and the task list disagree in length.
-    pub fn execute_planned(mut self, workers: usize, actions: Vec<TaskAction<'a>>) -> DagRun {
-        assert_eq!(actions.len(), self.tasks.len(), "one TaskAction per task");
-        for (task, action) in self.tasks.iter_mut().zip(actions) {
-            if let TaskAction::Substitute(f) = action {
-                task.run = f;
-            }
-        }
-        self.execute(workers)
-    }
-
     /// Executes the graph on a pool of `workers` threads (at least one)
     /// and returns every task's output, timing, and the scheduler
     /// stats. One worker claims ready tasks lowest index first.
     /// Output bytes never depend on `workers`; only wall times do.
     pub fn execute(self, workers: usize) -> DagRun {
+        let skip = vec![false; self.tasks.len()];
+        self.execute_planned(workers, &skip)
+    }
+
+    /// [`execute`](Self::execute), except that a task whose `skip` entry
+    /// is set outputs `()` instead of running its closure (a cache hit).
+    /// Scheduling is untouched — every task is still spawned and
+    /// claimed, so `DagStats` counts are identical to an unplanned run.
+    /// No task that runs may read a skipped task's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `skip` and the task list disagree in length.
+    pub fn execute_planned(self, workers: usize, skip: &[bool]) -> DagRun {
+        assert_eq!(skip.len(), self.tasks.len(), "one skip flag per task");
         let n = self.tasks.len();
         let max_ready = replay_max_ready(&self.tasks);
         let slots: Vec<OnceLock<TaskOutput>> = (0..n).map(|_| OnceLock::new()).collect();
@@ -246,7 +225,11 @@ impl<'a> Dag<'a> {
                 deps: &task.deps,
             };
             let start = Instant::now();
-            let out = (task.run)(&ctx);
+            let out: TaskOutput = if skip[i] {
+                Box::new(())
+            } else {
+                (task.run)(&ctx)
+            };
             let wall = start.elapsed();
             claimed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             assert!(slots[i].set(out).is_ok(), "task executed twice");
@@ -484,6 +467,24 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("execute hung after a task panicked");
         assert!(panicked, "the task's panic must reach the caller");
+    }
+
+    #[test]
+    fn skipped_tasks_are_claimed_without_running() {
+        let ran = AtomicUsize::new(0);
+        let mut dag = Dag::new();
+        for label in ["a", "b", "c"] {
+            let ran = &ran;
+            dag.push(label, None, vec![], move |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                boxed(1u64)
+            });
+        }
+        let run = dag.execute_planned(2, &[false, true, false]);
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
+        assert_eq!(run.stats.claimed, 3);
+        assert!(run.outputs[1].is::<()>());
+        assert!(run.outputs[2].is::<u64>());
     }
 
     #[test]

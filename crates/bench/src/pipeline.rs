@@ -26,15 +26,16 @@
 //! `repro --timings` renders and exports as `timings.csv`.
 
 use crate::cache::{
-    self, ArtifactStore, CacheClass, CacheMeta, CacheSummary, Decision, Envelope, ObsEffects,
+    self, ArtifactStore, CacheSummary, Decision, Envelope, ObsEffects, TaskCacheStatus, Unit,
+    UnitPlan,
 };
-use crate::dag::{Dag, DagRun, TaskAction, TaskCtx, TaskOutput, TaskTiming};
+use crate::dag::{Dag, DagRun, TaskCtx, TaskOutput, TaskTiming};
 use crate::{day_crawl, general_crawl, measurement_lab, ReproConfig};
 use bp_obs::Tracer;
 use btcpart::attacks::countermeasures::BlockAwareTradeoff;
 use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig, TemporalAttackReport};
 use btcpart::crawler::CrawlResult;
-use btcpart::experiments::codec::canonical_f64_bits;
+use btcpart::experiments::codec::{canonical_f64_bits, encode_value};
 use btcpart::experiments::{ablation, combined, defense, logical, spatial, temporal, Artifact};
 use btcpart::mining::PoolCensus;
 use btcpart::net::Simulation;
@@ -566,15 +567,16 @@ fn shared_stage_timings(
 ///   [`Tracer`]; the hub merges the streams in a fixed order, so
 ///   [`TraceHub::merged`] is byte-identical for any worker count.
 /// * `store` (`repro --cache DIR`) is a content-addressed artifact
-///   store. Every task's key is derived from its label, logic version,
-///   config slice and dependency keys; tasks whose key resolves are
-///   *replayed* — their stored output feeds dependents and their stored
-///   metric/trace effects are injected — instead of run, and their whole
-///   upstream subgraph is skipped unless a running task needs it. A warm
-///   run therefore produces byte-identical artifacts, metrics and traces
-///   while doing none of the simulation work. The store is *not* flushed
-///   here — callers flush after exporting so a crashed run never commits
-///   a partial index.
+///   store with one entry per job and per shared build. A unit's key is
+///   derived from its id, logic version, config slice and the key of
+///   the shared build it reads; a job whose key resolves is *replayed*
+///   — its stored artifacts go straight to the result and the stored
+///   metric/trace effects of all its tasks are injected — instead of
+///   run, and a shared build that no missing job reads is skipped the
+///   same way. A warm run therefore produces byte-identical artifacts,
+///   metrics and traces while doing none of the simulation work. The
+///   store is *not* flushed here — callers flush after exporting so a
+///   crashed run never commits a partial index.
 pub fn run_pipeline(
     config: &ReproConfig,
     ids: &[String],
@@ -593,48 +595,24 @@ pub fn run_pipeline(
     // byte-identical across `--jobs N`.
     let DagParts {
         dag,
-        metas,
+        units,
         cells,
         shared_tasks,
         artifact_tasks,
     } = build_dag(config, &selected, reg.is_some(), hub.is_some());
 
-    let plan = store.as_deref_mut().map(|s| {
-        let infos: Vec<cache::TaskInfo> = dag
-            .tasks()
-            .iter()
-            .map(|t| cache::TaskInfo {
-                label: &t.label,
-                deps: &t.deps,
-            })
-            .collect();
-        cache::plan_run(
-            s,
-            &infos,
-            &metas,
-            &artifact_tasks,
-            reg.is_some(),
-            hub.is_some(),
-        )
-    });
-    let actions: Vec<TaskAction> = match &plan {
-        None => (0..dag.len()).map(|_| TaskAction::Run).collect(),
-        Some(plan) => plan
-            .tasks
-            .iter()
-            .map(|t| match &t.decision {
-                Decision::Run => TaskAction::Run,
-                Decision::Replay { value, .. } => {
-                    TaskAction::Substitute(Box::new(move |_| match value {
-                        Some(value) => value
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("a replayed task executes exactly once"),
-                        None => Box::new(()),
-                    }))
-                }
-            })
+    // Cache units are the shared builds (shared build `i` is task `i`),
+    // then the jobs in presentation order.
+    let unit_of: Vec<usize> = (dag.tasks().iter().enumerate())
+        .map(|(i, t)| t.job.map_or(i, |j| shared_tasks.len() + j))
+        .collect();
+    let mut plan: Option<Vec<UnitPlan>> = store
+        .as_deref_mut()
+        .map(|s| cache::plan_run(s, &units, reg.is_some(), hub.is_some()));
+    let skip: Vec<bool> = match &plan {
+        None => vec![false; dag.len()],
+        Some(plan) => (unit_of.iter())
+            .map(|&u| !matches!(plan[u].decision, Decision::Run))
             .collect(),
     };
 
@@ -643,40 +621,48 @@ pub fn run_pipeline(
         mut outputs,
         timings,
         stats,
-    } = dag.execute_planned(worker_count, actions);
+    } = dag.execute_planned(worker_count, &skip);
 
-    // Store every freshly computed (miss ∧ run) result before artifact
-    // extraction consumes the outputs, then merge each task's scoped
-    // observations into the run's registry/hub in construction order —
-    // replayed tasks inject their stored effects at the same point, so
-    // the merged result is independent of what was cached.
-    if let (Some(s), Some(plan)) = (store.as_deref_mut(), &plan) {
-        for (i, tp) in plan.tasks.iter().enumerate() {
-            if matches!(tp.decision, Decision::Run) && tp.status == cache::TaskCacheStatus::Miss {
-                let payload = match &metas[i].class {
-                    CacheClass::Payload { encode, .. } => encode(&outputs[i]),
-                    CacheClass::Volatile => None,
+    // Per unit: one that ran merges its scoped observations into the
+    // run's registry/hub and, on a miss, is stored; a skipped one
+    // injects its stored effects instead, so the merged result is
+    // independent of what was cached. Merging is order-insensitive.
+    let mut job_artifacts: Vec<Vec<Artifact>> = Vec::with_capacity(selected.len());
+    for (u, cell) in cells.iter().enumerate() {
+        if let Some(UnitPlan {
+            decision: Decision::Replay { artifacts, effects },
+            ..
+        }) = plan.as_mut().map(|p| &mut p[u])
+        {
+            effects.replay(reg, hub);
+            job_artifacts.extend(artifacts.take());
+            continue;
+        }
+        if let Some(reg) = reg {
+            reg.merge_snapshot(&cell.reg.snapshot());
+        }
+        if let Some(hub) = hub {
+            for (rank, name, tracer) in cell.hub.streams() {
+                hub.set_stream(rank, &name, tracer);
+            }
+        }
+        let produced = u.checked_sub(shared_tasks.len()).map(|j| {
+            let output = std::mem::replace(&mut outputs[artifact_tasks[j]], Box::new(()));
+            *output
+                .downcast::<Vec<Artifact>>()
+                .unwrap_or_else(|_| panic!("task for job {} returns Vec<Artifact>", selected[j].id))
+        });
+        let missed = plan.as_ref().map(|p| &p[u]);
+        if let (Some(s), Some(missed)) = (store.as_deref_mut(), missed) {
+            if missed.status == TaskCacheStatus::Miss {
+                let envelope = Envelope {
+                    payload: produced.as_ref().map(encode_value),
+                    effects: ObsEffects::capture(&cell.reg, &cell.hub),
                 };
-                let effects = ObsEffects::capture(&cells[i].reg, &cells[i].hub);
-                s.insert(tp.key, Envelope { payload, effects }.encode());
+                s.insert(missed.key, envelope.encode());
             }
         }
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let decision = plan.as_ref().map(|p| &p.tasks[i].decision);
-        match decision {
-            None | Some(Decision::Run) => {
-                if let Some(reg) = reg {
-                    reg.merge_snapshot(&cell.reg.snapshot());
-                }
-                if let Some(hub) = hub {
-                    for (rank, name, tracer) in cell.hub.streams() {
-                        hub.set_stream(rank, &name, tracer);
-                    }
-                }
-            }
-            Some(Decision::Replay { effects, .. }) => effects.replay(reg, hub),
-        }
+        job_artifacts.extend(produced);
     }
 
     let shared_timings = shared_stage_timings(&shared_tasks, &timings);
@@ -690,14 +676,12 @@ pub fn run_pipeline(
         }
     }
 
+    assert_eq!(job_artifacts.len(), selected.len(), "one result per job");
     let mut artifacts = Vec::new();
     let mut job_timings = Vec::new();
-    for (j, (job, &task_idx)) in selected.iter().zip(&artifact_tasks).enumerate() {
-        let produced: Box<Vec<Artifact>> = std::mem::replace(&mut outputs[task_idx], Box::new(()))
-            .downcast()
-            .unwrap_or_else(|_| panic!("task for job {} returns Vec<Artifact>", job.id));
-        job_timings.push(StageTiming::for_artifacts(job.id, job_walls[j], &produced));
-        artifacts.extend(*produced);
+    for ((job, wall), produced) in selected.iter().zip(job_walls).zip(job_artifacts) {
+        job_timings.push(StageTiming::for_artifacts(job.id, wall, &produced));
+        artifacts.extend(produced);
     }
 
     if let Some(reg) = reg {
@@ -713,6 +697,7 @@ pub fn run_pipeline(
         }
     }
 
+    let status = |i: usize| plan.as_ref().map(|p| p[unit_of[i]].status);
     let tasks: Vec<TaskRow> = timings
         .iter()
         .enumerate()
@@ -720,20 +705,21 @@ pub fn run_pipeline(
             label: t.label.clone(),
             job: t.job.map(|j| selected[j].id.to_string()),
             wall: t.wall,
-            cache: plan.as_ref().map(|p| p.tasks[i].status.as_str()),
+            cache: status(i).map(TaskCacheStatus::as_str),
         })
         .collect();
 
-    let cache_summary = plan.as_ref().map(|p| CacheSummary {
-        hits: p.hits,
-        misses: p.misses,
-        skipped: p
-            .tasks
-            .iter()
-            .filter(|t| !matches!(t.decision, Decision::Run))
-            .count() as u64,
-        bytes_read: store.as_deref().map_or(0, |s| s.bytes_read()),
-        bytes_written: store.as_deref().map_or(0, |s| s.bytes_written()),
+    let cache_summary = plan.as_ref().map(|_| {
+        let hits = (0..timings.len())
+            .filter(|&i| status(i) == Some(TaskCacheStatus::Hit))
+            .count() as u64;
+        CacheSummary {
+            hits,
+            misses: timings.len() as u64 - hits,
+            skipped: skip.iter().filter(|&&s| s).count() as u64,
+            bytes_read: store.as_deref().map_or(0, |s| s.bytes_read()),
+            bytes_written: store.as_deref().map_or(0, |s| s.bytes_written()),
+        }
     });
     if let (Some(reg), Some(summary)) = (reg, &cache_summary) {
         // Volatile by design: a warm run's hit counts differ from a
@@ -779,10 +765,10 @@ pub fn run_pipeline(
     (artifacts, report)
 }
 
-// Per-task-family logic versions, folded into every cache key. Bump a
-// family's version whenever its task code changes behaviour without a
-// config or dependency change — old store entries then miss instead of
-// replaying stale results.
+// Per-family logic versions, folded into every cache key. Bump a
+// family's version whenever its code changes behaviour without a config
+// or input change — old store entries then miss instead of replaying
+// stale results.
 // LV_SHARED v2: the traced day crawl now seeds node→AS join records
 // (`node_as`) into its stream, so v1 store entries would replay traces
 // without them.
@@ -794,9 +780,9 @@ const LV_TABLE6: u32 = 1;
 const LV_SIM_CHAIN: u32 = 1;
 
 /// Canonical config-slice bytes: fixed-width little-endian `u64` fields
-/// (floats pass through [`canonical_f64_bits`] first). Each task family
-/// encodes exactly the [`ReproConfig`] fields it reads — dependency
-/// keys carry everything upstream.
+/// (floats pass through [`canonical_f64_bits`] first). Each unit
+/// encodes exactly the [`ReproConfig`] fields its tasks read — the key
+/// of the shared build it reads carries everything upstream.
 fn cfg(parts: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(parts.len() * 8);
     for p in parts {
@@ -805,24 +791,51 @@ fn cfg(parts: &[u64]) -> Vec<u8> {
     out
 }
 
-/// The `(scale, seed)` config slice of every task that builds its own
+/// The `(scale, seed)` config slice of every unit that builds its own
 /// population.
 fn scale_seed(config: &ReproConfig) -> Vec<u8> {
     cfg(&[canonical_f64_bits(config.scale), config.seed])
 }
 
-/// One task's scoped observation cell: everything the task records
-/// lands here first, is captured into its cache envelope on a miss, and
-/// is merged into the run's global registry/hub afterwards. Merging is
-/// order-insensitive (counters add, gauges take maxima, stream keys are
-/// disjoint), so scoping never changes the exported bytes.
+/// A job's cache unit: its family's logic version and the union of the
+/// config fields its tasks read. Jobs that read a shared build inherit
+/// scale/seed/hours through that build's key.
+fn job_unit(job: &JobSpec, config: &ReproConfig, input: Option<usize>) -> Unit {
+    let scale = canonical_f64_bits(config.scale);
+    let (logic_version, config_bytes) = match job.id {
+        "ablations" => (LV_ABLATIONS, cfg(&[config.seed])),
+        "countermeasures" => (LV_COUNTERMEASURES, scale_seed(config)),
+        "table6" => (LV_TABLE6, Vec::new()),
+        "propagation" => (
+            LV_SIM_CHAIN,
+            cfg(&[scale, config.seed, config.day_hours.clamp(1, 4)]),
+        ),
+        "fifty_one" => (LV_SIM_CHAIN, scale_seed(config)),
+        "cascade" => (LV_SIMPLE, scale_seed(config)),
+        _ => (LV_SIMPLE, Vec::new()),
+    };
+    Unit {
+        id: job.id,
+        logic_version,
+        config_bytes,
+        input,
+        job: true,
+    }
+}
+
+/// One cache unit's scoped observation cell, shared by all of the
+/// unit's tasks: everything they record lands here first, is captured
+/// into the unit's cache envelope on a miss, and is merged into the
+/// run's global registry/hub afterwards. Merging is order-insensitive
+/// (counters add, gauges take maxima, stream keys are disjoint), so
+/// concurrent tasks sharing a cell never change the exported bytes.
 #[derive(Default)]
-struct TaskObs {
+struct UnitObs {
     reg: bp_obs::Registry,
     hub: TraceHub,
 }
 
-/// The observability view handed to a task closure: the task's *scoped*
+/// The observability view handed to a task closure: its unit's *scoped*
 /// registry/hub when the run records metrics/traces, `None` otherwise
 /// (so task code takes the exact same branches as an unobserved run).
 #[derive(Clone, Copy)]
@@ -831,12 +844,11 @@ struct ObsCtx<'o> {
     trace: Option<&'o TraceHub>,
 }
 
-/// [`Dag`] construction wrapper that keeps the cache metadata and the
-/// scoped observation cell of every task aligned with its index.
+/// [`Dag`] construction wrapper that gives every task its cache unit's
+/// scoped observation cell.
 struct DagBuilder<'a> {
     dag: Dag<'a>,
-    metas: Vec<CacheMeta>,
-    cells: Vec<Arc<TaskObs>>,
+    cells: Vec<Arc<UnitObs>>,
     metrics_on: bool,
     trace_on: bool,
 }
@@ -845,48 +857,49 @@ impl<'a> DagBuilder<'a> {
     fn new(metrics_on: bool, trace_on: bool) -> Self {
         DagBuilder {
             dag: Dag::new(),
-            metas: Vec::new(),
             cells: Vec::new(),
             metrics_on,
             trace_on,
         }
     }
 
+    /// Adds a task. A shared build (`job` is `None`) is one task and a
+    /// unit of its own; a job's tasks, pushed one after another, share
+    /// the job's unit.
     fn push(
         &mut self,
         label: impl Into<String>,
         job: Option<usize>,
         deps: Vec<usize>,
-        meta: CacheMeta,
         run: impl Fn(&TaskCtx, ObsCtx<'_>) -> TaskOutput + Send + Sync + 'a,
     ) -> usize {
-        let cell = Arc::new(TaskObs::default());
-        let scoped = Arc::clone(&cell);
+        let joins_unit = job.is_some() && self.dag.tasks().last().is_some_and(|t| t.job == job);
+        if !joins_unit {
+            self.cells.push(Arc::default());
+        }
+        let scoped = Arc::clone(self.cells.last().expect("a unit is open"));
         let (metrics_on, trace_on) = (self.metrics_on, self.trace_on);
-        let idx = self.dag.push(label, job, deps, move |ctx| {
+        self.dag.push(label, job, deps, move |ctx| {
             let obs = ObsCtx {
                 metrics: if metrics_on { Some(&scoped.reg) } else { None },
                 trace: if trace_on { Some(&scoped.hub) } else { None },
             };
             run(ctx, obs)
-        });
-        self.metas.push(meta);
-        self.cells.push(cell);
-        debug_assert_eq!(self.metas.len(), idx + 1);
-        idx
+        })
     }
 }
 
-/// The compiled graph plus everything the cached executor needs:
-/// per-task cache metadata and observation cells (both indexed by task),
-/// the shared-build tasks as `(stage id, task index)` in the fixed
-/// `static` / `day_crawl` / `general_crawl` order, and — per selected
-/// job, in presentation order — the index of the task whose output is
-/// that job's `Vec<Artifact>`.
+/// The compiled graph plus everything the cached executor needs: the
+/// cache units and their observation cells (both indexed by unit: the
+/// shared builds, then the selected jobs), the shared-build tasks as
+/// `(stage id, task index)` in the fixed `static` / `day_crawl` /
+/// `general_crawl` order, and — per selected job, in presentation
+/// order — the index of the task whose output is that job's
+/// `Vec<Artifact>`.
 struct DagParts<'a> {
     dag: Dag<'a>,
-    metas: Vec<CacheMeta>,
-    cells: Vec<Arc<TaskObs>>,
+    units: Vec<Unit>,
+    cells: Vec<Arc<UnitObs>>,
     shared_tasks: Vec<(&'static str, usize)>,
     artifact_tasks: Vec<usize>,
 }
@@ -901,36 +914,38 @@ fn build_dag<'a>(
     let mut b = DagBuilder::new(metrics_on, trace_on);
     let reads = |input| selected.iter().any(|job| job.input == input);
 
-    // Shared inputs are volatile: live simulation state cannot be
-    // persisted, but a crawl's metrics and the day trace *can* — a warm
-    // run replays those effects without simulating. A crawl exports its
-    // simulation's counters into the task's scoped registry (counter
+    // Shared builds are effects-only units: live simulation state cannot
+    // be persisted, but a crawl's metrics and the day trace *can* — a
+    // warm run replays those effects without simulating. A crawl exports
+    // its simulation's counters into the unit's scoped registry (counter
     // keys are prefix-disjoint, so export order cannot affect the
     // snapshot), and a traced day crawl's flight recorder is lifted into
-    // the task's hub before any job can see the input.
-    let crawl_meta = |hours| {
-        let slice = cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
-        CacheMeta::volatile(LV_SHARED, slice, true)
+    // the unit's hub before any job can see the input.
+    let mut units = Vec::new();
+    let mut shared_unit = |id, config_bytes, input| {
+        units.push(Unit {
+            id,
+            logic_version: LV_SHARED,
+            config_bytes,
+            input,
+            job: false,
+        })
     };
+    let crawl_slice = |hours| cfg(&[canonical_f64_bits(config.scale), config.seed, hours]);
     let static_task = reads(Input::Static).then(|| {
-        b.push(
-            "static",
-            None,
-            vec![],
-            CacheMeta::volatile(LV_SHARED, scale_seed(config), false),
-            move |_, _| {
-                let env = Scenario::new().scale(config.scale).seed(config.seed);
-                Box::new(env.build_static()) as TaskOutput
-            },
-        )
+        shared_unit("static", scale_seed(config), None);
+        b.push("static", None, vec![], move |_, _| {
+            let env = Scenario::new().scale(config.scale).seed(config.seed);
+            Box::new(env.build_static()) as TaskOutput
+        })
     });
     // The day task runs whenever either crawl is read: its simulation
     // is the one the general crawl continues. The tracer leaves the
     // simulation at the end of the day, so the trace covers the day
     // crawl alone.
     let day_task = (reads(Input::Day) || reads(Input::General)).then(|| {
-        let meta = crawl_meta(config.day_hours);
-        b.push("day_crawl", None, vec![], meta, move |_, obs| {
+        shared_unit("day_crawl", crawl_slice(config.day_hours), None);
+        b.push("day_crawl", None, vec![], move |_, obs| {
             let (crawl, mut lab) = day_crawl(config, obs.metrics, obs.trace.is_some());
             if let Some(reg) = obs.metrics {
                 lab.sim.export_metrics(reg, "net.day");
@@ -949,8 +964,12 @@ fn build_dag<'a>(
     });
     let general_task = reads(Input::General).then(|| {
         let day = day_task.expect("the day crawl is scheduled with the general crawl");
-        let meta = crawl_meta(config.general_hours());
-        b.push("general_crawl", None, vec![day], meta, move |ctx, obs| {
+        shared_unit(
+            "general_crawl",
+            crawl_slice(config.general_hours()),
+            Some(day),
+        );
+        b.push("general_crawl", None, vec![day], move |ctx, obs| {
             let day = ctx.dep::<DayCrawl>(0);
             let mut sim = day
                 .sim
@@ -971,60 +990,48 @@ fn build_dag<'a>(
     .into_iter()
     .filter_map(|(id, idx)| Some((id, idx?)))
     .collect();
-    let input_deps = |input| -> Vec<usize> {
-        match input {
-            Input::None => None,
-            Input::Static => static_task,
-            Input::Day => day_task,
-            Input::General => general_task,
-        }
-        .into_iter()
-        .collect()
+    // A shared build's task index is also its unit index.
+    let input_task = |input| match input {
+        Input::None => None,
+        Input::Static => static_task,
+        Input::Day => day_task,
+        Input::General => general_task,
     };
 
     let mut artifact_tasks = Vec::with_capacity(selected.len());
     for (j, job) in selected.iter().enumerate() {
+        let input = input_task(job.input);
+        units.push(job_unit(job, config, input));
         let idx = match job.build {
             Build::FanOut(push) => push(
                 &mut b,
                 FanOut {
                     job: j,
                     config,
-                    input: input_deps(job.input),
+                    input: input.into_iter().collect(),
                 },
             ),
-            Build::Render(render) => {
-                // Jobs that read shared inputs inherit scale/seed/hours
-                // through their dependency keys; the self-contained
-                // cascade encodes its config slice directly.
-                let slice = if job.id == "cascade" {
-                    scale_seed(config)
-                } else {
-                    Vec::new()
-                };
-                let meta = CacheMeta::payload::<Vec<Artifact>>(LV_SIMPLE, slice, job.id == "fig7");
-                b.push(
-                    job.id,
-                    Some(j),
-                    input_deps(job.input),
-                    meta,
-                    move |task, obs| {
-                        let ctx = JobCtx {
-                            config,
-                            metrics: obs.metrics,
-                            trace: obs.trace,
-                            task,
-                        };
-                        Box::new(render(&ctx)) as TaskOutput
-                    },
-                )
-            }
+            Build::Render(render) => b.push(
+                job.id,
+                Some(j),
+                input.into_iter().collect(),
+                move |task, obs| {
+                    let ctx = JobCtx {
+                        config,
+                        metrics: obs.metrics,
+                        trace: obs.trace,
+                        task,
+                    };
+                    Box::new(render(&ctx)) as TaskOutput
+                },
+            ),
         };
         artifact_tasks.push(idx);
     }
+    debug_assert_eq!(units.len(), b.cells.len(), "one cell per cache unit");
     DagParts {
         dag: b.dag,
-        metas: b.metas,
+        units,
         cells: b.cells,
         shared_tasks,
         artifact_tasks,
@@ -1036,12 +1043,9 @@ fn build_dag<'a>(
 /// seed-minor order (a fixed accumulation order, floating point
 /// included). The relay and out-degree sweeps run each distinct
 /// configuration once ([`ablation::NetSweep`]); the merge maps every
-/// cell to its simulation's units. Units are cached as volatile (their
-/// result types have no canonical codec): a warm run replays the
-/// merge's artifact payload and skips every unit.
+/// cell to its simulation's units.
 fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, seed) = (fan.job, fan.config.seed);
-    let seed_slice = cfg(&[seed]);
     let n_seeds = ablation::AVERAGING_SEEDS.len();
     let sweep = ablation::NetSweep::new();
     let mut deps = Vec::new();
@@ -1052,7 +1056,6 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
                 format!("ablations/{}[{},s{s}]", cell.sweep, cell.index),
                 Some(j),
                 vec![],
-                CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
                 move |_, _| Box::new(ablation::net_unit(seed, &config, s)) as TaskOutput,
             ));
         }
@@ -1063,15 +1066,13 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
                 format!("ablations/span[{ratio},s{s}]"),
                 Some(j),
                 vec![],
-                CacheMeta::volatile(LV_ABLATIONS, seed_slice.clone(), false),
                 move |_, _| Box::new(ablation::span_unit(seed, ratio, s)) as TaskOutput,
             ));
         }
     }
     let net_n = sweep.cells.len() * n_seeds;
     let span_n = ablation::SPAN_RATIOS.len() * n_seeds;
-    let meta = CacheMeta::payload::<Vec<Artifact>>(LV_ABLATIONS, Vec::new(), false);
-    b.push("ablations/merge", Some(j), deps, meta, move |ctx, _| {
+    b.push("ablations/merge", Some(j), deps, move |ctx, _| {
         let net: Vec<ablation::NetUnit> = (0..net_n).map(|k| *ctx.dep(k)).collect();
         let span: Vec<ablation::SpanUnit> = (net_n..net_n + span_n)
             .map(|k| ctx.dep::<ablation::SpanUnit>(k).clone())
@@ -1097,27 +1098,16 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             format!("countermeasures/sweep[{threshold}]"),
             Some(j),
             vec![],
-            CacheMeta::payload::<BlockAwareTradeoff>(LV_COUNTERMEASURES, Vec::new(), false),
             move |_, _| Box::new(defense::blockaware_sweep_row(threshold)) as TaskOutput,
         ));
     }
-    deps.push(b.push(
-        "countermeasures/stratum",
-        Some(j),
-        vec![],
-        CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
-        |_, _| Box::new(defense::stratum_diversification()) as TaskOutput,
-    ));
-    deps.push(b.push(
-        "countermeasures/purging",
-        Some(j),
-        input,
-        CacheMeta::payload::<Artifact>(LV_COUNTERMEASURES, Vec::new(), false),
-        |ctx, _| {
-            let (snapshot, _) = ctx.dep::<(Snapshot, PoolCensus)>(0);
-            Box::new(defense::route_purging(snapshot)) as TaskOutput
-        },
-    ));
+    deps.push(b.push("countermeasures/stratum", Some(j), vec![], |_, _| {
+        Box::new(defense::stratum_diversification()) as TaskOutput
+    }));
+    deps.push(b.push("countermeasures/purging", Some(j), input, |ctx, _| {
+        let (snapshot, _) = ctx.dep::<(Snapshot, PoolCensus)>(0);
+        Box::new(defense::route_purging(snapshot)) as TaskOutput
+    }));
     // A long enough window that (a) post-capture staleness alarms
     // fire — at 30 % hash the counterfeit inter-block gap averages
     // 2,000 s, well past the 600 s threshold — and (b) the honest
@@ -1132,12 +1122,7 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         ("countermeasures/attack[open]", false),
         ("countermeasures/attack[blockaware]", true),
     ] {
-        let meta = CacheMeta::payload::<TemporalAttackReport>(
-            LV_COUNTERMEASURES,
-            scale_seed(config),
-            false,
-        );
-        deps.push(b.push(label, Some(j), vec![], meta, move |_, _| {
+        deps.push(b.push(label, Some(j), vec![], move |_, _| {
             let mut lab = measurement_lab(config);
             lab.sim.run_for_secs(4 * 600);
             let cfg = if protected {
@@ -1149,24 +1134,18 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         }));
     }
     let n_sweep = defense::BLOCKAWARE_SWEEP_THRESHOLDS.len();
-    b.push(
-        "countermeasures/merge",
-        Some(j),
-        deps,
-        CacheMeta::payload::<Vec<Artifact>>(LV_COUNTERMEASURES, Vec::new(), false),
-        move |ctx, _| {
-            let rows: Vec<BlockAwareTradeoff> = (0..n_sweep).map(|k| *ctx.dep(k)).collect();
-            Box::new(vec![
-                defense::blockaware_sweep_from_rows(&rows),
-                ctx.dep::<Artifact>(n_sweep).clone(),
-                ctx.dep::<Artifact>(n_sweep + 1).clone(),
-                defense::blockaware_defense_from_reports(
-                    ctx.dep::<TemporalAttackReport>(n_sweep + 2),
-                    ctx.dep::<TemporalAttackReport>(n_sweep + 3),
-                ),
-            ]) as TaskOutput
-        },
-    )
+    b.push("countermeasures/merge", Some(j), deps, move |ctx, _| {
+        let rows: Vec<BlockAwareTradeoff> = (0..n_sweep).map(|k| *ctx.dep(k)).collect();
+        Box::new(vec![
+            defense::blockaware_sweep_from_rows(&rows),
+            ctx.dep::<Artifact>(n_sweep).clone(),
+            ctx.dep::<Artifact>(n_sweep + 1).clone(),
+            defense::blockaware_defense_from_reports(
+                ctx.dep::<TemporalAttackReport>(n_sweep + 2),
+                ctx.dep::<TemporalAttackReport>(n_sweep + 3),
+            ),
+        ]) as TaskOutput
+    })
 }
 
 /// One λ-row of Table VI plus its trace stream (when tracing).
@@ -1185,7 +1164,6 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             format!("table6/row[{li}]"),
             Some(j),
             vec![],
-            CacheMeta::payload::<Table6Row>(LV_TABLE6, Vec::new(), true),
             move |_, obs| {
                 let mut tracer = obs.trace.map(|_| Tracer::new());
                 let out: Table6Row = (
@@ -1196,8 +1174,7 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             },
         ));
     }
-    let meta = CacheMeta::payload::<Vec<Artifact>>(LV_TABLE6, Vec::new(), true);
-    b.push("table6/merge", Some(j), deps, meta, move |ctx, obs| {
+    b.push("table6/merge", Some(j), deps, move |ctx, obs| {
         let mut grid = Vec::with_capacity(n);
         let mut merged = Tracer::new();
         for k in 0..n {
@@ -1221,69 +1198,43 @@ fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
 /// drops it on return, so the lab is not held until the run ends.
 fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, config) = (fan.job, fan.config);
-    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
-    let prep = b.push(
-        "propagation/prep",
-        Some(j),
-        vec![],
-        prep_meta,
-        move |_, _| {
-            let mut lab = measurement_lab(config);
-            lab.sim.run_for_secs(2 * 600);
-            Box::new(Mutex::new(Some(lab))) as TaskOutput
-        },
-    );
-    let meta = CacheMeta::payload::<Vec<Artifact>>(
-        LV_SIM_CHAIN,
-        cfg(&[config.day_hours.clamp(1, 4)]),
-        false,
-    );
-    b.push(
-        "propagation/measure",
-        Some(j),
-        vec![prep],
-        meta,
-        move |ctx, _| {
-            let mut lab = ctx
-                .dep::<Mutex<Option<Lab>>>(0)
-                .lock()
-                .unwrap()
-                .take()
-                .expect("propagation/measure is the prep lab's only reader");
-            Box::new(vec![temporal::propagation(
-                &mut lab.sim,
-                &lab.snapshot,
-                config.day_hours.clamp(1, 4),
-            )]) as TaskOutput
-        },
-    )
+    let prep = b.push("propagation/prep", Some(j), vec![], move |_, _| {
+        let mut lab = measurement_lab(config);
+        lab.sim.run_for_secs(2 * 600);
+        Box::new(Mutex::new(Some(lab))) as TaskOutput
+    });
+    b.push("propagation/measure", Some(j), vec![prep], move |ctx, _| {
+        let mut lab = ctx
+            .dep::<Mutex<Option<Lab>>>(0)
+            .lock()
+            .unwrap()
+            .take()
+            .expect("propagation/measure is the prep lab's only reader");
+        Box::new(vec![temporal::propagation(
+            &mut lab.sim,
+            &lab.snapshot,
+            config.day_hours.clamp(1, 4),
+        )]) as TaskOutput
+    })
 }
 
 /// `fifty_one` chain: same prep/measure split as `propagation`.
 fn push_fifty_one<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let (j, config) = (fan.job, fan.config);
-    let prep_meta = CacheMeta::volatile(LV_SIM_CHAIN, scale_seed(config), false);
-    let prep = b.push("fifty_one/prep", Some(j), vec![], prep_meta, move |_, _| {
+    let prep = b.push("fifty_one/prep", Some(j), vec![], move |_, _| {
         let mut lab = measurement_lab(config);
         lab.sim.run_for_secs(2 * 600);
         Box::new(Mutex::new(Some(lab))) as TaskOutput
     });
-    let meta = CacheMeta::payload::<Vec<Artifact>>(LV_SIM_CHAIN, Vec::new(), false);
-    b.push(
-        "fifty_one/measure",
-        Some(j),
-        vec![prep],
-        meta,
-        move |ctx, _| {
-            let mut lab = ctx
-                .dep::<Mutex<Option<Lab>>>(0)
-                .lock()
-                .unwrap()
-                .take()
-                .expect("fifty_one/measure is the prep lab's only reader");
-            Box::new(vec![combined::fifty_one(&mut lab.sim, &lab.census)]) as TaskOutput
-        },
-    )
+    b.push("fifty_one/measure", Some(j), vec![prep], move |ctx, _| {
+        let mut lab = ctx
+            .dep::<Mutex<Option<Lab>>>(0)
+            .lock()
+            .unwrap()
+            .take()
+            .expect("fifty_one/measure is the prep lab's only reader");
+        Box::new(vec![combined::fifty_one(&mut lab.sim, &lab.census)]) as TaskOutput
+    })
 }
 
 #[cfg(test)]

@@ -130,14 +130,8 @@ pub fn build_engine(
     cache_dir: Option<&str>,
 ) -> Result<Arc<QueryEngine>, String> {
     let substrate = build_substrate(config);
-    let mut engine = QueryEngine::new(
-        substrate,
-        EngineOptions {
-            workers,
-            memo_shards: 16,
-        },
-    )
-    .with_key_fn(serve_key_fn(config));
+    let mut engine =
+        QueryEngine::new(substrate, EngineOptions { workers }).with_key_fn(serve_key_fn(config));
     if let Some(dir) = cache_dir {
         engine = engine.with_backend(Box::new(StoreBackend::open(dir)?));
     }

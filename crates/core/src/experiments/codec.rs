@@ -1,7 +1,8 @@
-//! Canonical byte encodings for cacheable task outputs.
+//! Canonical byte encodings for cacheable job outputs.
 //!
-//! The bench pipeline's content-addressed cache persists task outputs
-//! and replays them bit-identically on later runs, which needs an
+//! The bench pipeline's content-addressed cache persists each job's
+//! artifacts and the metric and trace effects of its tasks, and replays
+//! them bit-identically on later runs, which needs an
 //! encoding with no room for drift:
 //!
 //! * fixed field order — every [`Stable`] impl writes its fields in
@@ -20,8 +21,6 @@
 //! but decoding is still defensive: a corrupted or truncated buffer
 //! yields an error, never a panic or an over-allocation.
 
-use bp_attacks::countermeasures::BlockAwareTradeoff;
-use bp_attacks::temporal::TemporalAttackReport;
 use bp_obs::trace::{TraceRecord, Tracer, RECORD_BYTES};
 use bp_obs::Histogram;
 
@@ -347,7 +346,6 @@ macro_rules! stable_tuple {
 stable_tuple! {
     (A/0, B/1)
     (A/0, B/1, C/2)
-    (A/0, B/1, C/2, D/3)
 }
 
 impl Stable for Artifact {
@@ -363,44 +361,6 @@ impl Stable for Artifact {
             title: d.take_str()?,
             body: d.take_str()?,
             csv: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Stable for BlockAwareTradeoff {
-    fn encode(&self, e: &mut Enc) {
-        e.put_u64(self.threshold_secs);
-        e.put_u64(self.detection_delay_secs);
-        e.put_f64(self.false_alarm_rate);
-    }
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        Ok(BlockAwareTradeoff {
-            threshold_secs: d.take_u64()?,
-            detection_delay_secs: d.take_u64()?,
-            false_alarm_rate: d.take_f64()?,
-        })
-    }
-}
-
-impl Stable for TemporalAttackReport {
-    fn encode(&self, e: &mut Enc) {
-        self.victims.encode(e);
-        self.capture_timeline.encode(e);
-        e.put_usize(self.captured_peak);
-        e.put_usize(self.captured_final);
-        e.put_u64(self.counterfeit_blocks);
-        e.put_u64(self.blockaware_escapes);
-        self.recovery_secs.encode(e);
-    }
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        Ok(TemporalAttackReport {
-            victims: Vec::decode(d)?,
-            capture_timeline: Vec::decode(d)?,
-            captured_peak: d.take_usize()?,
-            captured_final: d.take_usize()?,
-            counterfeit_blocks: d.take_u64()?,
-            blockaware_escapes: d.take_u64()?,
-            recovery_secs: Option::decode(d)?,
         })
     }
 }
@@ -449,7 +409,6 @@ impl Stable for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_obs::trace::TraceKind;
 
     #[test]
     fn scalars_round_trip_exactly() {
@@ -495,32 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn attack_types_round_trip() {
-        let t = BlockAwareTradeoff {
-            threshold_secs: 1200,
-            detection_delay_secs: 30,
-            false_alarm_rate: 0.037,
-        };
-        assert_eq!(
-            decode_value::<BlockAwareTradeoff>(&encode_value(&t)).unwrap(),
-            t
-        );
-        let r = TemporalAttackReport {
-            victims: vec![3, 5, 8],
-            capture_timeline: vec![(0, 1), (600, 4)],
-            captured_peak: 4,
-            captured_final: 2,
-            counterfeit_blocks: 7,
-            blockaware_escapes: 1,
-            recovery_secs: Some(1800),
-        };
-        assert_eq!(
-            decode_value::<TemporalAttackReport>(&encode_value(&r)).unwrap(),
-            r
-        );
-    }
-
-    #[test]
     fn corrupt_buffers_error_instead_of_panicking() {
         let bytes = encode_value(&vec![1u64, 2, 3]);
         // Truncation mid-element.
@@ -536,18 +469,5 @@ mod tests {
         // Bad Option/bool tags.
         assert!(decode_value::<Option<u64>>(&[7]).is_err());
         assert!(decode_value::<bool>(&[9]).is_err());
-    }
-
-    #[test]
-    fn table6_row_shape_round_trips() {
-        // The table6 per-λ task output shape used by the bench cache.
-        type Row = ((f64, Vec<Option<u64>>), Option<Tracer>);
-        let mut tracer = Tracer::new();
-        tracer.record(TraceKind::ModelBisect, 0, 1, 625, 9);
-        let row: Row = ((1.5, vec![Some(10), None, Some(625)]), Some(tracer));
-        let back: Row = decode_value(&encode_value(&row)).unwrap();
-        assert_eq!(back.0, row.0);
-        let (orig, dec) = (row.1.unwrap(), back.1.unwrap());
-        assert_eq!(orig.records(), dec.records());
     }
 }

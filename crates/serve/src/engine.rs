@@ -16,8 +16,7 @@
 //!    at any worker count), and the batch is assembled positionally.
 //!
 //! Responses for a fixed query sequence are therefore byte-identical at
-//! any worker count, shard count, and across restarts against a warm
-//! backend.
+//! any worker count and across restarts against a warm backend.
 
 use crate::memo::MemoTable;
 use crate::query::{
@@ -55,16 +54,11 @@ pub trait MemoBackend: Send {
 pub struct EngineOptions {
     /// Worker threads for cold-query fan-out (1 = inline).
     pub workers: usize,
-    /// Memo table lock shards (rounded up to a power of two).
-    pub memo_shards: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        Self {
-            workers: 1,
-            memo_shards: 16,
-        }
+        Self { workers: 1 }
     }
 }
 
@@ -107,7 +101,7 @@ impl QueryEngine {
         Self {
             substrate,
             hijacks,
-            memo: MemoTable::new(options.memo_shards),
+            memo: MemoTable::new(),
             key_fn: Box::new(default_key),
             backend: None,
             workers: options.workers.max(1),
@@ -417,13 +411,7 @@ mod tests {
         let queries = static_queries();
         let mut baseline: Option<Vec<Vec<u8>>> = None;
         for workers in [1usize, 2, 8] {
-            let engine = QueryEngine::new(
-                Arc::clone(&substrate),
-                EngineOptions {
-                    workers,
-                    memo_shards: workers,
-                },
-            );
+            let engine = QueryEngine::new(Arc::clone(&substrate), EngineOptions { workers });
             let responses: Vec<Vec<u8>> = engine
                 .execute_batch(&queries)
                 .into_iter()

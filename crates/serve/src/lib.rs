@@ -13,10 +13,9 @@
 //! worker threads ([`QueryEngine`]).
 //!
 //! Determinism contract: responses are **byte-identical** for a fixed
-//! query sequence at any worker count, any memo shard count, and across
-//! a server restart against a warm persistent backend. Timing and
-//! hit/miss counters are volatile observability and never influence
-//! response bytes.
+//! query sequence at any worker count and across a server restart
+//! against a warm persistent backend. Timing and hit/miss counters are
+//! volatile observability and never influence response bytes.
 //!
 //! # Examples
 //!

@@ -381,13 +381,7 @@ mod tests {
 
         let mut streams: Vec<Vec<u8>> = Vec::new();
         for workers in [1usize, 4] {
-            let engine = QueryEngine::new(
-                Arc::clone(&substrate),
-                EngineOptions {
-                    workers,
-                    memo_shards: 8,
-                },
-            );
+            let engine = QueryEngine::new(Arc::clone(&substrate), EngineOptions { workers });
             let registry = Registry::new();
             let mut sink = Vec::new();
             let report = drive(&engine, &qs, &registry, Some(&mut sink));

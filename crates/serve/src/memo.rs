@@ -34,13 +34,23 @@ impl std::fmt::Debug for MemoTable {
     }
 }
 
+impl Default for MemoTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MemoTable {
-    /// Creates a table with `shards` lock shards (rounded up to a power
-    /// of two, minimum 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
+    /// Lock shards per table; a power of two, so the shard is a mask of
+    /// the key's low bits.
+    pub const SHARDS: usize = 16;
+
+    /// Creates an empty table of [`SHARDS`](Self::SHARDS) lock shards.
+    pub fn new() -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..Self::SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -116,7 +126,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let memo = MemoTable::new(4);
+        let memo = MemoTable::new();
         assert!(memo.lookup(42).is_none());
         memo.insert(42, Arc::new(vec![1, 2, 3]));
         assert_eq!(memo.lookup(42).unwrap().as_slice(), &[1, 2, 3]);
@@ -126,7 +136,7 @@ mod tests {
 
     #[test]
     fn invalidate_stales_everything() {
-        let memo = MemoTable::new(1);
+        let memo = MemoTable::new();
         memo.insert(1, Arc::new(vec![9]));
         memo.insert(2, Arc::new(vec![8]));
         assert_eq!(memo.len(), 2);
@@ -140,15 +150,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(MemoTable::new(0).shards.len(), 1);
-        assert_eq!(MemoTable::new(3).shards.len(), 4);
-        assert_eq!(MemoTable::new(16).shards.len(), 16);
+    fn shard_count_is_a_power_of_two() {
+        assert!(MemoTable::SHARDS.is_power_of_two());
+        assert_eq!(MemoTable::new().shards.len(), MemoTable::SHARDS);
     }
 
     #[test]
     fn concurrent_readers_share_one_arc() {
-        let memo = Arc::new(MemoTable::new(8));
+        let memo = Arc::new(MemoTable::new());
         memo.insert(7, Arc::new(vec![0xAA; 128]));
         std::thread::scope(|scope| {
             for _ in 0..4 {

@@ -1,5 +1,6 @@
 //! The content-addressed artifact cache must be invisible in every
-//! output stream while doing less work. A warm run replays every stream
+//! output stream while doing less work, with one store entry per job
+//! and per shared build. A warm run replays every stream
 //! of the cold run's golden lines at another worker count while
 //! skipping at least 90 % of the task graph (rows B and C of the golden
 //! matrix, `tests/common/mod.rs`); key changes (config fields, seed)
@@ -103,7 +104,8 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
     );
 
     // A seed flip re-keys everything derived from the crawls and
-    // simulations — on this graph, every artifact-bearing task.
+    // simulations; the closed-form jobs that read no config field
+    // (table6, fig7) still hit, every one of their tasks included.
     let reseeded = ReproConfig {
         seed: config.seed + 1,
         ..config
@@ -111,6 +113,17 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
     let warm = run(&reseeded, &["all"], 2, &dir);
     let (_, misses, _) = cache_counts(&warm);
     assert!(misses > 0, "seed flip must invalidate");
+    let mut checked = 0;
+    for task in &warm.report.tasks {
+        let expected = match task.job.as_deref() {
+            Some("table6" | "fig7") => "hit",
+            Some("countermeasures") => "miss",
+            _ => continue,
+        };
+        assert_eq!(task.cache, Some(expected), "{}", task.label);
+        checked += 1;
+    }
+    assert!(checked > 2, "the fan-out jobs' tasks are all checked");
 
     // The original config still hits 100% — new keys appended, old
     // entries untouched.
@@ -118,6 +131,26 @@ fn config_changes_invalidate_only_the_dependent_subgraph() {
     let (hits, misses, _) = cache_counts(&warm);
     assert_eq!(misses, 0);
     assert!(hits > 0);
+}
+
+#[test]
+fn the_store_holds_one_entry_per_job_and_shared_build() {
+    // A job's entry holds its artifacts and the effects of all its
+    // tasks; each shared build (static, day_crawl, general_crawl) holds
+    // effects only. Inner fan-out tasks get no entry of their own.
+    let config = test_config();
+    let all = common::scratch("granularity_all");
+    run(&config, &["all"], 2, &all);
+    let entries = ArtifactStore::open(&all).unwrap().len();
+    assert_eq!(entries, bp_bench::ARTIFACT_IDS.len() + 3);
+
+    let table5 = common::scratch("granularity_table5");
+    run(&config, &["table5"], 2, &table5);
+    let entries = ArtifactStore::open(&table5).unwrap().len();
+    assert_eq!(entries, 2, "table5 and the day crawl it reads");
+    for dir in [all, table5] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

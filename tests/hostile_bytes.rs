@@ -10,8 +10,6 @@ use bp_bench::cache::{fnv128, ArtifactStore, Envelope, Key, ObsEffects, STORE_SC
 use bp_bench::pipeline::{TraceHub, STREAM_RANK_DAY};
 use bp_serve::wire::{decode_request, decode_response, encode_request, encode_response};
 use bp_serve::Query;
-use btcpart::attacks::countermeasures::BlockAwareTradeoff;
-use btcpart::attacks::temporal::TemporalAttackReport;
 use btcpart::experiments::codec::{decode_value, encode_value, Enc, Stable};
 use btcpart::experiments::Artifact;
 use btcpart::obs::trace::{decode_records, TraceKind, MAGIC};
@@ -83,24 +81,11 @@ fn sample_envelope() -> Vec<u8> {
     .encode()
 }
 
-/// Valid encodings of every `experiments::codec` payload type.
+/// Valid encodings of every `experiments::codec` payload type: a job's
+/// artifacts and the parts of its stored effects.
 fn sample_payloads() -> Vec<Vec<u8>> {
     let artifact = Artifact::new("fig6", "Lagging nodes", "body".to_string())
         .with_csv("fig6.csv", "t,lag\n0,1\n".to_string());
-    let tradeoff = BlockAwareTradeoff {
-        threshold_secs: 600,
-        detection_delay_secs: 1_200,
-        false_alarm_rate: 0.37,
-    };
-    let report = TemporalAttackReport {
-        victims: vec![3, 5, 8],
-        capture_timeline: vec![(60, 1), (120, 3)],
-        captured_peak: 3,
-        captured_final: 2,
-        counterfeit_blocks: 4,
-        blockaware_escapes: 1,
-        recovery_secs: Some(900),
-    };
     let mut histogram = Histogram::with_bounds(&[10, 100]);
     for value in [5, 50, 500] {
         histogram.record(value);
@@ -110,9 +95,8 @@ fn sample_payloads() -> Vec<Vec<u8>> {
         tracer.record(TraceKind::Mine, i, 0, i, i + 1);
     }
     vec![
+        encode_value(&vec![artifact.clone(), artifact.clone()]),
         encode_value(&artifact),
-        encode_value(&tradeoff),
-        encode_value(&report),
         encode_value(&histogram),
         encode_value(&tracer),
     ]
@@ -120,9 +104,8 @@ fn sample_payloads() -> Vec<Vec<u8>> {
 
 /// Decodes `bytes` as every payload type; the results are irrelevant.
 fn decode_as_every_payload(bytes: &[u8]) {
+    let _ = decode_value::<Vec<Artifact>>(bytes);
     let _ = decode_value::<Artifact>(bytes);
-    let _ = decode_value::<BlockAwareTradeoff>(bytes);
-    let _ = decode_value::<TemporalAttackReport>(bytes);
     let _ = decode_value::<Histogram>(bytes);
     let _ = decode_value::<Tracer>(bytes);
 }

@@ -27,15 +27,9 @@ fn engine(
     workers: usize,
     backend: StoreBackend,
 ) -> QueryEngine {
-    QueryEngine::new(
-        Arc::clone(substrate),
-        EngineOptions {
-            workers,
-            memo_shards: 16,
-        },
-    )
-    .with_key_fn(serve_key_fn(config))
-    .with_backend(Box::new(backend))
+    QueryEngine::new(Arc::clone(substrate), EngineOptions { workers })
+        .with_key_fn(serve_key_fn(config))
+        .with_backend(Box::new(backend))
 }
 
 /// Runs the bench script `repro --serve-bench` runs and returns the

@@ -18,6 +18,17 @@
 
 use rand::Rng;
 
+/// One exponential draw with the given mean, by inverse transform:
+/// `-ln(1 − u) · mean` for `u` uniform in [0, 1).
+///
+/// Unlike [`Exponential::sample`], which divides by the rate, this
+/// multiplies by the mean; the two round differently, and each keeps the
+/// streams of the simulators that use it.
+pub fn exp_with_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
+    let u: f64 = rng.random();
+    -(1.0 - u).ln() * mean
+}
+
 /// Exponential distribution with rate `lambda` (mean `1 / lambda`).
 ///
 /// # Examples

@@ -9,12 +9,13 @@
 //! mines at its reduced rate; the attacker's chain outgrows it and every
 //! reveal causes a reorg the honest side cannot prevent.
 
+use bp_analysis::dist::exp_with_mean;
 use bp_chain::{BlockId, Hash256};
 use bp_mining::PoolCensus;
 use bp_net::Simulation;
 use bp_topology::Asn;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Parameters of the majority-hash attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +96,7 @@ pub fn run_fifty_one(
     let mean_interval = 600.0 / captured_hash.max(f64::MIN_POSITIVE);
     let mut attacker_tip = fork_parent;
     let mut attacker_blocks = 0u64;
-    let mut next_block_in = sample_exp(&mut rng, mean_interval);
+    let mut next_block_in = exp_with_mean(&mut rng, mean_interval);
     let mut revealed = false;
     let mut reveal_reorg_depth = 0u64;
 
@@ -109,7 +110,7 @@ pub fn run_fifty_one(
         while next_block_in <= 0.0 {
             attacker_tip = sim.mine_counterfeit(attacker_tip);
             attacker_blocks += 1;
-            next_block_in += sample_exp(&mut rng, mean_interval);
+            next_block_in += exp_with_mean(&mut rng, mean_interval);
         }
 
         // Reveal: broadcast the private chain to everyone once the
@@ -174,11 +175,6 @@ fn height_of_fork_point(sim: &Simulation, fork_parent: BlockId) -> u64 {
         .get(&fork_parent)
         .map(|m| m.height.0)
         .unwrap_or(0)
-}
-
-fn sample_exp(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.random();
-    -(1.0 - u).ln() * mean
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! (600 s), queries a node outside the attacker's control for the latest
 //! block — escaping the partition.
 
+use bp_analysis::dist::exp_with_mean;
 use bp_chain::BlockId;
 use bp_net::Simulation;
 use rand::rngs::StdRng;
@@ -178,7 +179,7 @@ pub fn run_temporal_attack(
             for &v in &victims {
                 sim.push_chain(v, attacker_tip);
             }
-            next_block_in += sample_exp(&mut rng, mean_interval);
+            next_block_in += exp_with_mean(&mut rng, mean_interval);
         }
 
         // BlockAware: victims whose tip is stale "connect to other
@@ -239,11 +240,6 @@ pub fn run_temporal_attack(
         blockaware_escapes,
         recovery_secs,
     }
-}
-
-fn sample_exp(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.random();
-    -(1.0 - u).ln() * mean
 }
 
 #[cfg(test)]

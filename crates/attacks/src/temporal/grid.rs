@@ -16,10 +16,11 @@
 //! mines at random (possibly stale) cells, so losing forks and fresh
 //! natural forks both occur, exactly as in Figure 7.
 
+use bp_analysis::dist::exp_with_mean;
 use bp_chain::Hash256;
 use bp_obs::{TraceKind, Tracer};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -196,6 +197,13 @@ pub struct GridSim {
     /// `honest_tips` at the end of every step.
     next_tips: Vec<u32>,
     next_honest: Vec<u32>,
+    /// Heights of `tips` and `honest_tips`, filled at the start of every
+    /// exchange round so the round reads no block.
+    tip_heights: Vec<u32>,
+    honest_heights: Vec<u32>,
+    /// The exchange round's link draws: one little-endian `u64` per
+    /// in-bounds link, refilled in one call every step.
+    link_draws: Vec<u8>,
     step: u64,
     /// Steps until the next honest / attacker block.
     honest_countdown: f64,
@@ -246,12 +254,12 @@ impl GridSim {
             fork: 0,
             counterfeit: false,
         };
-        let honest_countdown = Self::sample_interval(
+        let honest_countdown = exp_with_mean(
             &mut rng,
             config.steps_per_block() / (1.0 - config.attacker_hash),
         );
         let attacker_countdown =
-            Self::sample_interval(&mut rng, config.steps_per_block() / config.attacker_hash);
+            exp_with_mean(&mut rng, config.steps_per_block() / config.attacker_hash);
         let cells = config.size * config.size;
         Self {
             config,
@@ -261,6 +269,11 @@ impl GridSim {
             honest_tips: vec![GENESIS; cells],
             next_tips: vec![GENESIS; cells],
             next_honest: vec![GENESIS; cells],
+            tip_heights: vec![0; cells],
+            honest_heights: vec![0; cells],
+            // 4·size·(size − 1) in-bounds links, each counted from both
+            // ends, one u64 draw each.
+            link_draws: vec![0; 8 * 4 * config.size * (config.size - 1)],
             step: 0,
             honest_countdown,
             attacker_countdown,
@@ -302,11 +315,6 @@ impl GridSim {
     /// The genesis block id.
     pub fn genesis(&self) -> u64 {
         self.blocks[GENESIS as usize].id
-    }
-
-    fn sample_interval(rng: &mut StdRng, mean_steps: f64) -> f64 {
-        let u: f64 = rng.random();
-        -(1.0 - u).ln() * mean_steps
     }
 
     fn cell_index(&self, r: usize, c: usize) -> usize {
@@ -388,7 +396,7 @@ impl GridSim {
             let mined_height = self.height_of(id) as u64;
             let step = self.step;
             self.trace(TraceKind::GridMine, idx as u32, mined_height, step);
-            self.honest_countdown = Self::sample_interval(
+            self.honest_countdown = exp_with_mean(
                 &mut self.rng,
                 self.config.steps_per_block() / (1.0 - self.config.attacker_hash),
             );
@@ -409,7 +417,7 @@ impl GridSim {
         self.attacker_countdown -= 1.0;
         if self.attacker_countdown <= 0.0 {
             self.attacker_banked = (self.attacker_banked + 1).min(2);
-            self.attacker_countdown = Self::sample_interval(
+            self.attacker_countdown = exp_with_mean(
                 &mut self.rng,
                 self.config.steps_per_block() / self.config.attacker_hash,
             );
@@ -420,17 +428,37 @@ impl GridSim {
         // adopts the tallest displayed and honest chains it saw. Updates
         // are synchronous (double-buffered) so information travels at
         // most one cell per step — with R_span = 2.0 this makes the grid
-        // "fully updated between blocks", as the paper reports. Each
-        // in-bounds link draws one f64, in neighbour order, before the
-        // neighbour is read.
+        // "fully updated between blocks", as the paper reports.
+        //
+        // Every in-bounds link takes one `u64` of the stream, in cell and
+        // neighbour order, whether or not the link is read: the whole
+        // round's draws come from one `fill_bytes` up front. A link fails
+        // when `f64` draw `u = (x >> 11) · 2⁻⁵³` is below `failure_rate`,
+        // which for the integer `x >> 11` is exactly `x >> 11 <
+        // ⌈failure_rate · 2⁵³⌉` (0 for a rate of 0 or NaN, 2⁵³ for 1).
+        self.rng.fill_bytes(&mut self.link_draws);
+        let cut = (self.config.failure_rate * (1u64 << 53) as f64).ceil() as u64;
+        let mut link_up = self
+            .link_draws
+            .chunks_exact(8)
+            .map(|x| u64::from_le_bytes(x.try_into().expect("8-byte chunk")) >> 11 >= cut);
+        for ((height, honest), (&tip, &honest_tip)) in self
+            .tip_heights
+            .iter_mut()
+            .zip(&mut self.honest_heights)
+            .zip(self.tips.iter().zip(&self.honest_tips))
+        {
+            *height = self.blocks[tip as usize].height;
+            *honest = self.blocks[honest_tip as usize].height;
+        }
         let size = self.config.size;
         for r in 0..size {
             for c in 0..size {
                 let own_idx = self.cell_index(r, c);
                 let mut best_tip = self.tips[own_idx];
-                let mut best_tip_height = self.height_of(best_tip);
+                let mut best_tip_height = self.tip_heights[own_idx];
                 let mut best_honest = self.honest_tips[own_idx];
-                let mut best_honest_height = self.height_of(best_honest);
+                let mut best_honest_height = self.honest_heights[own_idx];
                 let neighbours = [
                     (r.wrapping_sub(1), c),
                     (r + 1, c),
@@ -441,20 +469,18 @@ impl GridSim {
                     if nr >= size || nc >= size {
                         continue;
                     }
-                    if self.rng.random::<f64>() < self.config.failure_rate {
+                    if !link_up.next().expect("one draw per in-bounds link") {
                         continue;
                     }
                     let nbr_idx = self.cell_index(nr, nc);
-                    let theirs = self.tips[nbr_idx];
-                    let their_height = self.height_of(theirs);
+                    let their_height = self.tip_heights[nbr_idx];
                     if their_height > best_tip_height {
-                        best_tip = theirs;
+                        best_tip = self.tips[nbr_idx];
                         best_tip_height = their_height;
                     }
-                    let their_honest = self.honest_tips[nbr_idx];
-                    let their_honest_height = self.height_of(their_honest);
+                    let their_honest_height = self.honest_heights[nbr_idx];
                     if their_honest_height > best_honest_height {
-                        best_honest = their_honest;
+                        best_honest = self.honest_tips[nbr_idx];
                         best_honest_height = their_honest_height;
                     }
                 }
@@ -891,6 +917,60 @@ mod tests {
         assert_eq!(sim.debug_heights(), (310, 0));
         assert_eq!(sim.debug_counts(), (524, 2));
         assert_eq!(sim.next_fork_label, 175);
+    }
+
+    #[test]
+    fn pinned_digests_across_sizes_and_failure_rates() {
+        // The exchange round's failure cut at its edges (rates 0 and 1,
+        // which the golden matrix never reaches) and in between, on the
+        // smallest grids and on Figure 7's, with the attacker on and off.
+        // Digests recorded before the exchange round drew its links in
+        // one bulk call.
+        const PINNED: [(usize, f64, bool, u64); 24] = [
+            (2, 0.0, false, 12_663_053_731_925_695_691),
+            (2, 0.0, true, 1_398_115_019_852_847_035),
+            (2, 0.1, false, 7_772_973_826_365_855_964),
+            (2, 0.1, true, 1_398_115_019_852_847_035),
+            (2, 0.37, false, 11_985_220_872_020_388_142),
+            (2, 0.37, true, 15_787_420_937_775_605_580),
+            (2, 1.0, false, 1_859_532_617_176_127_786),
+            (2, 1.0, true, 9_851_493_635_714_260_712),
+            (3, 0.0, false, 16_949_148_204_653_448_887),
+            (3, 0.0, true, 10_033_092_718_913_621_282),
+            (3, 0.1, false, 16_949_148_204_653_448_887),
+            (3, 0.1, true, 10_033_092_718_913_621_282),
+            (3, 0.37, false, 5_979_227_903_773_375_500),
+            (3, 0.37, true, 16_324_810_441_263_384_720),
+            (3, 1.0, false, 9_606_111_799_175_925_411),
+            (3, 1.0, true, 11_820_049_699_062_745_674),
+            (25, 0.0, false, 15_583_566_975_106_359_094),
+            (25, 0.0, true, 17_177_337_968_331_617_258),
+            (25, 0.1, false, 13_589_958_360_258_935_574),
+            (25, 0.1, true, 2_877_425_639_143_839_966),
+            (25, 0.37, false, 2_671_025_698_208_038_221),
+            (25, 0.37, true, 1_496_248_309_173_782_634),
+            (25, 1.0, false, 4_113_997_406_264_663_019),
+            (25, 1.0, true, 8_505_833_642_944_539_297),
+        ];
+        let mut mismatches = Vec::new();
+        for (size, failure_rate, attacker, expected) in PINNED {
+            let config = GridConfig {
+                size,
+                attacker_cell: (size / 3, size / 3),
+                failure_rate,
+                attack_start_step: if attacker { 50 } else { u64::MAX },
+                ..GridConfig::figure7()
+            };
+            let (digest, _) = run_digest(config, 300);
+            if digest != expected {
+                mismatches.push(format!("({size}, {failure_rate:?}, {attacker}, {digest}),"));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "digests moved:\n{}",
+            mismatches.join("\n")
+        );
     }
 
     #[test]

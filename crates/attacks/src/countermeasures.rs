@@ -50,11 +50,9 @@ pub struct BlockAwareTradeoff {
     pub false_alarm_rate: f64,
 }
 
-/// One cell of the BlockAware threshold sweep. Each threshold is an
-/// independent closed-form evaluation, so the artifact pipeline can fan
-/// the sweep out as one task per threshold and merge rows in threshold
-/// order — [`blockaware_tradeoff`] is the serial reference built from
-/// the same cells.
+/// One cell of the BlockAware threshold sweep: the closed-form trade-off
+/// for a single threshold, as answered per query by `bp-serve`.
+/// [`blockaware_tradeoff`] builds the sweep from the same cells.
 ///
 /// # Panics
 ///
@@ -192,8 +190,8 @@ mod tests {
 
     #[test]
     fn tradeoff_cells_match_the_sweep() {
-        // The per-threshold cell is the decomposition unit the task DAG
-        // fans out; it must agree with the serial sweep bit for bit.
+        // A single-threshold cell (what bp-serve answers per query) must
+        // agree with the sweep's row for that threshold bit for bit.
         let thresholds = [150u64, 300, 600, 1200];
         let sweep = blockaware_tradeoff(&thresholds, 600.0);
         for (i, &t) in thresholds.iter().enumerate() {

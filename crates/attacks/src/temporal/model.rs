@@ -184,26 +184,21 @@ impl TemporalModel {
     /// `reg` receives `temporal.model.cells` and
     /// `temporal.model.bisection_steps`; `tracer` receives one
     /// `model_bisect` record per cell (time = cell ordinal, node = λ row
-    /// index, `a` = target node count, `b` = bisection steps). The first
-    /// row is numbered `row_offset`, so per-row calls concatenated in λ
-    /// order reproduce the record stream of one full-grid call — the
-    /// `bp-bench` task DAG fans Table VI out one task per λ this way. The
-    /// table itself is identical with or without instrumentation.
+    /// index, `a` = target node count, `b` = bisection steps). The table
+    /// itself is identical with or without instrumentation.
     pub fn table_vi(
         lambdas: &[f64],
         node_counts: &[u64],
         p: f64,
         reg: Option<&bp_obs::Registry>,
         mut tracer: Option<&mut bp_obs::Tracer>,
-        row_offset: usize,
     ) -> Vec<(f64, Vec<Option<u64>>)> {
-        let mut cells = (row_offset * node_counts.len()) as u64;
+        let mut cells = 0u64;
         let mut bisection_steps = 0u64;
         let table = lambdas
             .iter()
             .enumerate()
             .map(|(row, &lambda)| {
-                let row = row + row_offset;
                 let model = TemporalModel::new(lambda);
                 let row_values = node_counts
                     .iter()
@@ -291,7 +286,7 @@ mod tests {
         // λ (faster connections help the attacker).
         let lambdas = [0.4, 0.6, 0.9];
         let ms = [100u64, 500, 1000];
-        let table = TemporalModel::table_vi(&lambdas, &ms, 0.8, None, None, 0);
+        let table = TemporalModel::table_vi(&lambdas, &ms, 0.8, None, None);
         for (_, row) in &table {
             let vals: Vec<u64> = row.iter().map(|v| v.unwrap()).collect();
             assert!(vals[0] < vals[1] && vals[1] < vals[2]);

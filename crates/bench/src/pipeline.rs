@@ -9,12 +9,15 @@
 //! names its one build. A shared build returns its input as its task
 //! output, and readers get it along their dependency edge — there is no
 //! other channel. A render job is a single task whose dependency 0 is
-//! the shared build it reads; a fan-out job (`ablations`,
-//! `countermeasures`, `table6`, `propagation`, `fifty_one`) is compiled
-//! by its builder into one task per independently-seeded inner
-//! simulation plus a pure merge that folds unit results in a fixed
-//! order. No job has a second, serial body. The whole graph executes
-//! on a single scoped worker pool; results are reassembled in
+//! the shared build it reads. A job fans out only into independent
+//! simulations: closed-form work (Table VI, the BlockAware sweep) and
+//! sequential chains (warm a lab, then measure it) stay inside one task,
+//! where a split would buy no parallelism. The two fan-out jobs,
+//! `ablations` and `countermeasures`, are compiled by their builders
+//! into one task per independently-seeded inner simulation plus a pure
+//! merge that folds unit results in a fixed order. No job has a second,
+//! serial body. The whole graph executes on a single scoped worker
+//! pool; results are reassembled in
 //! [`ARTIFACT_IDS`](crate::ARTIFACT_IDS) presentation order, so the
 //! output is byte-identical no matter how many worker threads run: each
 //! task derives all of its randomness from the seeded [`ReproConfig`],
@@ -32,7 +35,6 @@ use crate::cache::{
 use crate::dag::{Dag, DagRun, TaskCtx, TaskOutput, TaskTiming};
 use crate::{day_crawl, general_crawl, measurement_lab, ReproConfig};
 use bp_obs::Tracer;
-use btcpart::attacks::countermeasures::BlockAwareTradeoff;
 use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig, TemporalAttackReport};
 use btcpart::crawler::CrawlResult;
 use btcpart::experiments::codec::{canonical_f64_bits, encode_value};
@@ -40,7 +42,7 @@ use btcpart::experiments::{ablation, combined, defense, logical, spatial, tempor
 use btcpart::mining::PoolCensus;
 use btcpart::net::Simulation;
 use btcpart::topology::Snapshot;
-use btcpart::{Lab, Scenario};
+use btcpart::Scenario;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
@@ -69,10 +71,7 @@ struct DayCrawl {
 /// stream is deposited, never what it contains or where it lands in the
 /// merge. The three canonical streams keep their historical order —
 /// day (rank 0), grid (rank 1), model (rank 2) — and any future traced
-/// task slots in by picking a key; decomposed tasks that share one
-/// logical stream (the per-λ Table VI rows) concatenate their records in
-/// presentation order before depositing, so the stream set is the same
-/// as a serial run's.
+/// task slots in by picking a key.
 #[derive(Debug, Default)]
 pub struct TraceHub {
     streams: Mutex<BTreeMap<(u32, String), Tracer>>,
@@ -263,6 +262,14 @@ fn job_fig7(ctx: &JobCtx) -> Vec<Artifact> {
     }
     vec![artifact]
 }
+fn job_table6(ctx: &JobCtx) -> Vec<Artifact> {
+    let mut tracer = ctx.trace.map(|_| Tracer::new());
+    let artifact = temporal::table6(ctx.metrics, tracer.as_mut());
+    if let (Some(hub), Some(tracer)) = (ctx.trace, tracer) {
+        hub.set_stream(STREAM_RANK_MODEL, "model", tracer);
+    }
+    vec![artifact]
+}
 fn job_table7(ctx: &JobCtx) -> Vec<Artifact> {
     let (crawl, snapshot) = ctx.day();
     vec![combined::table7(crawl, snapshot)]
@@ -282,6 +289,17 @@ fn job_implications(ctx: &JobCtx) -> Vec<Artifact> {
 fn job_cascade(ctx: &JobCtx) -> Vec<Artifact> {
     let lab = measurement_lab(ctx.config);
     vec![combined::cascade(&lab.sim, &lab.snapshot)]
+}
+fn job_fifty_one(ctx: &JobCtx) -> Vec<Artifact> {
+    let mut lab = measurement_lab(ctx.config);
+    lab.sim.run_for_secs(2 * 600);
+    vec![combined::fifty_one(&mut lab.sim, &lab.census)]
+}
+fn job_propagation(ctx: &JobCtx) -> Vec<Artifact> {
+    let mut lab = measurement_lab(ctx.config);
+    lab.sim.run_for_secs(2 * 600);
+    let hours = ctx.config.day_hours.clamp(1, 4);
+    vec![temporal::propagation(&mut lab.sim, &lab.snapshot, hours)]
 }
 
 /// A [`JOBS`] row compiled to one render task.
@@ -319,15 +337,15 @@ pub const JOBS: [JobSpec; 21] = [
     render("fig6_day", Input::Day, job_fig6_day),
     render("fig6_minute", Input::Day, job_fig6_minute),
     render("table5", Input::Day, job_table5),
-    fan_out("table6", Input::None, push_table6),
+    render("table6", Input::None, job_table6),
     render("fig7", Input::None, job_fig7),
     render("table7", Input::Day, job_table7),
     render("fig8", Input::Day, job_fig8),
     render("table8", Input::Static, job_table8),
     render("implications", Input::Static, job_implications),
     render("cascade", Input::None, job_cascade),
-    fan_out("fifty_one", Input::None, push_fifty_one),
-    fan_out("propagation", Input::None, push_propagation),
+    render("fifty_one", Input::None, job_fifty_one),
+    render("propagation", Input::None, job_propagation),
     fan_out("countermeasures", Input::Static, push_countermeasures),
     fan_out("ablations", Input::None, push_ablations),
 ];
@@ -434,8 +452,9 @@ impl RunReport {
     }
 
     /// The `timings.csv` export: one row per shared build and job, then
-    /// one `task` row per DAG task (decomposed jobs show their inner
-    /// fan-out there).
+    /// one `task` row per DAG task (fan-out jobs show their inner tasks
+    /// there). Task labels are CSV-quoted when they contain a comma
+    /// (`ablations/relay[0,s0]`).
     pub fn timings_csv(&self) -> String {
         let mut out = String::from("stage,kind,wall_ms,artifacts,body_bytes,csv_bytes\n");
         for (kind, stage) in self
@@ -457,7 +476,7 @@ impl RunReport {
         for task in &self.tasks {
             out.push_str(&format!(
                 "{},task,{:.3},0,0,0\n",
-                task.label,
+                bp_obs::csv_field(&task.label),
                 task.wall.as_secs_f64() * 1e3
             ));
         }
@@ -1082,32 +1101,16 @@ fn push_ablations<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     })
 }
 
-/// `countermeasures` fan-out: the closed-form sweep cells, the stratum
-/// and route-purging renders, and the two temporal-attack arms all run
-/// as independent tasks; the merge renders in presentation order
-/// (sweep, stratum, purging, BlockAware comparison).
+/// `countermeasures` fan-out: the two temporal-attack arms run as
+/// independent simulations; the merge reads the static input as its
+/// dependency 0 and renders in presentation order (sweep, stratum,
+/// purging, BlockAware comparison), the first three in closed form.
 fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
     let FanOut {
         job: j,
         config,
         input,
     } = fan;
-    let mut deps = Vec::new();
-    for &threshold in defense::BLOCKAWARE_SWEEP_THRESHOLDS.iter() {
-        deps.push(b.push(
-            format!("countermeasures/sweep[{threshold}]"),
-            Some(j),
-            vec![],
-            move |_, _| Box::new(defense::blockaware_sweep_row(threshold)) as TaskOutput,
-        ));
-    }
-    deps.push(b.push("countermeasures/stratum", Some(j), vec![], |_, _| {
-        Box::new(defense::stratum_diversification()) as TaskOutput
-    }));
-    deps.push(b.push("countermeasures/purging", Some(j), input, |ctx, _| {
-        let (snapshot, _) = ctx.dep::<(Snapshot, PoolCensus)>(0);
-        Box::new(defense::route_purging(snapshot)) as TaskOutput
-    }));
     // A long enough window that (a) post-capture staleness alarms
     // fire — at 30 % hash the counterfeit inter-block gap averages
     // 2,000 s, well past the 600 s threshold — and (b) the honest
@@ -1118,6 +1121,7 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
         max_targets: (200.0 * config.scale).max(30.0) as usize,
         ..TemporalAttackConfig::paper()
     };
+    let mut deps = input;
     for (label, protected) in [
         ("countermeasures/attack[open]", false),
         ("countermeasures/attack[blockaware]", true),
@@ -1133,107 +1137,17 @@ fn push_countermeasures<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
             Box::new(run_temporal_attack(&mut lab.sim, cfg)) as TaskOutput
         }));
     }
-    let n_sweep = defense::BLOCKAWARE_SWEEP_THRESHOLDS.len();
-    b.push("countermeasures/merge", Some(j), deps, move |ctx, _| {
-        let rows: Vec<BlockAwareTradeoff> = (0..n_sweep).map(|k| *ctx.dep(k)).collect();
+    b.push("countermeasures/merge", Some(j), deps, |ctx, _| {
+        let (snapshot, _) = ctx.dep::<(Snapshot, PoolCensus)>(0);
         Box::new(vec![
-            defense::blockaware_sweep_from_rows(&rows),
-            ctx.dep::<Artifact>(n_sweep).clone(),
-            ctx.dep::<Artifact>(n_sweep + 1).clone(),
+            defense::blockaware_sweep(),
+            defense::stratum_diversification(),
+            defense::route_purging(snapshot),
             defense::blockaware_defense_from_reports(
-                ctx.dep::<TemporalAttackReport>(n_sweep + 2),
-                ctx.dep::<TemporalAttackReport>(n_sweep + 3),
+                ctx.dep::<TemporalAttackReport>(1),
+                ctx.dep::<TemporalAttackReport>(2),
             ),
         ]) as TaskOutput
-    })
-}
-
-/// One λ-row of Table VI plus its trace stream (when tracing).
-type Table6Row = ((f64, Vec<Option<u64>>), Option<Tracer>);
-
-/// `table6` fan-out: one bisection task per λ row; the merge renders the
-/// grid and concatenates the per-row trace streams in λ order, which
-/// gives the same model stream as one full-grid sweep (each row numbers
-/// its records with grid-global cell ordinals).
-fn push_table6<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
-    let j = fan.job;
-    let n = temporal::TABLE6_LAMBDAS.len();
-    let mut deps = Vec::new();
-    for li in 0..n {
-        deps.push(b.push(
-            format!("table6/row[{li}]"),
-            Some(j),
-            vec![],
-            move |_, obs| {
-                let mut tracer = obs.trace.map(|_| Tracer::new());
-                let out: Table6Row = (
-                    temporal::table6_row(li, obs.metrics, tracer.as_mut()),
-                    tracer,
-                );
-                Box::new(out) as TaskOutput
-            },
-        ));
-    }
-    b.push("table6/merge", Some(j), deps, move |ctx, obs| {
-        let mut grid = Vec::with_capacity(n);
-        let mut merged = Tracer::new();
-        for k in 0..n {
-            let (row, tracer) = ctx.dep::<Table6Row>(k);
-            grid.push(row.clone());
-            if let Some(t) = tracer {
-                merged.append(t.clone());
-            }
-        }
-        if let Some(hub) = obs.trace {
-            hub.set_stream(STREAM_RANK_MODEL, "model", merged);
-        }
-        Box::new(vec![temporal::table6_from_rows(&grid)]) as TaskOutput
-    })
-}
-
-/// `propagation` chain: warm a measurement lab, then crawl it. Two
-/// tasks so the warmup runs concurrently with unrelated work while the
-/// measure step still sees the exact serial state. The measure step is
-/// the lab's only reader: it takes the lab out of the prep output and
-/// drops it on return, so the lab is not held until the run ends.
-fn push_propagation<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
-    let (j, config) = (fan.job, fan.config);
-    let prep = b.push("propagation/prep", Some(j), vec![], move |_, _| {
-        let mut lab = measurement_lab(config);
-        lab.sim.run_for_secs(2 * 600);
-        Box::new(Mutex::new(Some(lab))) as TaskOutput
-    });
-    b.push("propagation/measure", Some(j), vec![prep], move |ctx, _| {
-        let mut lab = ctx
-            .dep::<Mutex<Option<Lab>>>(0)
-            .lock()
-            .unwrap()
-            .take()
-            .expect("propagation/measure is the prep lab's only reader");
-        Box::new(vec![temporal::propagation(
-            &mut lab.sim,
-            &lab.snapshot,
-            config.day_hours.clamp(1, 4),
-        )]) as TaskOutput
-    })
-}
-
-/// `fifty_one` chain: same prep/measure split as `propagation`.
-fn push_fifty_one<'a>(b: &mut DagBuilder<'a>, fan: FanOut<'a>) -> usize {
-    let (j, config) = (fan.job, fan.config);
-    let prep = b.push("fifty_one/prep", Some(j), vec![], move |_, _| {
-        let mut lab = measurement_lab(config);
-        lab.sim.run_for_secs(2 * 600);
-        Box::new(Mutex::new(Some(lab))) as TaskOutput
-    });
-    b.push("fifty_one/measure", Some(j), vec![prep], move |ctx, _| {
-        let mut lab = ctx
-            .dep::<Mutex<Option<Lab>>>(0)
-            .lock()
-            .unwrap()
-            .take()
-            .expect("fifty_one/measure is the prep lab's only reader");
-        Box::new(vec![combined::fifty_one(&mut lab.sim, &lab.census)]) as TaskOutput
     })
 }
 
@@ -1280,28 +1194,6 @@ mod tests {
             [("static", 0), ("day_crawl", 1), ("general_crawl", 2)]
         );
         assert!(dag.tasks()[3..].iter().all(|t| t.job.is_some()));
-    }
-
-    #[test]
-    fn measure_tasks_free_their_prep_labs() {
-        let config = ReproConfig {
-            scale: 0.02,
-            day_hours: 1,
-            ..ReproConfig::quick()
-        };
-        let selected = selected_jobs(&["propagation".to_string(), "fifty_one".to_string()]);
-        let DagParts { dag, .. } = build_dag(&config, &selected, false, false);
-        let preps: Vec<usize> = (0..dag.len())
-            .filter(|&i| dag.tasks()[i].label.ends_with("/prep"))
-            .collect();
-        assert_eq!(preps.len(), 2);
-        let run = dag.execute(2);
-        for i in preps {
-            let lab = run.outputs[i]
-                .downcast_ref::<Mutex<Option<Lab>>>()
-                .expect("a prep task outputs its lab");
-            assert!(lab.lock().unwrap().is_none(), "task {i} kept its lab");
-        }
     }
 
     #[test]
@@ -1354,17 +1246,30 @@ mod tests {
             ..ReproConfig::quick()
         };
         let ids = vec!["table1".to_string(), "table2".to_string()];
-        let (artifacts, report) = run_pipeline(&config, &ids, 2, None, None, None);
+        let (artifacts, mut report) = run_pipeline(&config, &ids, 2, None, None, None);
         assert_eq!(artifacts.len(), 2);
         assert_eq!(report.jobs.len(), 2);
         assert!(report.jobs.iter().all(|j| j.body_bytes > 0));
         assert!(report.speedup() > 0.0);
+        assert!(report.render().contains("threads: 2"));
+        // A fan-out task label with a comma in it, as `ablations` has.
+        report.tasks.push(TaskRow {
+            label: "ablations/relay[0,s0]".to_string(),
+            job: Some("ablations".to_string()),
+            wall: Duration::from_micros(1500),
+            cache: None,
+        });
         let csv = report.timings_csv();
         assert!(csv.starts_with("stage,kind,wall_ms"));
-        // Header + shared static + 2 jobs + 3 task rows (one per shared
-        // build and per single-task job).
-        assert_eq!(csv.lines().count(), 7);
-        assert!(report.render().contains("threads: 2"));
+        // Header + shared static + 2 jobs + 4 task rows (one per shared
+        // build and per single-task job, plus the pushed one).
+        let rows = btcpart::analysis::csv::parse(&csv).expect("timings.csv parses");
+        assert_eq!(rows.len(), 8);
+        assert!(rows.iter().all(|row| row.len() == 6), "{csv}");
+        assert_eq!(
+            rows[7],
+            ["ablations/relay[0,s0]", "task", "1.500", "0", "0", "0"]
+        );
     }
 
     #[test]
@@ -1393,5 +1298,53 @@ mod tests {
         // Re-depositing a key replaces its stream: the last deposit wins.
         hub.set_stream(STREAM_RANK_DAY, "day", stream(Mine, 1));
         assert_eq!(kinds(&hub), [Mine, GridMine, ModelBisect, ModelBisect]);
+    }
+
+    #[test]
+    fn quick_cache_keys_are_pinned() {
+        // A change that moves a unit's key silently invalidates every
+        // existing store, so the quick run's 24 keys (metrics and trace
+        // off) are pinned. Move them only together with a deliberate
+        // `KEY_SCHEMA`, `LV_*` or crate-version bump.
+        const PINNED: [(&str, &str); 24] = [
+            ("static", "92b43670655d08f6964b622cebc72470"),
+            ("day_crawl", "1c2143b96999130139a11ff0be6b278f"),
+            ("general_crawl", "074de65cf81474c1b1b70b5eb4993590"),
+            ("table1", "f58d089e0f8268c5e2e5eef41eae7e81"),
+            ("table2", "5872ff2b4c639c31c0629f686d6a9514"),
+            ("table3", "dfd5a52a3298891ca39269645951383b"),
+            ("table4", "769c20c112cfcb0b36631111ee57b69e"),
+            ("fig3", "59561a91aa4a221083c499cdd73e0f9f"),
+            ("fig4", "df75de3343caa0df30597830101708da"),
+            ("fig6_general", "320cf145f384dca5ff8946be1775f51c"),
+            ("fig6_day", "680fd6d67ff095489955c71e5bf301ff"),
+            ("fig6_minute", "7614ac85de169a69a0e09aee38727006"),
+            ("table5", "4af683dd07527520a599defe0abf5c6b"),
+            ("table6", "1d7247c7633c03c39898efcc277b4ded"),
+            ("fig7", "00e436764be7d7c12c3decd8c4dbe23a"),
+            ("table7", "9bde5e82e42cdb96a0ddc1c26663ec79"),
+            ("fig8", "c0dfd84aeab395ba51b1cc066f6ba0a0"),
+            ("table8", "d88f577c25a2810a4cc7643e6dab5302"),
+            ("implications", "ed074a9637de04d5b7ebcb75613690f0"),
+            ("cascade", "33dd687afd33efa6c8d74c2b1c401478"),
+            ("fifty_one", "baf8c65a46957ef38b587f5c86172b25"),
+            ("propagation", "b06eab55676e49d3bc7c77518e5bb47a"),
+            ("countermeasures", "aef202ca1175f88ec45c07a4ebbbd6f6"),
+            ("ablations", "61d45d1607c8f6e0b145012ed29d4cbe"),
+        ];
+        let selected = selected_jobs(&["all".to_string()]);
+        let DagParts { units, .. } = build_dag(&ReproConfig::quick(), &selected, false, false);
+        let dir = std::env::temp_dir().join(format!("bp-pipeline-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ArtifactStore::open(&dir).unwrap();
+        let plan = cache::plan_run(&mut store, &units, false, false);
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys: Vec<(&str, String)> = (units.iter().zip(&plan))
+            .map(|(unit, p)| (unit.id, p.key.to_string()))
+            .collect();
+        let pinned: Vec<(&str, String)> = (PINNED.iter())
+            .map(|&(id, key)| (id, key.to_string()))
+            .collect();
+        assert_eq!(keys, pinned);
     }
 }

@@ -81,11 +81,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a `usize` as LE `u64` (platform-independent width).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
     /// Writes an `f64` as its raw LE bit pattern (exact round-trip; see
     /// the module docs for why payloads are *not* normalized).
     pub fn put_f64(&mut self, v: f64) {
@@ -153,7 +148,8 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Reads a `usize` written by [`Enc::put_usize`].
+    /// Reads a length written as a LE `u64`, rejecting values wider than
+    /// the platform's `usize`.
     pub fn take_usize(&mut self) -> Result<usize, String> {
         let v = self.take_u64()?;
         usize::try_from(v).map_err(|_| format!("usize value {v} exceeds platform width"))
@@ -255,15 +251,6 @@ impl Stable for u64 {
     }
 }
 
-impl Stable for usize {
-    fn encode(&self, e: &mut Enc) {
-        e.put_usize(*self);
-    }
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        d.take_usize()
-    }
-}
-
 impl Stable for f64 {
     fn encode(&self, e: &mut Enc) {
         e.put_f64(*self);
@@ -273,44 +260,12 @@ impl Stable for f64 {
     }
 }
 
-impl Stable for bool {
-    fn encode(&self, e: &mut Enc) {
-        e.put_u8(*self as u8);
-    }
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        match d.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!("invalid bool byte {v}")),
-        }
-    }
-}
-
 impl Stable for String {
     fn encode(&self, e: &mut Enc) {
         e.put_str(self);
     }
     fn decode(d: &mut Dec) -> Result<Self, String> {
         d.take_str()
-    }
-}
-
-impl<T: Stable> Stable for Option<T> {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            None => e.put_u8(0),
-            Some(v) => {
-                e.put_u8(1);
-                v.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        match d.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(d)?)),
-            v => Err(format!("invalid Option tag {v}")),
-        }
     }
 }
 
@@ -427,11 +382,6 @@ mod tests {
         }
         let s = "naïve — ünïcode".to_string();
         assert_eq!(decode_value::<String>(&encode_value(&s)).unwrap(), s);
-        let opt: Option<u64> = Some(42);
-        assert_eq!(
-            decode_value::<Option<u64>>(&encode_value(&opt)).unwrap(),
-            opt
-        );
     }
 
     #[test]
@@ -466,8 +416,5 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode_value::<Vec<u64>>(&long).is_err());
-        // Bad Option/bool tags.
-        assert!(decode_value::<Option<u64>>(&[7]).is_err());
-        assert!(decode_value::<bool>(&[9]).is_err());
     }
 }

@@ -3,9 +3,7 @@
 
 use super::Artifact;
 use bp_analysis::table::{num, pct, Align, TextTable};
-use bp_attacks::countermeasures::{
-    ases_to_isolate_hash, blockaware_tradeoff_one, diversify_stratum, BlockAwareTradeoff,
-};
+use bp_attacks::countermeasures::{ases_to_isolate_hash, blockaware_tradeoff, diversify_stratum};
 use bp_attacks::temporal::attack::{TemporalAttackConfig, TemporalAttackReport};
 use bp_bgp::{origin_hijack, origin_hijack_with_defense, AsGraph};
 use bp_mining::PoolCensus;
@@ -13,18 +11,12 @@ use bp_topology::{Asn, Snapshot};
 use std::collections::HashSet;
 
 /// The thresholds [`blockaware_sweep`] evaluates, in presentation
-/// order. Exposed so the task DAG can fan the sweep out one task per
-/// threshold and merge with [`blockaware_sweep_from_rows`].
-pub const BLOCKAWARE_SWEEP_THRESHOLDS: [u64; 6] = [150, 300, 600, 1200, 2400, 4800];
+/// order.
+const BLOCKAWARE_SWEEP_THRESHOLDS: [u64; 6] = [150, 300, 600, 1200, 2400, 4800];
 
-/// One cell of the BlockAware threshold sweep, at the paper's 600 s
-/// block interval.
-pub fn blockaware_sweep_row(threshold_secs: u64) -> BlockAwareTradeoff {
-    blockaware_tradeoff_one(threshold_secs, 600.0)
-}
-
-/// Renders the sweep artifact from precomputed rows (threshold order).
-pub fn blockaware_sweep_from_rows(sweep: &[BlockAwareTradeoff]) -> Artifact {
+/// The BlockAware threshold sweep (detection delay vs. false alarms) at
+/// the paper's 600 s block interval.
+pub fn blockaware_sweep() -> Artifact {
     let mut t = TextTable::new(
         ["Threshold (s)", "Detection delay (s)", "False-alarm rate"]
             .map(String::from)
@@ -33,7 +25,7 @@ pub fn blockaware_sweep_from_rows(sweep: &[BlockAwareTradeoff]) -> Artifact {
     for col in 0..3 {
         t.align(col, Align::Right);
     }
-    for row in sweep {
+    for row in blockaware_tradeoff(&BLOCKAWARE_SWEEP_THRESHOLDS, 600.0) {
         t.row(vec![
             row.threshold_secs.to_string(),
             row.detection_delay_secs.to_string(),
@@ -45,15 +37,6 @@ pub fn blockaware_sweep_from_rows(sweep: &[BlockAwareTradeoff]) -> Artifact {
         "BlockAware threshold trade-off (paper §VI)",
         t.render(),
     )
-}
-
-/// The BlockAware threshold sweep (detection delay vs. false alarms).
-pub fn blockaware_sweep() -> Artifact {
-    let rows: Vec<BlockAwareTradeoff> = BLOCKAWARE_SWEEP_THRESHOLDS
-        .iter()
-        .map(|&t| blockaware_sweep_row(t))
-        .collect();
-    blockaware_sweep_from_rows(&rows)
 }
 
 /// The "with BlockAware" arm of the BlockAware comparison: the same

@@ -116,34 +116,21 @@ pub const TABLE6_LAMBDAS: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 /// See [`TABLE6_LAMBDAS`].
 pub const TABLE6_TARGETS: [u64; 7] = [100, 300, 500, 800, 1000, 1200, 1500];
 
-/// One λ-row of Table VI — the minimum timing constraint `T` to isolate
-/// each of [`TABLE6_TARGETS`] nodes with probability ≥ 0.8 under rate
-/// `TABLE6_LAMBDAS[lambda_index]`. The task DAG runs one row per task and
-/// renders with [`table6_from_rows`]. Model evaluation counts
+/// Table VI — the minimum timing constraint `T` to isolate each of
+/// [`TABLE6_TARGETS`] nodes with probability ≥ 0.8, for every rate in
+/// [`TABLE6_LAMBDAS`] (Eq. 5 bisection). Model evaluation counts
 /// (`temporal.model.cells`, `temporal.model.bisection_steps`) land in
-/// `reg` and one `model_bisect` record per cell in `tracer`, numbered as
-/// in a full-grid sweep, so concatenating per-row tracers in λ order
-/// gives the same stream as sweeping every λ at once.
-pub fn table6_row(
-    lambda_index: usize,
-    reg: Option<&bp_obs::Registry>,
-    tracer: Option<&mut bp_obs::Tracer>,
-) -> (f64, Vec<Option<u64>>) {
-    let lambda = [TABLE6_LAMBDAS[lambda_index]];
-    let mut grid =
-        TemporalModel::table_vi(&lambda, &TABLE6_TARGETS, 0.8, reg, tracer, lambda_index);
-    grid.pop().expect("one row per lambda")
-}
-
-/// Renders Table VI from precomputed λ-rows (λ order).
-pub fn table6_from_rows(grid: &[(f64, Vec<Option<u64>>)]) -> Artifact {
+/// `reg` and one `model_bisect` record per cell in `tracer`; the table
+/// is identical with or without instrumentation.
+pub fn table6(reg: Option<&bp_obs::Registry>, tracer: Option<&mut bp_obs::Tracer>) -> Artifact {
+    let grid = TemporalModel::table_vi(&TABLE6_LAMBDAS, &TABLE6_TARGETS, 0.8, reg, tracer);
     let mut headers = vec!["λ \\ m".to_string()];
     headers.extend(TABLE6_TARGETS.iter().map(|m| m.to_string()));
     let mut t = TextTable::new(headers);
     for col in 0..=TABLE6_TARGETS.len() {
         t.align(col, Align::Right);
     }
-    for (lambda, row) in grid {
+    for (lambda, row) in &grid {
         let mut cells = vec![num(*lambda, 1)];
         cells.extend(row.iter().map(|v| match v {
             Some(t) => t.to_string(),
@@ -269,18 +256,9 @@ mod tests {
         }
     }
 
-    /// Table VI swept one λ-row at a time, the way the task DAG runs it,
-    /// with every row's trace records appended to `tracer` when given.
-    fn table6(mut tracer: Option<&mut bp_obs::Tracer>) -> Artifact {
-        let grid: Vec<_> = (0..TABLE6_LAMBDAS.len())
-            .map(|i| table6_row(i, None, tracer.as_deref_mut()))
-            .collect();
-        table6_from_rows(&grid)
-    }
-
     #[test]
     fn table6_matches_paper_grid_shape() {
-        let a = table6(None);
+        let a = table6(None, None);
         // Headline cell: λ=0.8, m=500 → ~589 s.
         assert!(
             a.body.contains("589") || a.body.contains("588") || a.body.contains("590"),
@@ -317,42 +295,11 @@ mod tests {
         let grid_records = tracer.len();
         assert!(grid_records > 0, "grid run emitted no trace records");
 
-        let table6_traced = table6(Some(&mut tracer));
-        assert_eq!(table6_traced.body, table6(None).body);
+        let table6_traced = table6(None, Some(&mut tracer));
+        assert_eq!(table6_traced.body, table6(None, None).body);
         let model_records = tracer.len() - grid_records;
         // One bisect record per sweep cell.
         assert_eq!(model_records, TABLE6_LAMBDAS.len() * TABLE6_TARGETS.len());
-    }
-
-    #[test]
-    fn table6_rows_recompose_to_the_serial_table() {
-        // The task DAG computes λ-rows independently and merges in λ
-        // order; the merged artifact and trace stream must match one
-        // full-grid sweep byte for byte.
-        let mut serial_tracer = bp_obs::Tracer::new();
-        let serial = table6_from_rows(&TemporalModel::table_vi(
-            &TABLE6_LAMBDAS,
-            &TABLE6_TARGETS,
-            0.8,
-            None,
-            Some(&mut serial_tracer),
-            0,
-        ));
-
-        let mut merged_tracer = bp_obs::Tracer::new();
-        let mut rows = Vec::new();
-        for i in (0..TABLE6_LAMBDAS.len()).rev() {
-            let mut row_tracer = bp_obs::Tracer::new();
-            rows.push((i, table6_row(i, None, Some(&mut row_tracer)), row_tracer));
-        }
-        rows.sort_by_key(|(i, _, _)| *i);
-        let grid: Vec<(f64, Vec<Option<u64>>)> =
-            rows.iter().map(|(_, row, _)| row.clone()).collect();
-        for (_, _, row_tracer) in rows {
-            merged_tracer.append(row_tracer);
-        }
-        assert_eq!(table6_from_rows(&grid).body, serial.body);
-        assert_eq!(merged_tracer.records(), serial_tracer.records());
     }
 
     #[test]
@@ -361,9 +308,7 @@ mod tests {
         // b(m, T) reaches p = 0.8, so the bound holds at T and fails at
         // T − 1.
         let ln_p = 0.8f64.ln();
-        let grid: Vec<_> = (0..TABLE6_LAMBDAS.len())
-            .map(|i| table6_row(i, None, None))
-            .collect();
+        let grid = TemporalModel::table_vi(&TABLE6_LAMBDAS, &TABLE6_TARGETS, 0.8, None, None);
         for (lambda, row) in &grid {
             let model = TemporalModel::new(*lambda);
             for (&m, cell) in TABLE6_TARGETS.iter().zip(row) {

@@ -10,7 +10,7 @@
 
 use crate::ReproConfig;
 use btcpart::mining::PoolCensus;
-use btcpart::net::{NetConfig, SamplingMode, Simulation};
+use btcpart::net::{NetConfig, Simulation};
 use btcpart::topology::{ScaleProfile, Snapshot, SnapshotConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -78,10 +78,9 @@ pub fn run_huge(config: &ReproConfig, reg: Option<&bp_obs::Registry>) -> ScaleRe
 }
 
 /// Runs the gossip loop over an arbitrary snapshot configuration —
-/// [`run_huge`] at full scale, tests at a reduced one. The new
-/// partial-shuffle samplers are used regardless of scale: this path has
-/// no pre-PR ground truth to preserve, and the legacy rejection
-/// samplers degenerate at the populations it exists for.
+/// [`run_huge`] at full scale, tests at a reduced one. The network is
+/// built as for every other run: the measurement profile of
+/// [`NetConfig::paper`], seeded one past the snapshot seed.
 pub fn run_profile(
     snap_config: SnapshotConfig,
     profile: ScaleProfile,
@@ -91,7 +90,6 @@ pub fn run_profile(
     let snapshot = Snapshot::generate(snap_config);
     let net = NetConfig {
         seed: config.seed.wrapping_add(1),
-        sampling: SamplingMode::PartialShuffle,
         ..NetConfig::paper()
     };
     let census = PoolCensus::paper_table_iv();

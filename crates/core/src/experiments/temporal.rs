@@ -31,8 +31,9 @@ pub fn run_crawl(
 
 /// Figure 6 — the stacked consensus series (one panel; the paper's three
 /// panels differ only in duration and sampling period). `window` limits
-/// the panel to a slice of the crawl (`None` = everything) — the paper's
-/// Figure 6(c) zooms into the minutes between two successive blocks.
+/// the panel, chart and CSV alike, to a slice of the crawl (`None` =
+/// everything) — the paper's Figure 6(c) zooms into the minutes between
+/// two successive blocks.
 pub fn fig6(crawl: &CrawlResult, panel: &str, window: Option<std::ops::Range<usize>>) -> Artifact {
     let labels: Vec<String> = LagClass::ALL
         .iter()
@@ -40,8 +41,9 @@ pub fn fig6(crawl: &CrawlResult, panel: &str, window: Option<std::ops::Range<usi
         .collect();
     let mut chart = StackedAreaChart::new(format!("Temporal consensus — {panel}"), labels, 16);
     let columns = crawl.series.stacked_columns();
-    let range = window.unwrap_or(0..columns.len());
-    for column in columns[range.start.min(columns.len())..range.end.min(columns.len())].iter() {
+    let len = columns.len();
+    let range = window.map_or(0..len, |w| w.start.min(len)..w.end.min(len));
+    for column in &columns[range.clone()] {
         chart.push_column(column.clone());
     }
 
@@ -61,7 +63,7 @@ pub fn fig6(crawl: &CrawlResult, panel: &str, window: Option<std::ops::Range<usi
         "five_to_ten".to_string(),
         "ten_plus".to_string(),
     ]];
-    for sample in crawl.series.samples() {
+    for sample in &crawl.series.samples()[range] {
         let mut row = vec![sample.at.as_secs().to_string()];
         row.extend(sample.counts.iter().map(|c| c.to_string()));
         rows.push(row);

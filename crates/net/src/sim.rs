@@ -34,7 +34,6 @@ use bp_obs::{TraceKind, Tracer};
 use bp_topology::{NodeId, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Synthetic producer id for adversary-mined blocks.
 pub const ADVERSARY_PRODUCER: u32 = u32::MAX - 1;
@@ -58,27 +57,15 @@ pub enum RelayMode {
     },
 }
 
-/// How [`Simulation::new`] samples zombies and peer sets.
+/// The one network construction [`Simulation::new`] runs: zombies from
+/// a partial Fisher–Yates shuffle, peers from
+/// `adjacency_by_partial_shuffle`.
 ///
-/// Both modes draw from the same seeded RNG, but the draw *sequences*
-/// differ, so they build different (equally valid) networks. The split
-/// exists because the legacy sampler's RNG stream is pinned by every
-/// committed ground-truth artifact, while its rejection loops degenerate
-/// at million-node scale.
+/// Kept only so the benchmark builds; delete with the next benchmark
+/// change. Nothing reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingMode {
-    /// The original construction: zombie picks rejection-sample into a
-    /// `HashSet` (a coupon-collector loop whose expected draws blow up
-    /// as the zombie fraction times the population grows) and each
-    /// node's peers rejection-sample against a per-node set. Byte-exact
-    /// with the pre-arena simulator — every existing scale profile uses
-    /// this.
-    Rejection,
-    /// Million-node construction: zombies come from a partial
-    /// Fisher–Yates shuffle (exactly one draw per zombie), and peer
-    /// picks reject against the ≤ `out_degree` already-chosen slots by
-    /// linear scan instead of hashing. O(n) draws total, no per-node
-    /// allocations.
+    /// The only construction.
     PartialShuffle,
 }
 
@@ -87,7 +74,8 @@ pub enum SamplingMode {
 pub struct NetConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Construction sampler (see [`SamplingMode`]).
+    /// Kept only so the benchmark builds; delete with the next benchmark
+    /// change. Nothing reads it.
     pub sampling: SamplingMode,
     /// Outbound peer connections per node (Bitcoin default: 8).
     pub out_degree: usize,
@@ -128,13 +116,14 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Defaults calibrated so the crawler reproduces the paper's Figure 6
-    /// consensus shape (≈62.7 % of nodes ≥1 block behind 5 minutes after
-    /// a block; ~50 % synced in steady state).
+    /// The measurement network behind Figure 6 and Table V. Which of the
+    /// paper's temporal shape these defaults meet, and the values they
+    /// give at paper scale, is checked and printed by the shape gate
+    /// (`cargo test --release --test shape -- --ignored --nocapture`).
     pub fn paper() -> Self {
         Self {
             seed: 0xB17C017,
-            sampling: SamplingMode::Rejection,
+            sampling: SamplingMode::PartialShuffle,
             out_degree: 8,
             relay_mode: RelayMode::Diffusion,
             diffusion_mean_ms: 6_000.0,
@@ -155,7 +144,7 @@ impl NetConfig {
     pub fn fast_test() -> Self {
         Self {
             seed: 7,
-            sampling: SamplingMode::Rejection,
+            sampling: SamplingMode::PartialShuffle,
             out_degree: 8,
             relay_mode: RelayMode::Diffusion,
             diffusion_mean_ms: 200.0,
@@ -311,42 +300,11 @@ impl NodeArena {
 
 /// Peer selection: `out_degree` outbound per node, uniform over the
 /// population; the adjacency used for relay is the union of in- and
-/// out-edges, as in Bitcoin. This is the legacy sampler — its RNG draw
-/// sequence is pinned by committed ground-truth artifacts, so it must
-/// stay byte-exact (see [`SamplingMode::Rejection`]). Returns sorted CSR
-/// rows.
-fn adjacency_by_rejection(n: usize, out_degree: usize, rng: &mut StdRng) -> (Vec<u32>, Vec<u32>) {
-    let mut adjacency: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    for i in 0..n {
-        let mut chosen = HashSet::new();
-        while chosen.len() < out_degree.min(n - 1) {
-            let peer = rng.random_range(0..n) as u32;
-            if peer as usize != i {
-                chosen.insert(peer);
-            }
-        }
-        for p in chosen {
-            adjacency[i].insert(p);
-            adjacency[p as usize].insert(i as u32);
-        }
-    }
-    let mut peer_start = Vec::with_capacity(n + 1);
-    peer_start.push(0u32);
-    let mut peer_edges = Vec::new();
-    for adj in adjacency {
-        let row = peer_edges.len();
-        peer_edges.extend(adj);
-        peer_edges[row..].sort_unstable();
-        peer_start.push(u32::try_from(peer_edges.len()).expect("edge count fits u32"));
-    }
-    (peer_start, peer_edges)
-}
-
-/// The million-node peer sampler: same degree distribution in
-/// expectation, but each node's picks reject against its ≤ `out_degree`
-/// already-chosen slots by linear scan (no hashing, no per-node
-/// allocation), and the in/out union is a counting-sort CSR build plus
-/// one per-row sort/dedup compaction pass. Returns sorted CSR rows.
+/// out-edges, as in Bitcoin. Each node's picks reject self and
+/// duplicates by linear scan over its ≤ `out_degree` already-chosen
+/// slots (no hashing, no per-node allocation), and the in/out union is a
+/// counting-sort CSR build plus one per-row sort/dedup compaction pass.
+/// Returns sorted CSR rows.
 fn adjacency_by_partial_shuffle(
     n: usize,
     out_degree: usize,
@@ -626,32 +584,18 @@ impl Simulation {
             .map(|&q| config.fetch_delay_mean_ms * (2.0 - q))
             .collect();
 
-        // Zombies: sampled uniformly; they receive but never fetch.
+        // Zombies: sampled uniformly; they receive but never fetch. One
+        // draw per zombie: shuffle a prefix of the identity permutation
+        // and mark it.
         let zombie_count = (n as f64 * config.zombie_fraction).round() as usize;
         let mut zombie = vec![false; n];
-        let (peer_start, peer_edges) = match config.sampling {
-            SamplingMode::Rejection => {
-                let mut zombie_picked = HashSet::new();
-                while zombie_picked.len() < zombie_count {
-                    zombie_picked.insert(rng.random_range(0..n));
-                }
-                for idx in &zombie_picked {
-                    zombie[*idx] = true;
-                }
-                adjacency_by_rejection(n, config.out_degree, &mut rng)
-            }
-            SamplingMode::PartialShuffle => {
-                // One draw per zombie: shuffle a prefix of the identity
-                // permutation and mark it.
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                for k in 0..zombie_count.min(n) {
-                    let j = rng.random_range(k..n);
-                    order.swap(k, j);
-                    zombie[order[k] as usize] = true;
-                }
-                adjacency_by_partial_shuffle(n, config.out_degree, &mut rng)
-            }
-        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for k in 0..zombie_count.min(n) {
+            let j = rng.random_range(k..n);
+            order.swap(k, j);
+            zombie[order[k] as usize] = true;
+        }
+        let (peer_start, peer_edges) = adjacency_by_partial_shuffle(n, config.out_degree, &mut rng);
 
         // Map each pool to a gateway node inside its primary stratum AS.
         // `participants[i]` corresponds to sim node `i`. Zombies are
@@ -1835,7 +1779,7 @@ mod tests {
         s.run_for_secs(4 * 600);
         // The two halves must have diverged: forks appear because pools'
         // gateways sit in both halves.
-        let tips: HashSet<BlockId> = (0..n).map(|i| s.tip_of(i)).collect();
+        let tips: FxHashSet<BlockId> = (0..n).map(|i| s.tip_of(i)).collect();
         assert!(tips.len() >= 2, "partition produced no divergence");
         // Lifting the partition reconverges the network.
         s.clear_partition();
@@ -2278,41 +2222,42 @@ mod tests {
 
     #[test]
     fn partial_shuffle_builder_matches_invariants() {
-        // The million-node sampler must build a valid network: exact
-        // zombie count, per-node degree >= out_degree, sorted rows, no
-        // self-loops, no duplicates, symmetric edges — and be
-        // deterministic for a seed.
+        // The network builder must give a valid network under both the
+        // unit-test and the measurement config: exact zombie count,
+        // per-node degree >= out_degree, sorted rows, no self-loops, no
+        // duplicates, symmetric edges — and be deterministic for a seed.
         let snap = tiny_snapshot();
         let census = PoolCensus::paper_table_iv();
-        let config = NetConfig {
-            sampling: SamplingMode::PartialShuffle,
+        let fast = NetConfig {
             zombie_fraction: 0.1,
             ..NetConfig::fast_test()
         };
-        let s = Simulation::new(&snap, &census, config.clone());
-        let n = s.node_count() as u32;
-        let zombies = (0..n).filter(|&i| s.is_zombie(i)).count();
-        assert_eq!(zombies, (n as f64 * 0.1).round() as usize);
-        for i in 0..n {
-            let peers = s.peers_of(i);
-            assert!(peers.len() >= 8, "node {i} degree {}", peers.len());
-            assert!(
-                peers.windows(2).all(|w| w[0] < w[1]),
-                "row {i} unsorted/dup"
-            );
-            assert!(!peers.contains(&i), "node {i} self-loop");
-            for &p in peers {
-                assert!(s.peers_of(p).contains(&i), "edge {i}<->{p} not symmetric");
+        for config in [fast, NetConfig::paper()] {
+            let s = Simulation::new(&snap, &census, config.clone());
+            let n = s.node_count() as u32;
+            let zombies = (0..n).filter(|&i| s.is_zombie(i)).count();
+            assert_eq!(zombies, (n as f64 * 0.1).round() as usize);
+            for i in 0..n {
+                let peers = s.peers_of(i);
+                assert!(peers.len() >= 8, "node {i} degree {}", peers.len());
+                assert!(
+                    peers.windows(2).all(|w| w[0] < w[1]),
+                    "row {i} unsorted/dup"
+                );
+                assert!(!peers.contains(&i), "node {i} self-loop");
+                for &p in peers {
+                    assert!(s.peers_of(p).contains(&i), "edge {i}<->{p} not symmetric");
+                }
             }
+            let t = Simulation::new(&snap, &census, config);
+            for i in 0..n {
+                assert_eq!(s.peers_of(i), t.peers_of(i), "non-deterministic row {i}");
+            }
+            // And the network it builds actually works.
+            let mut s = s;
+            s.run_for_secs(1800);
+            assert!(s.network_best().0 >= 1);
         }
-        let t = Simulation::new(&snap, &census, config);
-        for i in 0..n {
-            assert_eq!(s.peers_of(i), t.peers_of(i), "non-deterministic row {i}");
-        }
-        // And the network it builds actually works.
-        let mut s = s;
-        s.run_for_secs(1800);
-        assert!(s.network_best().0 >= 1);
     }
 
     #[test]

@@ -82,3 +82,27 @@ fn generation_is_deterministic() {
         assert_eq!(x.body, y.body, "{} not deterministic", x.id);
     }
 }
+
+#[test]
+fn minute_panel_csv_is_the_last_half_hour_of_the_day_csv() {
+    // Figure 6(c) zooms into the last 30 one-minute samples of the day
+    // crawl; its CSV must hold exactly those rows, not the whole day.
+    let artifacts = generate(
+        &quick(),
+        &["fig6_day".to_string(), "fig6_minute".to_string()],
+    );
+    let csv_of = |id: &str| -> &str {
+        &artifacts
+            .iter()
+            .find(|a| a.id == id)
+            .unwrap_or_else(|| panic!("artifact {id} missing"))
+            .csv[0]
+            .1
+    };
+    let day: Vec<&str> = csv_of("fig6_day").lines().collect();
+    let minute: Vec<&str> = csv_of("fig6_minute").lines().collect();
+    assert!(day.len() > 31, "day crawl has only {} rows", day.len() - 1);
+    let mut expected = vec![day[0]];
+    expected.extend_from_slice(&day[day.len() - 30..]);
+    assert_eq!(minute, expected);
+}

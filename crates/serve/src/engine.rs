@@ -161,9 +161,10 @@ impl QueryEngine {
         self.cold_evals.load(Ordering::Relaxed)
     }
 
-    /// Drops every memoized response (generation bump, O(1)).
+    /// Drops every memoized response, so the next lookup of any query
+    /// is a cold evaluation.
     pub fn invalidate_memo(&self) {
-        self.memo.invalidate();
+        self.memo.clear();
     }
 
     /// Persists the backend's staged inserts, if a backend is attached.

@@ -8,7 +8,7 @@
 //! cost a full pipeline run. This crate is the serving edge: the
 //! expensive substrate (snapshot, census, day crawl) is built exactly
 //! once ([`Substrate`]), and parameterized queries
-//! ([`Query`]) are answered from a sharded generation-stamped memo table
+//! ([`Query`]) are answered from a sharded memo table
 //! ([`memo::MemoTable`]) with cold misses fanned out across scoped
 //! worker threads ([`QueryEngine`]).
 //!

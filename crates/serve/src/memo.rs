@@ -1,26 +1,18 @@
-//! The sharded, generation-stamped in-memory memo table.
+//! The sharded in-memory memo table.
 //!
 //! Hot-path lookups take one shard lock (shard = low bits of the 128-bit
-//! cache key) and clone an `Arc` to the response bytes. Entries carry
-//! the generation they were inserted under; [`MemoTable::invalidate`]
-//! bumps the generation, turning every existing entry stale in O(1)
-//! without touching the shards — stale entries are dropped lazily on
-//! their next lookup or overwrite. Hit/miss counters are volatile
-//! observability: they never influence response bytes.
+//! cache key) and clone an `Arc` to the response bytes. Each shard is a
+//! plain map from key to bytes; [`MemoTable::clear`] empties them all.
+//! Hit/miss counters are volatile observability: they never influence
+//! response bytes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-struct Entry {
-    generation: u64,
-    bytes: Arc<Vec<u8>>,
-}
-
 /// Sharded memo table keyed by 128-bit cache keys.
 pub struct MemoTable {
-    shards: Vec<Mutex<HashMap<u128, Entry>>>,
-    generation: AtomicU64,
+    shards: Vec<Mutex<HashMap<u128, Arc<Vec<u8>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -29,7 +21,6 @@ impl std::fmt::Debug for MemoTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoTable")
             .field("shards", &self.shards.len())
-            .field("generation", &self.generation.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -51,52 +42,42 @@ impl MemoTable {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Entry>> {
+    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Arc<Vec<u8>>>> {
         &self.shards[(key as usize) & (self.shards.len() - 1)]
     }
 
-    /// Returns the memoized response for `key`, if fresh.
+    /// Returns the memoized response for `key`, if any.
     pub fn lookup(&self, key: u128) -> Option<Arc<Vec<u8>>> {
-        let generation = self.generation.load(Ordering::Acquire);
+        let shard = self.shard(key).lock().expect("memo shard poisoned");
+        let found = shard.get(&key).map(Arc::clone);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Memoizes `bytes` under `key`.
+    pub fn insert(&self, key: u128, bytes: Arc<Vec<u8>>) {
         let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        match shard.get(&key) {
-            Some(entry) if entry.generation == generation => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.bytes))
-            }
-            Some(_) => {
-                // Stale generation: drop lazily.
-                shard.remove(&key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        shard.insert(key, bytes);
+    }
+
+    /// Drops every entry, shard by shard.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard.lock().expect("memo shard poisoned").clear();
         }
     }
 
-    /// Memoizes `bytes` under `key` at the current generation.
-    pub fn insert(&self, key: u128, bytes: Arc<Vec<u8>>) {
-        let generation = self.generation.load(Ordering::Acquire);
-        let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        shard.insert(key, Entry { generation, bytes });
-    }
-
-    /// Invalidates every entry by bumping the generation stamp.
-    pub fn invalidate(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Entries currently resident (stale entries included until their
-    /// lazy drop).
+    /// Entries currently resident.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -135,16 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_stales_everything() {
+    fn clear_drops_every_entry() {
         let memo = MemoTable::new();
         memo.insert(1, Arc::new(vec![9]));
         memo.insert(2, Arc::new(vec![8]));
         assert_eq!(memo.len(), 2);
-        memo.invalidate();
+        memo.clear();
+        assert!(memo.is_empty());
         assert!(memo.lookup(1).is_none());
-        // Stale entry was dropped lazily by the failed lookup.
-        assert_eq!(memo.len(), 1);
-        // Reinsertion at the new generation is fresh again.
         memo.insert(1, Arc::new(vec![7]));
         assert_eq!(memo.lookup(1).unwrap().as_slice(), &[7]);
     }

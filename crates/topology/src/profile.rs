@@ -20,10 +20,7 @@ pub enum ScaleProfile {
     Quick,
     /// The paper's 13,635-node February 28, 2018 snapshot.
     Paper,
-    /// Exactly 1,000,000 nodes, every node up. The network builder
-    /// draws once per zombie (a partial Fisher–Yates shuffle) and
-    /// rejects duplicate peers by a scan of at most `out_degree` slots,
-    /// so construction stays linear at this population.
+    /// Exactly 1,000,000 nodes, every node up.
     Huge,
 }
 

@@ -94,12 +94,17 @@ fn apply_cut(sim: &mut Simulation, index: &AsSlotIndex, name: &str) {
             sim.set_partition(move |n| slots[n as usize] % 2);
         }
         // Silence the smallest set of whole ASes covering ~10% of the
-        // population — a targeted spatial eclipse.
+        // population — a targeted spatial eclipse of relaying nodes.
+        // ASes that host a mining-pool gateway are skipped: a dark side
+        // with its own hash rate keeps mining and syncing to its own
+        // tip, which is a different attack (`miner_cut`).
         "as_eclipse" => {
             let node_slot = index.node_slots().to_vec();
             let mut per_slot = vec![0usize; index.slot_count()];
-            for &s in &node_slot {
+            let mut has_gateway = vec![false; index.slot_count()];
+            for (n, &s) in node_slot.iter().enumerate() {
                 per_slot[s as usize] += 1;
+                has_gateway[s as usize] |= sim.is_gateway(n as u32);
             }
             let target = node_slot.len() / 10;
             let mut cut = vec![false; index.slot_count()];
@@ -107,6 +112,9 @@ fn apply_cut(sim: &mut Simulation, index: &AsSlotIndex, name: &str) {
             for (slot, &count) in per_slot.iter().enumerate() {
                 if acc >= target {
                     break;
+                }
+                if has_gateway[slot] {
+                    continue;
                 }
                 cut[slot] = true;
                 acc += count;

@@ -64,8 +64,8 @@ impl ReproConfig {
 /// Simulated seconds the measurement network runs before its first
 /// crawl sample.
 const WARMUP_SECS: u64 = 2 * 600;
-/// Sampling period of the day crawl.
-const DAY_PERIOD_SECS: u64 = 60;
+/// Sampling period of the day crawl (seconds), which Table V reads.
+pub const DAY_PERIOD_SECS: u64 = 60;
 /// Sampling period of the general crawl.
 const GENERAL_PERIOD_SECS: u64 = 600;
 

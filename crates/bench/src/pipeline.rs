@@ -33,7 +33,7 @@ use crate::cache::{
     UnitPlan,
 };
 use crate::dag::{Dag, DagRun, TaskCtx, TaskOutput, TaskTiming};
-use crate::{day_crawl, general_crawl, measurement_lab, ReproConfig};
+use crate::{day_crawl, general_crawl, measurement_lab, ReproConfig, DAY_PERIOD_SECS};
 use bp_obs::Tracer;
 use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig, TemporalAttackReport};
 use btcpart::crawler::CrawlResult;
@@ -252,7 +252,7 @@ fn job_fig6_minute(ctx: &JobCtx) -> Vec<Artifact> {
     vec![temporal::fig6(crawl, "minute", Some(window))]
 }
 fn job_table5(ctx: &JobCtx) -> Vec<Artifact> {
-    vec![temporal::table5(ctx.day().0, 60)]
+    vec![temporal::table5(ctx.day().0, DAY_PERIOD_SECS)]
 }
 fn job_fig7(ctx: &JobCtx) -> Vec<Artifact> {
     let mut tracer = ctx.trace.map(|_| Tracer::new());

@@ -12,15 +12,12 @@
 //! cargo test --release --test shape -- --ignored --nocapture
 //! ```
 
-use bp_bench::{day_crawl, ReproConfig};
+use bp_bench::{day_crawl, ReproConfig, DAY_PERIOD_SECS};
 use btcpart::attacks::temporal::grid::{GridConfig, GridSim};
 use btcpart::attacks::temporal::optimizer::{table_v, PAPER_TIMING_CONSTRAINTS};
 use btcpart::crawler::{LagClass, VulnerabilityWindow};
 use btcpart::experiments::temporal;
 use btcpart::net::NetConfig;
-
-/// Sampling period of the day crawl that Table V and Figure 6(b) read.
-const DAY_PERIOD_SECS: u64 = 60;
 
 #[test]
 #[ignore = "paper scale; run with: cargo test --release --test shape -- --ignored --nocapture"]

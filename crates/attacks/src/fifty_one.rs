@@ -198,16 +198,45 @@ mod tests {
 
     #[test]
     fn majority_hash_takes_over_the_network() {
-        let mut s = sim();
+        // A 66 % attacker wins most ten-interval races, not every one: in
+        // about one world in twenty the honest third finds more blocks
+        // than the attacker (8 against 6 at `fast_test`'s seed). So the
+        // claim is checked over eight worlds: the attacker out-mines the
+        // honest side overall and captures the network in most of them.
+        let snap = Snapshot::generate(SnapshotConfig {
+            scale: 0.03,
+            tail_as_count: 40,
+            version_tail: 10,
+            up_fraction: 1.0,
+            ..SnapshotConfig::paper()
+        });
         let census = PoolCensus::paper_table_iv();
-        let report = run_fifty_one(&mut s, &census, FiftyOneConfig::paper());
-        assert!(report.captured_hash > 0.60);
-        assert!(report.attacker_blocks > 0);
-        // With ~66% of the hash rate the attacker's chain dominates.
+        let reports: Vec<FiftyOneReport> = (0..8u64)
+            .map(|seed| {
+                let config = NetConfig {
+                    seed,
+                    ..NetConfig::fast_test()
+                };
+                let mut s = Simulation::new(&snap, &census, config);
+                s.run_for_secs(2 * 600);
+                run_fifty_one(&mut s, &census, FiftyOneConfig::paper())
+            })
+            .collect();
+        for report in &reports {
+            assert!(report.captured_hash > 0.60);
+            assert!(report.attacker_blocks > 0);
+        }
+        let attacker: u64 = reports.iter().map(|r| r.attacker_blocks).sum();
+        let honest: u64 = reports.iter().map(|r| r.honest_blocks).sum();
+        assert!(attacker > honest, "attacker {attacker} vs honest {honest}");
+        let captured = reports.iter().filter(|r| r.network_captured > 0.8).count();
         assert!(
-            report.network_captured > 0.8,
-            "attacker only captured {:.2}",
-            report.network_captured
+            captured >= 6,
+            "attacker captured the network in only {captured} of 8 worlds: {:?}",
+            reports
+                .iter()
+                .map(|r| r.network_captured)
+                .collect::<Vec<_>>()
         );
     }
 

@@ -10,7 +10,9 @@
 //!   independent exponential per-edge delays (§V-B, Eq. 1), followed by
 //!   `getdata`/`block` exchanges subject to link quality and a ~10 %
 //!   message-failure rate ("peer communication failure rate is … typically
-//!   around 10 percent");
+//!   around 10 percent"). Each message's delay and loss are keyed by the
+//!   message itself ([`crate::keyed`]), so an inv whose delivery cannot
+//!   change any node is never scheduled (see `Simulation::send_inv`);
 //! * mining pools find blocks as a Poisson process split by hash share and
 //!   inject them at gateway nodes inside their stratum ASes — a pool that
 //!   is behind mines on its stale tip, creating natural forks;
@@ -26,8 +28,8 @@ use crate::dense::DenseSetPool;
 use crate::engine::{EventQueue, SimTime};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::index::{BlockIndex, NO_BLOCK};
+use crate::keyed::{Draw, Keyed};
 use crate::view::{NodeView, ViewOutcome};
-use bp_analysis::dist::Exponential;
 use bp_chain::{BlockId, Height};
 use bp_mining::{ArrivalProcess, PoolCensus};
 use bp_obs::{TraceKind, Tracer};
@@ -292,9 +294,13 @@ impl NodeArena {
 
     #[inline]
     fn peers(&self, node: u32) -> &[u32] {
-        let lo = self.peer_start[node as usize] as usize;
-        let hi = self.peer_start[node as usize + 1] as usize;
-        &self.peer_edges[lo..hi]
+        &self.peer_edges[self.row(node)]
+    }
+
+    /// The range of `peer_edges` holding `node`'s peers.
+    #[inline]
+    fn row(&self, node: u32) -> std::ops::Range<usize> {
+        self.peer_start[node as usize] as usize..self.peer_start[node as usize + 1] as usize
     }
 }
 
@@ -417,6 +423,12 @@ impl TrafficStats {
 /// Bucket bounds for the reorg-depth histogram (blocks).
 pub const REORG_DEPTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
+/// Names of the inv-elision rules, in [`SimMetrics::invs_elided`] order:
+/// the recipient is a zombie; it already knows the block; it has already
+/// forwarded and requested the block, and the delivery lands before the
+/// next churn tick.
+pub const ELISION_RULES: [&str; 3] = ["zombie", "known", "requested"];
+
 /// Hot-path observability counters, kept as plain integers so recording
 /// costs one add and never touches the RNG stream — simulation results
 /// are bit-identical whether or not anyone exports these.
@@ -438,8 +450,12 @@ pub struct SimMetrics {
     pub queue_depth_hwm: usize,
     /// Calls to the announcement fan-out.
     pub announce_calls: u64,
-    /// Individual `inv` messages scheduled by the fan-out.
+    /// `inv` messages put in the queue (announcement fan-out and churn
+    /// resync).
     pub invs_scheduled: u64,
+    /// `inv` messages not put in the queue because their delivery could
+    /// not change any node, by rule (see [`ELISION_RULES`]).
+    pub invs_elided: [u64; 3],
     /// Distribution of node-level reorg depths.
     pub reorg_depth: bp_obs::Histogram,
     /// `seen_invs` entries retired when their node accepted the block
@@ -466,6 +482,7 @@ impl Default for SimMetrics {
             queue_depth_hwm: 0,
             announce_calls: 0,
             invs_scheduled: 0,
+            invs_elided: [0; 3],
             reorg_depth: bp_obs::Histogram::with_bounds(REORG_DEPTH_BOUNDS),
             pruned_seen_invs: 0,
             pruned_requested: 0,
@@ -494,7 +511,13 @@ impl Default for SimMetrics {
 pub struct Simulation {
     config: NetConfig,
     queue: EventQueue<NetEvent>,
+    /// Setup, mining arrivals and churn draw from this stream in order.
     rng: StdRng,
+    /// Every draw on a message's path is keyed by the message instead.
+    keyed: Keyed,
+    /// Time (ms) of the pending churn tick: the only event besides a
+    /// block's acceptance that clears `requested` or `seen_invs`.
+    next_churn_ms: u64,
     index: BlockIndex,
     arena: NodeArena,
     /// Pool gateway node per mining entity.
@@ -529,8 +552,7 @@ pub struct Simulation {
     /// finalization pruning (the sweep is skipped until the horizon
     /// advances past it).
     pruned_below: u64,
-    /// Reused fan-out buffer so `announce`/`relay_tx` never clone the
-    /// peer list on the hot path.
+    /// Reused buffer for a trickle announcement's shuffled peer order.
     announce_scratch: Vec<u32>,
     /// User transactions reversed by canonical-chain reorgs.
     reversed_txs: u64,
@@ -547,6 +569,10 @@ pub struct Simulation {
     /// default; installing one never perturbs simulation results — every
     /// record derives from values the simulation already computed.
     tracer: Option<Box<Tracer>>,
+    /// Schedules every inv, so tests can check that elision is
+    /// unobservable.
+    #[cfg(test)]
+    elision_off: bool,
 }
 
 impl Simulation {
@@ -654,10 +680,13 @@ impl Simulation {
         let mut queue = EventQueue::new();
         queue.schedule(SimTime::ZERO, NetEvent::Churn);
         let groups = vec![0u32; n];
+        let keyed = Keyed::new(config.seed);
         let mut sim = Self {
             config,
             queue,
             rng,
+            keyed,
+            next_churn_ms: 0,
             index,
             arena,
             gateways,
@@ -683,6 +712,8 @@ impl Simulation {
             next_txid: 1,
             metrics: SimMetrics::default(),
             tracer: None,
+            #[cfg(test)]
+            elision_off: false,
         };
         sim.schedule_next_mine();
         sim
@@ -873,6 +904,9 @@ impl Simulation {
         reg.add(&format!("{prefix}.queue.cascaded"), q.cascaded);
         reg.add(&format!("{prefix}.relay.announce_calls"), m.announce_calls);
         reg.add(&format!("{prefix}.relay.invs_scheduled"), m.invs_scheduled);
+        for (rule, n) in ELISION_RULES.iter().zip(m.invs_elided) {
+            reg.add(&format!("{prefix}.relay.invs_elided.{rule}"), n);
+        }
         reg.merge_histogram(&format!("{prefix}.reorg.depth"), &m.reorg_depth);
         reg.add(&format!("{prefix}.prune.seen_invs"), m.pruned_seen_invs);
         reg.add(&format!("{prefix}.prune.requested"), m.pruned_requested);
@@ -1151,10 +1185,6 @@ impl Simulation {
         self.groups[from as usize] != self.groups[to as usize]
     }
 
-    fn lossy(&mut self) -> bool {
-        self.config.failure_rate > 0.0 && self.rng.random::<f64>() < self.config.failure_rate
-    }
-
     fn handle_mine(&mut self) {
         if !self.mining_paused {
             let (_, pool_idx) = self.arrivals.next_block(&mut self.rng);
@@ -1254,14 +1284,10 @@ impl Simulation {
     }
 
     fn relay_tx(&mut self, from: u32, tx: u64) {
-        let mut scratch = std::mem::take(&mut self.announce_scratch);
-        scratch.clear();
-        scratch.extend_from_slice(self.arena.peers(from));
-        for &to in &scratch {
-            let delay = self.edge_delay(from, to);
+        for &to in self.arena.peers(from) {
+            let delay = self.edge_delay(Draw::TxDelay, from, to, tx);
             self.queue.schedule_in(delay, NetEvent::Tx { from, to, tx });
         }
-        self.announce_scratch = scratch;
     }
 
     fn handle_tx(&mut self, from: u32, to: u32, tx: u64) {
@@ -1269,7 +1295,7 @@ impl Simulation {
             self.traffic.blocked += 1;
             return;
         }
-        if self.lossy() {
+        if self.lost(Draw::TxLoss, from, to, tx, self.now().0) {
             self.traffic.lost += 1;
             return;
         }
@@ -1317,22 +1343,17 @@ impl Simulation {
                 // Resync: a random peer announces its tip to us.
                 if let Some(peer) = self.pick_peer(i as u32) {
                     let tip = self.arena.views[peer as usize].best_dense();
-                    let delay = self.edge_delay(peer, i as u32);
-                    self.queue.schedule_in(
-                        delay,
-                        NetEvent::Inv {
-                            from: peer,
-                            to: i as u32,
-                            block: tip,
-                        },
-                    );
+                    let at = self.now().0
+                        + self.edge_delay(Draw::ResyncDelay, peer, i as u32, tip as u64);
+                    self.send_inv(peer, i as u32, tip, at);
                 }
             }
         }
         self.trace(TraceKind::Churn, u32::MAX, went_offline, came_online);
         self.prune_finalized();
+        self.next_churn_ms = self.now().0 + self.config.churn_period_secs * 1000;
         self.queue
-            .schedule_in(self.config.churn_period_secs * 1000, NetEvent::Churn);
+            .schedule(SimTime(self.next_churn_ms), NetEvent::Churn);
     }
 
     /// Drops relay bookkeeping for blocks buried deeper than the
@@ -1380,6 +1401,7 @@ impl Simulation {
         self.trace(TraceKind::PruneSweep, u32::MAX, horizon, swept);
     }
 
+    /// A peer of `node` drawn from the churn tick's sequential stream.
     fn pick_peer(&mut self, node: u32) -> Option<u32> {
         let peers = self.arena.peers(node);
         if peers.is_empty() {
@@ -1390,18 +1412,42 @@ impl Simulation {
         }
     }
 
-    /// Exponential diffusion delay for an announcement on edge a→b.
-    fn edge_delay(&mut self, a: u32, b: u32) -> u64 {
+    /// The peer `node` asks for the missing parent of the orphan `block`
+    /// when no sender is known, keyed by the orphan.
+    fn orphan_peer(&self, node: u32, block: u32) -> Option<u32> {
+        let peers = self.arena.peers(node);
+        let n = peers.len() as u64;
+        let now = self.now().0;
+        (n > 0).then(|| {
+            peers[self
+                .keyed
+                .below(Draw::PickPeer, node, u32::MAX, block as u64, now, n)
+                as usize]
+        })
+    }
+
+    /// Whether the message `(kind, from, to, item)` delivered at `at` ms
+    /// is lost.
+    #[inline]
+    fn lost(&self, kind: Draw, from: u32, to: u32, item: u64, at: u64) -> bool {
+        self.config.failure_rate > 0.0
+            && self.keyed.unit(kind, from, to, item, at) < self.config.failure_rate
+    }
+
+    /// Exponential diffusion delay for message `item` sent now on edge
+    /// a→b.
+    #[inline]
+    fn edge_delay(&self, kind: Draw, a: u32, b: u32, item: u64) -> u64 {
         let qa = self.arena.relay_quality[a as usize];
         let qb = self.arena.relay_quality[b as usize];
         let quality = ((qa + qb) / 2.0).clamp(0.05, 1.0);
         let mean = self.config.diffusion_mean_ms / quality;
-        let exp = Exponential::with_mean(mean);
-        self.config.min_latency_ms + exp.sample(&mut self.rng) as u64
+        let now = self.now().0;
+        self.config.min_latency_ms + self.keyed.exp(kind, a, b, item, now, mean) as u64
     }
 
     /// Block transfer time on edge a→b, scaled by the receiver's link.
-    fn transfer_delay(&mut self, to: u32) -> u64 {
+    fn transfer_delay(&self, to: u32) -> u64 {
         let factor = self.arena.link_factor[to as usize];
         self.config.min_latency_ms + (self.config.block_transfer_ms as f64 / factor) as u64
     }
@@ -1414,8 +1460,13 @@ impl Simulation {
     fn accept_block(&mut self, node: u32, block: u32, source: Option<u32>) {
         let old_tip = self.arena.views[node as usize].best_dense();
         let old_height = self.arena.views[node as usize].best_height().0;
-        self.arena.requested.remove(node, block);
         let outcome = self.arena.views[node as usize].offer_dense(&self.index, block);
+        // A block parked as an orphan stays requested: fetching it again
+        // would only park it again. (This also keeps `send_inv`'s
+        // already-requested rule exact.)
+        if !matches!(outcome, ViewOutcome::MissingParent(_)) {
+            self.arena.requested.remove(node, block);
+        }
         // Confirmed transactions leave the mempool, and each now claims
         // its coin here: a pooled spend of the same coin is evicted, so
         // a gateway never mines it on top of the confirmed one.
@@ -1459,7 +1510,7 @@ impl Simulation {
             }
             ViewOutcome::MissingParent(_) => {
                 let parent = self.index.meta_at(block).prev_dense;
-                let target = source.or_else(|| self.pick_peer(node));
+                let target = source.or_else(|| self.orphan_peer(node, block));
                 if let Some(peer) = target {
                     self.request(node, peer, parent, false);
                 }
@@ -1480,45 +1531,104 @@ impl Simulation {
     }
 
     fn announce(&mut self, from: u32, block: u32) {
-        // Copy the peer list into a reused scratch buffer: `edge_delay`
-        // needs `&mut self` (RNG), so we cannot iterate `peers` in place,
-        // and a fresh clone per call was a measurable share of the
-        // day-sim allocation traffic. The trickle shuffle also permutes
-        // the scratch copy, never the node's (sorted) peer list.
-        let mut scratch = std::mem::take(&mut self.announce_scratch);
-        scratch.clear();
-        scratch.extend_from_slice(self.arena.peers(from));
+        let now = self.now().0;
+        let row = self.arena.row(from);
         self.metrics.announce_calls += 1;
-        self.metrics.invs_scheduled += scratch.len() as u64;
-        self.trace(
-            TraceKind::InvRelay,
-            from,
-            block as u64,
-            scratch.len() as u64,
-        );
+        self.trace(TraceKind::InvRelay, from, block as u64, row.len() as u64);
         match self.config.relay_mode {
             RelayMode::Diffusion => {
-                for &to in &scratch {
-                    let delay = self.edge_delay(from, to);
-                    self.queue
-                        .schedule_in(delay, NetEvent::Inv { from, to, block });
+                for e in row {
+                    let to = self.arena.peer_edges[e];
+                    let at = now + self.edge_delay(Draw::InvDelay, from, to, block as u64);
+                    self.send_inv(from, to, block, at);
                 }
             }
             RelayMode::Trickle { interval_ms } => {
-                // Staggered rounds in a random per-block peer order.
-                for i in (1..scratch.len()).rev() {
-                    let j = self.rng.random_range(0..=i);
-                    scratch.swap(i, j);
+                // Staggered rounds in a random per-block peer order,
+                // shuffled in a scratch copy of the node's sorted row.
+                let mut order = std::mem::take(&mut self.announce_scratch);
+                order.clear();
+                order.extend_from_slice(&self.arena.peer_edges[row]);
+                for i in (1..order.len()).rev() {
+                    let j = self.keyed.below(
+                        Draw::TrickleOrder,
+                        from,
+                        i as u32,
+                        block as u64,
+                        now,
+                        i as u64 + 1,
+                    );
+                    order.swap(i, j as usize);
                 }
-                for (k, &to) in scratch.iter().enumerate() {
-                    let jitter = self.rng.random_range(0..interval_ms.max(1));
+                for (k, &to) in order.iter().enumerate() {
+                    let jitter = self.keyed.below(
+                        Draw::TrickleJitter,
+                        from,
+                        to,
+                        block as u64,
+                        now,
+                        interval_ms.max(1),
+                    );
                     let delay = self.config.min_latency_ms + (k as u64 + 1) * interval_ms + jitter;
-                    self.queue
-                        .schedule_in(delay, NetEvent::Inv { from, to, block });
+                    self.send_inv(from, to, block, now + delay);
                 }
+                self.announce_scratch = order;
             }
         }
-        self.announce_scratch = scratch;
+    }
+
+    /// Schedules an inv for delivery at `at` ms, unless that delivery
+    /// provably cannot change any node:
+    ///
+    /// * the recipient is a zombie (zombies never fetch);
+    /// * it already knows the block (known sets only grow);
+    /// * it has already forwarded and requested the block, and the inv
+    ///   lands before the next churn tick. Only a churn tick, or the
+    ///   block's acceptance (after which the block is known), removes
+    ///   either entry.
+    ///
+    /// An elided inv is counted in `traffic` at send time the way its
+    /// delivery would have counted it: `blocked` if the partition cuts
+    /// the edge now, `lost` if its keyed loss draw at `at` says so,
+    /// `invs` otherwise. Because every message draw is keyed, skipping
+    /// the event moves no other draw.
+    fn send_inv(&mut self, from: u32, to: u32, block: u32, at: u64) {
+        let Some(rule) = self.elision_rule(to, block, at) else {
+            self.metrics.invs_scheduled += 1;
+            self.queue
+                .schedule(SimTime(at), NetEvent::Inv { from, to, block });
+            return;
+        };
+        self.metrics.invs_elided[rule] += 1;
+        if self.blocked(from, to) {
+            self.traffic.blocked += 1;
+        } else if self.lost(Draw::InvLoss, from, to, block as u64, at) {
+            self.traffic.lost += 1;
+        } else {
+            self.traffic.invs += 1;
+        }
+    }
+
+    /// Which [`ELISION_RULES`] entry, if any, makes delivering `block`
+    /// to `to` at `at` ms a no-op.
+    #[inline]
+    fn elision_rule(&self, to: u32, block: u32, at: u64) -> Option<usize> {
+        #[cfg(test)]
+        if self.elision_off {
+            return None;
+        }
+        if self.arena.zombie[to as usize] {
+            Some(0)
+        } else if self.arena.views[to as usize].knows_dense(block) {
+            Some(1)
+        } else if at < self.next_churn_ms
+            && self.arena.seen_invs.contains(to, block)
+            && self.arena.requested.contains(to, block)
+        {
+            Some(2)
+        } else {
+            None
+        }
     }
 
     /// Requests a block from a peer. `lazy` requests model the node's own
@@ -1539,7 +1649,10 @@ impl Simulation {
                 // behind-runs end within 2·mean of a block, producing the
                 // sharp Table V drop between the 5- and 15-minute
                 // windows that the paper measures.
-                delay += (self.rng.random::<f64>() * 2.0 * mean) as u64;
+                let u = self
+                    .keyed
+                    .unit(Draw::FetchDelay, node, peer, block as u64, self.now().0);
+                delay += (u * 2.0 * mean) as u64;
             }
         }
         self.queue.schedule_in(
@@ -1558,7 +1671,7 @@ impl Simulation {
             self.traffic.blocked += 1;
             return;
         }
-        if self.lossy() {
+        if self.lost(Draw::InvLoss, from, to, block as u64, self.now().0) {
             self.traffic.lost += 1;
             return;
         }
@@ -1585,7 +1698,7 @@ impl Simulation {
             self.traffic.blocked += 1;
             return;
         }
-        if self.lossy() {
+        if self.lost(Draw::GetDataLoss, from, to, block as u64, self.now().0) {
             self.traffic.lost += 1;
             return;
         }
@@ -1629,7 +1742,7 @@ impl Simulation {
                 self.traffic.blocked += 1;
                 return;
             }
-            if self.lossy() {
+            if self.lost(Draw::BlockLoss, from, to, block as u64, self.now().0) {
                 self.traffic.lost += 1;
                 return;
             }
@@ -1893,10 +2006,22 @@ mod tests {
         assert!(s.submit_tx(holder, 7).is_none());
     }
 
+    /// Whether `tx` is in a block on `node`'s best chain.
+    fn confirmed_at(s: &Simulation, node: u32, tx: u64) -> bool {
+        let mut d = s.arena.views[node as usize].best_dense();
+        while d != NO_BLOCK {
+            if s.block_txs.get(&d).is_some_and(|txs| txs.contains(&tx)) {
+                return true;
+            }
+            d = s.index.meta_at(d).prev_dense;
+        }
+        false
+    }
+
     #[test]
     fn partition_enables_double_spend_and_reversal() {
         let mut s = sim();
-        let _n = s.node_count() as u32;
+        let n = s.node_count() as u32;
         s.run_for_secs(60);
         // Partition by parity so each side keeps some pool gateways
         // (gateway nodes cluster in the low indices), then spend the
@@ -1904,8 +2029,23 @@ mod tests {
         s.set_partition(move |i| i % 2);
         let left = s.submit_tx(0, 99).unwrap();
         let right = s.submit_tx(1, 99).unwrap();
-        // Run long enough for both sides to confirm their version.
-        s.run_for_secs(8 * 600);
+        // Hold the cut until each side has confirmed its own version.
+        let side_confirmed =
+            |s: &Simulation, side: u32, tx| (side..n).step_by(2).any(|i| confirmed_at(s, i, tx));
+        for _ in 0..48 {
+            if side_confirmed(&s, 0, left) && side_confirmed(&s, 1, right) {
+                break;
+            }
+            s.run_for_secs(600);
+        }
+        assert!(
+            side_confirmed(&s, 0, left) && side_confirmed(&s, 1, right),
+            "a side confirmed nothing in 8 simulated hours"
+        );
+        let held = |s: &Simulation, tx| -> Vec<u32> {
+            (0..n).filter(|&i| confirmed_at(s, i, tx)).collect()
+        };
+        let (held_left, held_right) = (held(&s, left), held(&s, right));
         s.clear_partition();
         s.run_for_secs(6 * 600);
         // Exactly one version survives on the canonical chain.
@@ -1915,14 +2055,22 @@ mod tests {
             left_ok ^ right_ok,
             "double spend not resolved: left={left_ok} right={right_ok}"
         );
-        // Somebody's confirmation was reversed — at canonical level if
-        // the losing side ever led, and at node level in every case
-        // (the weak side's nodes saw their version confirmed before the
-        // heal-time reorg removed it).
-        assert!(
-            s.reversed_tx_total() + s.node_reversals_total() >= 1,
-            "no reversal recorded anywhere"
-        );
+        // The losing side's nodes saw their version confirmed before the
+        // heal-time reorg removed it from their chains: node-level
+        // reversals, read off each node's chain.
+        let (loser, held_loser) = if left_ok {
+            (right, held_right)
+        } else {
+            (left, held_left)
+        };
+        let reversed = held_loser
+            .iter()
+            .filter(|&&i| !confirmed_at(&s, i, loser))
+            .count();
+        assert!(reversed >= 1, "no node lost its confirmed spend");
+        // `node_reversals_total` does not see these (0 at this seed, with
+        // 137 nodes reversed): the heal reorg arrives by orphan adoption,
+        // which `accept_block` takes for a side branch (ROADMAP item 3).
     }
 
     /// Gateways of `s` in index order.
@@ -2099,9 +2247,9 @@ mod tests {
         let census = PoolCensus::paper_table_iv();
         // (seed, scheduled, wheel, late, overflow, cascaded, depth_hwm)
         let expected = [
-            (7u64, 39_809u64, 34_230u64, 5_578u64, 1u64, 0u64, 4_137usize),
-            (11, 10_083, 8_601, 1_481, 1, 0, 3_776),
-            (2019, 10_034, 8_594, 1_438, 2, 2, 3_758),
+            (7u64, 18_620u64, 14_969u64, 3_651u64, 0u64, 0u64, 2_071usize),
+            (11, 12_090, 9_797, 2_293, 0, 0, 2_059),
+            (2019, 9_298, 7_326, 1_971, 1, 1, 2_749),
         ];
         for (seed, scheduled, wheel, late, overflow, cascaded, hwm) in expected {
             let config = NetConfig {
@@ -2387,6 +2535,53 @@ mod tests {
         let snap2 = reg.snapshot();
         assert!(snap2.counter("net.events.inv") > 0);
         assert!(snap2.counter("net.traffic.invs") > 0);
+    }
+
+    #[test]
+    fn elision_is_unobservable() {
+        // Zombies, loss, lazy fetches and churn, so every elision rule
+        // fires. The same seeded run with every inv scheduled must leave
+        // every node on the same tip, with the same fork and traffic
+        // counts, once nothing is in flight.
+        let snap = tiny_snapshot();
+        let census = PoolCensus::paper_table_iv();
+        let config = NetConfig {
+            seed: 3,
+            zombie_fraction: 0.1,
+            failure_rate: 0.1,
+            fetch_delay_mean_ms: 20_000.0,
+            churn_off_scale: 0.3,
+            churn_on_prob: 0.3,
+            ..NetConfig::fast_test()
+        };
+        let run = |elision_off: bool| {
+            let mut s = Simulation::new(&snap, &census, config.clone());
+            s.elision_off = elision_off;
+            s.run_for_secs(4 * 3600);
+            // Drain: no more blocks and no node changes state, so nothing
+            // new is sent; getdata retries end within 40 × 30 s.
+            s.set_mining_paused(true);
+            s.config.churn_off_scale = 0.0;
+            s.config.churn_on_prob = 0.0;
+            s.run_for_secs(3600);
+            assert_eq!(s.queue.len(), 2, "only the mine and churn ticks remain");
+            s
+        };
+        let (on, off) = (run(false), run(true));
+        assert!(
+            on.metrics().invs_elided.iter().all(|&n| n > 0),
+            "a rule never fired: {:?}",
+            on.metrics().invs_elided
+        );
+        assert_eq!(off.metrics().invs_elided, [0; 3]);
+        assert!(on.metrics().events_inv < off.metrics().events_inv);
+        assert!(on.stats().blocks_mined > 10);
+        for i in 0..on.node_count() as u32 {
+            assert_eq!(on.tip_of(i), off.tip_of(i), "node {i} tip");
+            assert_eq!(on.height_of(i), off.height_of(i), "node {i} height");
+        }
+        assert_eq!(on.stats(), off.stats());
+        assert_eq!(on.traffic(), off.traffic());
     }
 
     #[test]

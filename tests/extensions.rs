@@ -105,7 +105,14 @@ fn transaction_layer_works_under_measurement_profile() {
 #[test]
 fn traffic_stats_accumulate_and_partition_blocks_messages() {
     let mut lab = lab(730);
-    lab.sim.run_for_secs(600);
+    // Block traffic needs a block: run until one has been mined and
+    // transferred, within four simulated hours.
+    for _ in 0..24 {
+        lab.sim.run_for_secs(600);
+        if lab.sim.stats().blocks_mined > 0 && lab.sim.traffic().blocks > 0 {
+            break;
+        }
+    }
     let before = lab.sim.traffic();
     assert!(before.invs > 0, "no announcements counted");
     assert!(before.blocks > 0, "no block transfers counted");

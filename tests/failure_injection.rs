@@ -63,10 +63,13 @@ fn survives_counterfeit_flood() {
     let mut lab = Scenario::new().scale(0.02).seed(902).fast_network().build();
     lab.sim.run_for_secs(1200);
     // An attacker pushes a deep counterfeit chain to every node, twice.
+    // Honest mining pauses for the flood, so no honest block on top of
+    // the counterfeit tip can land inside it.
     let mut tip = lab.sim.tip_of(0);
     for _ in 0..50 {
         tip = lab.sim.mine_counterfeit(tip);
     }
+    lab.sim.set_mining_paused(true);
     for round in 0..2 {
         for node in 0..lab.sim.node_count() as u32 {
             lab.sim.push_chain(node, tip);
@@ -79,6 +82,7 @@ fn survives_counterfeit_flood() {
         .count();
     assert_eq!(captured, lab.sim.node_count());
     // Honest mining then recovers on top of it (chain keeps moving).
+    lab.sim.set_mining_paused(false);
     let h_before = lab.sim.index().get(&tip).unwrap().height.0;
     lab.sim.run_for_secs(20 * 600);
     assert!(

@@ -4,15 +4,15 @@
 //!
 //! Everything here runs against the substrates in the sibling crates:
 //! the calibrated topology snapshot (`bp-topology`), the BGP hijack
-//! engine (`bp-bgp`), the pool census (`bp-mining`), the event-driven
+//! planner (`bp-bgp`), the pool census (`bp-mining`), the event-driven
 //! network simulation (`bp-net`) and the measurement crawler
 //! (`bp-crawler`).
 //!
 //! | Paper artifact | Entry point |
 //! |---|---|
 //! | Table III, Figure 3 | [`spatial::centralization`], [`spatial::classical_attack_curve`] |
-//! | Figure 4 | [`bp_bgp::HijackEngine`] + [`spatial::eclipse_as`] |
-//! | Table IV implications | [`spatial::isolate_hash_power`] |
+//! | Figure 4 | [`bp_bgp::HijackIndex`] + [`spatial::eclipse_as`] |
+//! | Table IV implications | [`bp_mining::PoolCensus::isolated_share`] |
 //! | Table V | [`temporal::table_v`] |
 //! | Table VI | [`temporal::TemporalModel`] |
 //! | Figure 7 | [`temporal::GridSim`] |

@@ -5,7 +5,7 @@
 //! 1. **Centralization measurement** — how few ASes/organizations host a
 //!    given share of nodes (Figure 3, Table III vs. the 2017 baseline of
 //!    Apostolaki et al., the "classical attack").
-//! 2. **Prefix-level hijack planning** — via [`bp_bgp::HijackEngine`]
+//! 2. **Prefix-level hijack planning** — via [`bp_bgp::HijackIndex`]
 //!    (Figure 4).
 //! 3. **Executed eclipse** — imposing the hijack as a partition on the
 //!    live network simulation and measuring divergence, including
@@ -90,175 +90,6 @@ pub fn classical_attack_curve(snapshot: &Snapshot, max_ases: usize) -> Vec<(usiz
         .collect()
 }
 
-/// Prebuilt spatial-attack context: the per-AS hijack ranking is derived
-/// from the snapshot exactly once and then borrowed by every query, so a
-/// long-running caller (the `bp-serve` query engine, sweeps over many
-/// victims) pays the ranking cost once instead of per call.
-///
-/// Every method is bit-identical to the corresponding free function,
-/// which now delegates here after building a throwaway context.
-#[derive(Debug)]
-pub struct SpatialContext<'a> {
-    snapshot: &'a Snapshot,
-    census: &'a PoolCensus,
-    hijacks: HijackIndex,
-}
-
-impl<'a> SpatialContext<'a> {
-    /// Builds the context, ranking every AS's prefixes up front.
-    pub fn new(snapshot: &'a Snapshot, census: &'a PoolCensus) -> Self {
-        Self {
-            snapshot,
-            census,
-            hijacks: HijackIndex::new(snapshot),
-        }
-    }
-
-    /// The underlying snapshot.
-    pub fn snapshot(&self) -> &Snapshot {
-        self.snapshot
-    }
-
-    /// The underlying pool census.
-    pub fn census(&self) -> &PoolCensus {
-        self.census
-    }
-
-    /// The prebuilt per-AS hijack ranking.
-    pub fn hijacks(&self) -> &HijackIndex {
-        &self.hijacks
-    }
-
-    /// See [`isolate_hash_power`].
-    pub fn isolate_hash_power(&self, ases: &[Asn]) -> f64 {
-        self.census.isolated_share(ases)
-    }
-
-    /// See [`eclipse_as`]: hijacks the top `prefixes` of `victim` and
-    /// imposes the cut on `sim` for `duration_secs`.
-    pub fn eclipse_as(
-        &self,
-        sim: &mut Simulation,
-        victim: Asn,
-        prefixes: usize,
-        duration_secs: u64,
-    ) -> EclipseReport {
-        let outcome = self.hijacks.hijack_top_prefixes(victim, prefixes);
-        let captured: HashSet<_> = outcome.isolated_nodes.iter().copied().collect();
-
-        // Map topology ids to sim indices.
-        let victim_sims: HashSet<u32> = (0..sim.node_count() as u32)
-            .filter(|&i| captured.contains(&sim.topology_id(i)))
-            .collect();
-        let isolated = victim_sims.len();
-
-        // Sorted so the workload below is independent of HashSet
-        // iteration order — eclipse reports must be deterministic.
-        let mut victim_list: Vec<u32> = victim_sims.iter().copied().collect();
-        victim_list.sort_unstable();
-        let assign = move |i: u32| u32::from(victim_sims.contains(&i));
-        sim.set_partition(assign);
-
-        // A background transaction workload: users on both sides keep
-        // spending — including double-spend pairs straddling the cut, the
-        // scenario the paper's implications describe.
-        let reversals_before = sim.node_reversals_total();
-        let steps = (duration_secs / 600).max(1);
-        for step in 0..steps {
-            if let Some(&victim_node) = victim_list.get(step as usize % victim_list.len().max(1)) {
-                let group = 1_000 + step;
-                // One honest spend confirmed inside the eclipse…
-                let _ = sim.submit_tx(victim_node, group);
-                // …and its conflicting double on the outside.
-                let outside = (0..sim.node_count() as u32)
-                    .find(|i| !victim_list.contains(i))
-                    .unwrap_or(0);
-                let _ = sim.submit_tx(outside, group);
-            }
-            sim.run_for_secs(600);
-        }
-
-        // Victim-side lag: max over isolated nodes of blocks behind.
-        let lags = sim.lags();
-        let victim_lag_blocks = (0..sim.node_count() as u32)
-            .filter(|&i| captured.contains(&sim.topology_id(i)))
-            .map(|i| lags[i as usize])
-            .max()
-            .unwrap_or(0);
-
-        sim.clear_partition();
-        // Let the heal-time reorg play out so reversals are observed.
-        sim.run_for_secs(2 * 600);
-        let reversed_tx_events = sim.node_reversals_total() - reversals_before;
-
-        EclipseReport {
-            victim,
-            prefixes_hijacked: outcome.prefixes_hijacked,
-            isolated,
-            network_fraction: isolated as f64 / sim.node_count().max(1) as f64,
-            victim_lag_blocks,
-            isolated_hash_share: self.census.isolated_share(&[victim]),
-            reversed_tx_events,
-        }
-    }
-
-    /// See [`eclipse_cascade`]: degradation of the un-hijacked remainder
-    /// of `victim` after its top `prefixes` are taken.
-    pub fn eclipse_cascade(&self, sim: &Simulation, victim: Asn, prefixes: usize) -> CascadeReport {
-        cascade_impl(&self.hijacks, sim, self.snapshot, victim, prefixes)
-    }
-}
-
-fn cascade_impl(
-    hijacks: &HijackIndex,
-    sim: &Simulation,
-    snapshot: &Snapshot,
-    victim: Asn,
-    prefixes: usize,
-) -> CascadeReport {
-    let outcome = hijacks.hijack_top_prefixes(victim, prefixes);
-    let hijacked_topo: HashSet<_> = outcome.isolated_nodes.iter().copied().collect();
-
-    // Map to sim indices.
-    let hijacked_sim: HashSet<u32> = (0..sim.node_count() as u32)
-        .filter(|&i| hijacked_topo.contains(&sim.topology_id(i)))
-        .collect();
-    let remainder_sim: Vec<u32> = (0..sim.node_count() as u32)
-        .filter(|&i| !hijacked_sim.contains(&i) && snapshot.node(sim.topology_id(i)).asn == victim)
-        .collect();
-
-    let mut degraded = 0usize;
-    let mut fully_eclipsed = 0usize;
-    let mut loss_sum = 0.0;
-    for &node in &remainder_sim {
-        let peers = sim.peers_of(node);
-        if peers.is_empty() {
-            continue;
-        }
-        let lost = peers.iter().filter(|p| hijacked_sim.contains(p)).count();
-        let frac = lost as f64 / peers.len() as f64;
-        loss_sum += frac;
-        if frac >= 0.5 {
-            degraded += 1;
-        }
-        if lost == peers.len() {
-            fully_eclipsed += 1;
-        }
-    }
-
-    CascadeReport {
-        directly_isolated: hijacked_sim.len(),
-        remainder: remainder_sim.len(),
-        degraded,
-        fully_eclipsed,
-        mean_peer_loss: if remainder_sim.is_empty() {
-            0.0
-        } else {
-            loss_sum / remainder_sim.len() as f64
-        },
-    }
-}
-
 /// Result of an executed AS eclipse on the live simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EclipseReport {
@@ -280,37 +111,74 @@ pub struct EclipseReport {
     pub reversed_tx_events: u64,
 }
 
-/// Hijacks the top `prefixes` of `victim` and imposes the cut on the
-/// simulation for `duration_secs`, measuring the divergence.
-///
-/// Builds a throwaway [`SpatialContext`]; callers issuing many queries
-/// against one snapshot should build the context once instead.
+/// Hijacks the top `prefixes` of `victim`, as ranked by `hijacks`, and
+/// imposes the cut on the simulation for `duration_secs`, measuring the
+/// divergence.
 pub fn eclipse_as(
     sim: &mut Simulation,
-    snapshot: &Snapshot,
+    hijacks: &HijackIndex,
     census: &PoolCensus,
     victim: Asn,
     prefixes: usize,
     duration_secs: u64,
 ) -> EclipseReport {
-    SpatialContext::new(snapshot, census).eclipse_as(sim, victim, prefixes, duration_secs)
-}
+    let outcome = hijacks.hijack_top_prefixes(victim, prefixes);
+    let captured: HashSet<_> = outcome.isolated_nodes.iter().copied().collect();
 
-/// Table IV implication: hash power isolated by hijacking a set of ASes.
-///
-/// # Examples
-///
-/// ```
-/// use bp_attacks::spatial::isolate_hash_power;
-/// use bp_mining::PoolCensus;
-/// use bp_topology::Asn;
-///
-/// let census = PoolCensus::paper_table_iv();
-/// let alibaba_sphere = [Asn(45102), Asn(37963), Asn(58563)];
-/// assert!(isolate_hash_power(&census, &alibaba_sphere) > 0.60);
-/// ```
-pub fn isolate_hash_power(census: &PoolCensus, ases: &[Asn]) -> f64 {
-    census.isolated_share(ases)
+    // Map topology ids to sim indices.
+    let victim_sims: HashSet<u32> = (0..sim.node_count() as u32)
+        .filter(|&i| captured.contains(&sim.topology_id(i)))
+        .collect();
+    let isolated = victim_sims.len();
+
+    // Sorted so the workload below is independent of HashSet
+    // iteration order — eclipse reports must be deterministic.
+    let mut victim_list: Vec<u32> = victim_sims.iter().copied().collect();
+    victim_list.sort_unstable();
+    let assign = move |i: u32| u32::from(victim_sims.contains(&i));
+    sim.set_partition(assign);
+
+    // A background transaction workload: users on both sides keep
+    // spending — including double-spend pairs straddling the cut, the
+    // scenario the paper's implications describe.
+    let reversals_before = sim.node_reversals_total();
+    let steps = (duration_secs / 600).max(1);
+    for step in 0..steps {
+        if let Some(&victim_node) = victim_list.get(step as usize % victim_list.len().max(1)) {
+            let group = 1_000 + step;
+            // One honest spend confirmed inside the eclipse…
+            let _ = sim.submit_tx(victim_node, group);
+            // …and its conflicting double on the outside.
+            let outside = (0..sim.node_count() as u32)
+                .find(|i| !victim_list.contains(i))
+                .unwrap_or(0);
+            let _ = sim.submit_tx(outside, group);
+        }
+        sim.run_for_secs(600);
+    }
+
+    // Victim-side lag: max over isolated nodes of blocks behind.
+    let lags = sim.lags();
+    let victim_lag_blocks = (0..sim.node_count() as u32)
+        .filter(|&i| captured.contains(&sim.topology_id(i)))
+        .map(|i| lags[i as usize])
+        .max()
+        .unwrap_or(0);
+
+    sim.clear_partition();
+    // Let the heal-time reorg play out so reversals are observed.
+    sim.run_for_secs(2 * 600);
+    let reversed_tx_events = sim.node_reversals_total() - reversals_before;
+
+    EclipseReport {
+        victim,
+        prefixes_hijacked: outcome.prefixes_hijacked,
+        isolated,
+        network_fraction: isolated as f64 / sim.node_count().max(1) as f64,
+        victim_lag_blocks,
+        isolated_hash_share: census.isolated_share(&[victim]),
+        reversed_tx_events,
+    }
 }
 
 /// Result of a nation-state partition (paper §III: "a nation-state can
@@ -395,17 +263,56 @@ pub struct CascadeReport {
     pub mean_peer_loss: f64,
 }
 
-/// Computes the eclipse cascade for a prefix hijack of `victim`.
-///
-/// Builds a throwaway [`SpatialContext`]; callers issuing many queries
-/// against one snapshot should build the context once instead.
+/// Computes the eclipse cascade for a hijack of the top `prefixes` of
+/// `victim`, as ranked by `hijacks`.
 pub fn eclipse_cascade(
     sim: &Simulation,
     snapshot: &Snapshot,
+    hijacks: &HijackIndex,
     victim: Asn,
     prefixes: usize,
 ) -> CascadeReport {
-    cascade_impl(&HijackIndex::new(snapshot), sim, snapshot, victim, prefixes)
+    let outcome = hijacks.hijack_top_prefixes(victim, prefixes);
+    let hijacked_topo: HashSet<_> = outcome.isolated_nodes.iter().copied().collect();
+
+    // Map to sim indices.
+    let hijacked_sim: HashSet<u32> = (0..sim.node_count() as u32)
+        .filter(|&i| hijacked_topo.contains(&sim.topology_id(i)))
+        .collect();
+    let remainder_sim: Vec<u32> = (0..sim.node_count() as u32)
+        .filter(|&i| !hijacked_sim.contains(&i) && snapshot.node(sim.topology_id(i)).asn == victim)
+        .collect();
+
+    let mut degraded = 0usize;
+    let mut fully_eclipsed = 0usize;
+    let mut loss_sum = 0.0;
+    for &node in &remainder_sim {
+        let peers = sim.peers_of(node);
+        if peers.is_empty() {
+            continue;
+        }
+        let lost = peers.iter().filter(|p| hijacked_sim.contains(p)).count();
+        let frac = lost as f64 / peers.len() as f64;
+        loss_sum += frac;
+        if frac >= 0.5 {
+            degraded += 1;
+        }
+        if lost == peers.len() {
+            fully_eclipsed += 1;
+        }
+    }
+
+    CascadeReport {
+        directly_isolated: hijacked_sim.len(),
+        remainder: remainder_sim.len(),
+        degraded,
+        fully_eclipsed,
+        mean_peer_loss: if remainder_sim.is_empty() {
+            0.0
+        } else {
+            loss_sum / remainder_sim.len() as f64
+        },
+    }
 }
 
 #[cfg(test)]
@@ -443,7 +350,7 @@ mod tests {
     #[test]
     fn three_alibaba_ases_isolate_majority_hash() {
         let census = PoolCensus::paper_table_iv();
-        let share = isolate_hash_power(&census, &[Asn(45102), Asn(37963), Asn(58563)]);
+        let share = census.isolated_share(&[Asn(45102), Asn(37963), Asn(58563)]);
         assert!(share > 0.60, "isolated {share}");
     }
 
@@ -483,50 +390,15 @@ mod tests {
         });
         let census = PoolCensus::paper_table_iv();
         let sim = Simulation::new(&snapshot, &census, NetConfig::fast_test());
-        let small = eclipse_cascade(&sim, &snapshot, Asn(24940), 5);
-        let large = eclipse_cascade(&sim, &snapshot, Asn(24940), 30);
+        let hijacks = HijackIndex::new(&snapshot);
+        let small = eclipse_cascade(&sim, &snapshot, &hijacks, Asn(24940), 5);
+        let large = eclipse_cascade(&sim, &snapshot, &hijacks, Asn(24940), 30);
         assert!(large.directly_isolated > small.directly_isolated);
         // Peers are chosen uniformly across the network, so intra-AS peer
         // loss is small but must be consistent and bounded.
         assert!((0.0..=1.0).contains(&small.mean_peer_loss));
         assert!(small.degraded <= small.remainder);
         assert!(large.fully_eclipsed <= large.degraded || large.degraded == 0);
-    }
-
-    #[test]
-    fn context_matches_free_functions() {
-        let snapshot = Snapshot::generate(SnapshotConfig {
-            scale: 0.05,
-            tail_as_count: 60,
-            version_tail: 10,
-            up_fraction: 1.0,
-            ..SnapshotConfig::paper()
-        });
-        let census = PoolCensus::paper_table_iv();
-        let ctx = SpatialContext::new(&snapshot, &census);
-
-        let ases = [Asn(45102), Asn(37963)];
-        assert_eq!(
-            ctx.isolate_hash_power(&ases).to_bits(),
-            isolate_hash_power(&census, &ases).to_bits()
-        );
-
-        let sim = Simulation::new(&snapshot, &census, NetConfig::fast_test());
-        assert_eq!(
-            ctx.eclipse_cascade(&sim, Asn(24940), 10),
-            eclipse_cascade(&sim, &snapshot, Asn(24940), 10)
-        );
-
-        // eclipse_as mutates the sim, so compare two identically-built
-        // runs: one through the context, one through the free function.
-        let mut sim_a = Simulation::new(&snapshot, &census, NetConfig::fast_test());
-        sim_a.run_for_secs(1200);
-        let mut sim_b = Simulation::new(&snapshot, &census, NetConfig::fast_test());
-        sim_b.run_for_secs(1200);
-        assert_eq!(
-            ctx.eclipse_as(&mut sim_a, Asn(24940), 20, 2 * 600),
-            eclipse_as(&mut sim_b, &snapshot, &census, Asn(24940), 20, 2 * 600)
-        );
     }
 
     #[test]
@@ -541,7 +413,8 @@ mod tests {
         let census = PoolCensus::paper_table_iv();
         let mut sim = Simulation::new(&snapshot, &census, NetConfig::fast_test());
         sim.run_for_secs(1200);
-        let report = eclipse_as(&mut sim, &snapshot, &census, Asn(24940), 51, 6 * 600);
+        let hijacks = HijackIndex::new(&snapshot);
+        let report = eclipse_as(&mut sim, &hijacks, &census, Asn(24940), 51, 6 * 600);
         assert!(report.isolated > 10, "only {} isolated", report.isolated);
         assert!(report.network_fraction > 0.03);
         // Hetzner hosts no stratum servers of the top-5 pools but does

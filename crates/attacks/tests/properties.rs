@@ -4,7 +4,7 @@
 use bp_attacks::countermeasures::{blockaware_stale, blockaware_tradeoff_one, diversify_stratum};
 use bp_attacks::temporal::model::{ln_binomial, TemporalModel};
 use bp_attacks::temporal::optimizer::{rows_are_consistent, table_v};
-use bp_bgp::HijackEngine;
+use bp_bgp::HijackIndex;
 use bp_crawler::LagMatrix;
 use bp_mining::PoolCensus;
 use bp_topology::{Asn, Snapshot, SnapshotConfig};
@@ -165,9 +165,9 @@ proptest! {
             version_tail: 10,
             ..SnapshotConfig::paper()
         });
-        let engine = HijackEngine::new(&snapshot);
+        let hijacks = HijackIndex::new(&snapshot);
         for asn in [24940u32, 16276, 37963, 16509, 14061] {
-            let curve = engine.isolation_curve(Asn(asn));
+            let curve = hijacks.isolation_curve(Asn(asn));
             prop_assert!(!curve.is_empty());
             for pair in curve.windows(2) {
                 prop_assert!(pair[0] <= pair[1] + 1e-12);
@@ -175,14 +175,14 @@ proptest! {
             let last = *curve.last().unwrap();
             prop_assert!(last <= 1.0 + 1e-12);
             // Threshold consistency.
-            if let Some(k) = engine.prefixes_for_fraction(Asn(asn), 0.5) {
+            if let Some(k) = hijacks.prefixes_for_fraction(Asn(asn), 0.5) {
                 prop_assert!(curve[k - 1] + 1e-12 >= 0.5);
                 if k > 1 {
                     prop_assert!(curve[k - 2] < 0.5 + 1e-12);
                 }
             }
             // Hijacking k prefixes isolates exactly the curve's fraction.
-            let outcome = engine.hijack_top_prefixes(Asn(asn), 10);
+            let outcome = hijacks.hijack_top_prefixes(Asn(asn), 10);
             prop_assert!((outcome.fraction_of_as - curve[9.min(curve.len() - 1)]).abs() < 1e-9);
         }
     }

@@ -30,19 +30,17 @@ pub const SERVE_KEY_SCHEMA: &str = "bp-serve/k1";
 /// Queries in the synthetic load script (`repro --serve-bench`).
 pub const BENCH_QUERIES: usize = 10_000;
 
-/// Builds the serving substrate for `config`: the static environment
-/// plus the day crawl and its simulation, each computed exactly once
-/// through the same constructors the artifact pipeline uses — a served
-/// answer and a pipeline artifact for the same question come from
-/// identical inputs. No query reads the general crawl, so it is not
-/// built.
+/// Builds the serving substrate for `config`: the day crawl's lab
+/// supplies the snapshot, census and simulation, so each is computed
+/// exactly once, through the same constructors the artifact pipeline
+/// uses — a served answer and a pipeline artifact for the same question
+/// come from identical inputs. No query reads the general crawl, so it
+/// is not built.
 pub fn build_substrate(config: &ReproConfig) -> Arc<Substrate> {
-    let env = btcpart::Scenario::new()
-        .scale(config.scale)
-        .seed(config.seed);
+    let (crawl, lab) = crate::day_crawl(config, None, false);
     Arc::new(Substrate::new(
-        env.build_static(),
-        Some(crate::day_crawl(config, None, false)),
+        (lab.snapshot, lab.census),
+        Some((crawl, lab.sim)),
     ))
 }
 

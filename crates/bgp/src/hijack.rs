@@ -1,4 +1,4 @@
-//! The BGP hijack engine.
+//! BGP hijack planning.
 //!
 //! Two attack flavours from the paper (§V-A):
 //!
@@ -11,9 +11,10 @@
 //!   exact prefix; the Internet splits according to BGP preference, and
 //!   only part of it (the *capture set*) routes to the attacker.
 //!
-//! The engine also produces the paper's cost/advantage accounting: "taking
-//! the number of isolated nodes as an advantage and the number of prefixes
-//! to be hijacked as an effort".
+//! [`HijackIndex`] plans the first kind and produces the paper's
+//! cost/advantage accounting: "taking the number of isolated nodes as an
+//! advantage and the number of prefixes to be hijacked as an effort";
+//! [`origin_hijack`] computes the second.
 
 use crate::graph::AsGraph;
 use crate::routing::RouteMap;
@@ -45,99 +46,6 @@ impl HijackOutcome {
     }
 }
 
-/// Plans and evaluates more-specific prefix hijacks against a snapshot.
-#[derive(Debug, Clone)]
-pub struct HijackEngine<'a> {
-    snapshot: &'a Snapshot,
-}
-
-impl<'a> HijackEngine<'a> {
-    /// Creates an engine over a snapshot.
-    pub fn new(snapshot: &'a Snapshot) -> Self {
-        Self { snapshot }
-    }
-
-    /// The cumulative isolation curve of Figure 4: element `k-1` is the
-    /// fraction of the AS's nodes isolated after hijacking its `k` most
-    /// populated prefixes.
-    ///
-    /// Nodes without a covering IPv4 prefix (IPv6 carve-outs) cannot be
-    /// isolated this way and cap the curve below 1.0, mirroring the
-    /// paper's observation that a handful of nodes per AS resist prefix
-    /// hijacks.
-    pub fn isolation_curve(&self, victim: Asn) -> Vec<f64> {
-        let total = self.snapshot.nodes_in_as(victim).len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let counts = self.snapshot.prefix_node_counts(victim);
-        let mut acc = 0usize;
-        counts
-            .iter()
-            .map(|c| {
-                acc += c;
-                acc as f64 / total as f64
-            })
-            .collect()
-    }
-
-    /// Minimum number of prefixes to isolate at least `fraction` of the
-    /// victim's nodes, or `None` if the curve never reaches it.
-    pub fn prefixes_for_fraction(&self, victim: Asn, fraction: f64) -> Option<usize> {
-        self.isolation_curve(victim)
-            .iter()
-            .position(|f| *f + 1e-12 >= fraction)
-            .map(|i| i + 1)
-    }
-
-    /// Executes a greedy hijack of the victim's `k` most populated
-    /// prefixes and reports the outcome.
-    pub fn hijack_top_prefixes(&self, victim: Asn, k: usize) -> HijackOutcome {
-        // Rank prefixes by node population.
-        let record = self.snapshot.registry.as_record(victim);
-        let prefix_count = record.map(|r| r.prefixes.len()).unwrap_or(0);
-        let mut per_prefix: Vec<(u32, Vec<NodeId>)> = (0..prefix_count as u32)
-            .map(|pi| (pi, Vec::new()))
-            .collect();
-        let members = self.snapshot.nodes_in_as(victim);
-        for id in &members {
-            let n = self.snapshot.node(*id);
-            if let Some(pi) = n.prefix_idx {
-                per_prefix[pi as usize].1.push(*id);
-            }
-        }
-        per_prefix.sort_by_key(|(_, nodes)| std::cmp::Reverse(nodes.len()));
-
-        let k = k.min(per_prefix.len());
-        let isolated: Vec<NodeId> = per_prefix
-            .iter()
-            .take(k)
-            .flat_map(|(_, nodes)| nodes.iter().copied())
-            .collect();
-        let fraction = if members.is_empty() {
-            0.0
-        } else {
-            isolated.len() as f64 / members.len() as f64
-        };
-        HijackOutcome {
-            victim,
-            prefixes_hijacked: k,
-            isolated_nodes: isolated,
-            fraction_of_as: fraction,
-        }
-    }
-
-    /// Hijacks entire ASes (every active prefix) — the coarse attack the
-    /// paper uses for hash-power isolation ("if an attacker hijacks 3
-    /// ASes, he can isolate more than 60 % of the Bitcoin hash power").
-    pub fn hijack_ases(&self, victims: &[Asn]) -> Vec<NodeId> {
-        victims
-            .iter()
-            .flat_map(|asn| self.snapshot.nodes_in_as(*asn))
-            .collect()
-    }
-}
-
 /// One AS's prebuilt hijack plan: its member count and per-prefix node
 /// lists, largest population first.
 #[derive(Debug, Clone)]
@@ -146,25 +54,20 @@ struct RankedAs {
     /// covering IPv4 prefix.
     members: Vec<NodeId>,
     /// Per-prefix node lists, ranked descending by population. The rank
-    /// is a stable sort over the registry's prefix order, exactly like
-    /// [`HijackEngine::hijack_top_prefixes`], so outcomes match the
-    /// engine byte for byte.
+    /// is a stable sort over the registry's prefix order, so ties go to
+    /// the prefix the registry lists first.
     prefixes: Vec<Vec<NodeId>>,
 }
 
-/// A prebuilt, owned hijack-planning index over a whole snapshot.
+/// The more-specific prefix-hijack planner: a prebuilt, owned index over
+/// a whole snapshot.
 ///
-/// [`HijackEngine`] re-ranks the victim's prefixes on every call — fine
-/// for a batch pipeline that evaluates each AS once, wasteful for a
-/// long-running query engine that answers thousands of overlapping
-/// what-if queries. This index performs the ranking once for every AS
-/// (one pass over the node table) and answers each query with a map
-/// lookup plus an `O(k)` scan. It owns its data (no borrow of the
-/// snapshot), so a server can keep it alongside the snapshot without
-/// self-referential lifetimes.
-///
-/// Every result is bit-identical to the corresponding [`HijackEngine`]
-/// call on the same snapshot.
+/// It ranks every AS's prefixes by node count once (one pass over the
+/// node table) and answers each query with a map lookup plus an `O(k)`
+/// scan, so a batch experiment and a long-running query engine read the
+/// same ranking. It owns its data (no borrow of the snapshot), so a
+/// server can keep it alongside the snapshot without self-referential
+/// lifetimes.
 #[derive(Debug, Clone, Default)]
 pub struct HijackIndex {
     per_as: std::collections::BTreeMap<u32, RankedAs>,
@@ -199,8 +102,7 @@ impl HijackIndex {
             }
         }
         for ranked in per_as.values_mut() {
-            // Stable sort: ties keep registry prefix order, matching the
-            // engine's per-call ranking.
+            // Stable sort: ties keep registry prefix order.
             ranked
                 .prefixes
                 .sort_by_key(|nodes| std::cmp::Reverse(nodes.len()));
@@ -223,8 +125,14 @@ impl HijackIndex {
         self.per_as.get(&victim.0).map_or(0, |r| r.members.len())
     }
 
-    /// The Figure 4 isolation curve — see
-    /// [`HijackEngine::isolation_curve`].
+    /// The cumulative isolation curve of Figure 4: element `k-1` is the
+    /// fraction of the AS's nodes isolated after hijacking its `k` most
+    /// populated prefixes.
+    ///
+    /// Nodes without a covering IPv4 prefix (IPv6 carve-outs) cannot be
+    /// isolated this way and cap the curve below 1.0, mirroring the
+    /// paper's observation that a handful of nodes per AS resist prefix
+    /// hijacks.
     pub fn isolation_curve(&self, victim: Asn) -> Vec<f64> {
         let Some(ranked) = self.per_as.get(&victim.0) else {
             return Vec::new();
@@ -244,8 +152,8 @@ impl HijackIndex {
             .collect()
     }
 
-    /// Minimum prefixes to isolate at least `fraction` of the victim —
-    /// see [`HijackEngine::prefixes_for_fraction`].
+    /// Minimum number of prefixes to isolate at least `fraction` of the
+    /// victim's nodes, or `None` if the curve never reaches it.
     pub fn prefixes_for_fraction(&self, victim: Asn, fraction: f64) -> Option<usize> {
         self.isolation_curve(victim)
             .iter()
@@ -253,8 +161,8 @@ impl HijackIndex {
             .map(|i| i + 1)
     }
 
-    /// Greedy hijack of the victim's `k` most populated prefixes — see
-    /// [`HijackEngine::hijack_top_prefixes`].
+    /// Executes a greedy hijack of the victim's `k` most populated
+    /// prefixes and reports the outcome.
     pub fn hijack_top_prefixes(&self, victim: Asn, k: usize) -> HijackOutcome {
         let Some(ranked) = self.per_as.get(&victim.0) else {
             return HijackOutcome {
@@ -282,16 +190,6 @@ impl HijackIndex {
             isolated_nodes: isolated,
             fraction_of_as: fraction,
         }
-    }
-
-    /// Hijacks entire ASes — see [`HijackEngine::hijack_ases`]. Nodes
-    /// come out in ascending id order per AS, like the engine's.
-    pub fn hijack_ases(&self, victims: &[Asn]) -> Vec<NodeId> {
-        victims
-            .iter()
-            .filter_map(|asn| self.per_as.get(&asn.0))
-            .flat_map(|ranked| ranked.members.iter().copied())
-            .collect()
     }
 }
 
@@ -343,8 +241,7 @@ mod tests {
     #[test]
     fn isolation_curve_is_monotone_and_bounded() {
         let s = snap();
-        let engine = HijackEngine::new(&s);
-        let curve = engine.isolation_curve(Asn(24940));
+        let curve = HijackIndex::new(&s).isolation_curve(Asn(24940));
         assert!(!curve.is_empty());
         for pair in curve.windows(2) {
             assert!(pair[0] <= pair[1] + 1e-12);
@@ -356,18 +253,16 @@ mod tests {
 
     #[test]
     fn amazon_needs_many_more_prefixes_than_hetzner() {
-        let s = snap();
-        let engine = HijackEngine::new(&s);
-        let hetzner = engine.prefixes_for_fraction(Asn(24940), 0.8).unwrap();
-        let amazon = engine.prefixes_for_fraction(Asn(16509), 0.8).unwrap();
+        let index = HijackIndex::new(&snap());
+        let hetzner = index.prefixes_for_fraction(Asn(24940), 0.8).unwrap();
+        let amazon = index.prefixes_for_fraction(Asn(16509), 0.8).unwrap();
         assert!(amazon > hetzner * 3, "amazon {amazon} vs hetzner {hetzner}");
     }
 
     #[test]
     fn hijack_outcome_accounting() {
         let s = snap();
-        let engine = HijackEngine::new(&s);
-        let outcome = engine.hijack_top_prefixes(Asn(24940), 15);
+        let outcome = HijackIndex::new(&s).hijack_top_prefixes(Asn(24940), 15);
         assert_eq!(outcome.prefixes_hijacked, 15);
         assert!(outcome.fraction_of_as > 0.5);
         assert!(outcome.cost_per_node() < 1.0);
@@ -379,65 +274,55 @@ mod tests {
 
     #[test]
     fn hijack_zero_prefixes_isolates_nothing() {
-        let s = snap();
-        let engine = HijackEngine::new(&s);
-        let outcome = engine.hijack_top_prefixes(Asn(24940), 0);
+        let outcome = HijackIndex::new(&snap()).hijack_top_prefixes(Asn(24940), 0);
         assert!(outcome.isolated_nodes.is_empty());
         assert_eq!(outcome.cost_per_node(), f64::INFINITY);
     }
 
     #[test]
     fn unknown_as_yields_empty_curve() {
-        let s = snap();
-        let engine = HijackEngine::new(&s);
-        assert!(engine.isolation_curve(Asn(424242)).is_empty());
-        assert_eq!(engine.prefixes_for_fraction(Asn(424242), 0.5), None);
-    }
-
-    #[test]
-    fn hijacking_whole_ases_collects_their_nodes() {
-        let s = snap();
-        let engine = HijackEngine::new(&s);
-        let nodes = engine.hijack_ases(&[Asn(37963), Asn(45102)]);
-        let expected = s.nodes_in_as(Asn(37963)).len() + s.nodes_in_as(Asn(45102)).len();
-        assert_eq!(nodes.len(), expected);
-    }
-
-    #[test]
-    fn index_matches_engine_everywhere() {
-        let s = snap();
-        let engine = HijackEngine::new(&s);
-        let index = HijackIndex::new(&s);
-        for asn in index.populated_ases() {
-            assert_eq!(
-                index.isolation_curve(asn),
-                engine.isolation_curve(asn),
-                "curve diverges for {asn:?}"
-            );
-            for k in [0, 1, 5, 50, 10_000] {
-                assert_eq!(
-                    index.hijack_top_prefixes(asn, k),
-                    engine.hijack_top_prefixes(asn, k),
-                    "outcome diverges for {asn:?} k={k}"
-                );
-            }
-            for f in [0.3, 0.8, 1.0] {
-                assert_eq!(
-                    index.prefixes_for_fraction(asn, f),
-                    engine.prefixes_for_fraction(asn, f)
-                );
-            }
-            assert_eq!(index.members(asn), s.nodes_in_as(asn).len());
-        }
-        // Unknown AS: empty everywhere, like the engine.
+        let index = HijackIndex::new(&snap());
         assert!(index.isolation_curve(Asn(424242)).is_empty());
         assert_eq!(index.prefixes_for_fraction(Asn(424242), 0.5), None);
-        let empty = index.hijack_top_prefixes(Asn(424242), 3);
-        assert!(empty.isolated_nodes.is_empty());
-        assert_eq!(empty.prefixes_hijacked, 0);
-        // Whole-AS hijacks include prefix-less nodes, like the engine.
-        let victims = [Asn(37963), Asn(45102)];
-        assert_eq!(index.hijack_ases(&victims), engine.hijack_ases(&victims));
+    }
+
+    /// The index against the snapshot's own scans: every populated AS
+    /// plus one unknown AS, the curve exact in `f64`, and each top-k
+    /// hijack isolating exactly the top-k counts, all inside the victim.
+    #[test]
+    fn index_matches_snapshot_scans() {
+        let s = snap();
+        let index = HijackIndex::new(&s);
+        let mut victims = index.populated_ases();
+        assert_eq!(victims.len(), s.nodes_per_as().len());
+        victims.push(Asn(424242));
+        for asn in victims {
+            let members = s.nodes_in_as(asn).len();
+            let counts = s.prefix_node_counts(asn);
+            assert_eq!(index.members(asn), members, "{asn:?}");
+            let curve: Vec<f64> = if members == 0 {
+                Vec::new()
+            } else {
+                counts
+                    .iter()
+                    .scan(0usize, |acc, c| {
+                        *acc += c;
+                        Some(*acc as f64 / members as f64)
+                    })
+                    .collect()
+            };
+            assert_eq!(index.isolation_curve(asn), curve, "curve of {asn:?}");
+            for k in 0..=counts.len() + 1 {
+                let outcome = index.hijack_top_prefixes(asn, k);
+                let expected: usize = counts.iter().take(k).sum();
+                assert_eq!(outcome.prefixes_hijacked, k.min(counts.len()));
+                assert_eq!(outcome.isolated_nodes.len(), expected, "{asn:?} k={k}");
+                assert!(outcome
+                    .isolated_nodes
+                    .iter()
+                    .all(|id| s.node(*id).asn == asn));
+            }
+        }
     }
 
     #[test]

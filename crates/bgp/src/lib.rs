@@ -1,5 +1,5 @@
 //! BGP substrate: AS relationship graph, valley-free routing, and the
-//! prefix-hijack engine behind the paper's spatial partitioning attack.
+//! prefix-hijack planner behind the paper's spatial partitioning attack.
 //!
 //! The paper validates spatial partitioning by grouping each AS's Bitcoin
 //! nodes under its announced BGP prefixes and counting how many prefix
@@ -10,12 +10,12 @@
 //! # Examples
 //!
 //! ```
-//! use bp_bgp::HijackEngine;
+//! use bp_bgp::HijackIndex;
 //! use bp_topology::{Asn, Snapshot, SnapshotConfig};
 //!
 //! let snap = Snapshot::generate(SnapshotConfig::test_small());
-//! let engine = HijackEngine::new(&snap);
-//! let outcome = engine.hijack_top_prefixes(Asn(24940), 15);
+//! let hijacks = HijackIndex::new(&snap);
+//! let outcome = hijacks.hijack_top_prefixes(Asn(24940), 15);
 //! assert!(outcome.fraction_of_as > 0.5); // Hetzner falls fast
 //! ```
 
@@ -28,7 +28,6 @@ pub mod routing;
 
 pub use graph::{AsGraph, Relationship};
 pub use hijack::{
-    origin_hijack, origin_hijack_with_defense, HijackEngine, HijackIndex, HijackOutcome,
-    OriginHijack,
+    origin_hijack, origin_hijack_with_defense, HijackIndex, HijackOutcome, OriginHijack,
 };
 pub use routing::{Route, RouteClass, RouteMap};

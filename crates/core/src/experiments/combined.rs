@@ -8,7 +8,7 @@ use bp_analysis::table::{num, pct, Align, TextTable};
 use bp_attacks::fifty_one::{run_fifty_one, FiftyOneConfig};
 use bp_attacks::spatial::eclipse_cascade;
 use bp_attacks::spatiotemporal::plan;
-use bp_bgp::HijackEngine;
+use bp_bgp::HijackIndex;
 use bp_crawler::{CrawlResult, LagClass};
 use bp_mining::PoolCensus;
 use bp_net::Simulation;
@@ -124,10 +124,9 @@ pub fn fig8(crawl: &CrawlResult, snapshot: &Snapshot) -> Artifact {
 /// The implications roll-up: hash-power isolation via 3 ASes and the
 /// AS24940 15-prefix cut (§V-A "Implications").
 pub fn implications(snapshot: &Snapshot, census: &PoolCensus) -> Artifact {
-    let engine = HijackEngine::new(snapshot);
     let alibaba = [Asn(45102), Asn(37963), Asn(58563)];
     let hash_isolated = census.isolated_share(&alibaba);
-    let hetzner = engine.hijack_top_prefixes(Asn(24940), 15);
+    let hetzner = HijackIndex::new(snapshot).hijack_top_prefixes(Asn(24940), 15);
 
     let mut t = TextTable::new(
         ["Implication", "Measured", "Paper"]
@@ -160,6 +159,7 @@ pub fn implications(snapshot: &Snapshot, census: &PoolCensus) -> Artifact {
 /// remainder of an AS as the number of hijacked prefixes grows.
 pub fn cascade(sim: &Simulation, snapshot: &Snapshot) -> Artifact {
     let victim = Asn(24940);
+    let hijacks = HijackIndex::new(snapshot);
     let mut t = TextTable::new(
         [
             "Prefixes hijacked",
@@ -175,7 +175,7 @@ pub fn cascade(sim: &Simulation, snapshot: &Snapshot) -> Artifact {
         t.align(col, Align::Right);
     }
     for prefixes in [5usize, 10, 15, 25, 40] {
-        let report = eclipse_cascade(sim, snapshot, victim, prefixes);
+        let report = eclipse_cascade(sim, snapshot, &hijacks, victim, prefixes);
         t.row(vec![
             prefixes.to_string(),
             report.directly_isolated.to_string(),

@@ -6,7 +6,7 @@ use bp_analysis::csv;
 use bp_analysis::ecdf::cumulative_share;
 use bp_analysis::table::{num, pct, thousands, Align, TextTable};
 use bp_attacks::spatial::{centralization, BASELINE_2017_ASES_30, BASELINE_2017_ASES_50};
-use bp_bgp::HijackEngine;
+use bp_bgp::HijackIndex;
 use bp_mining::PoolCensus;
 use bp_topology::{Asn, Snapshot};
 
@@ -247,7 +247,7 @@ pub const FIGURE4_ASES: [Asn; 5] = [Asn(24940), Asn(16276), Asn(37963), Asn(1650
 /// Figure 4 — fraction of an AS's nodes hijacked vs. number of BGP
 /// prefixes hijacked, for the top-5 ASes.
 pub fn fig4(snapshot: &Snapshot) -> Artifact {
-    let engine = HijackEngine::new(snapshot);
+    let hijacks = HijackIndex::new(snapshot);
     let mut chart = LineChart::new(
         "Fraction of nodes hijacked vs. number of BGP prefix hijacks",
         70,
@@ -260,7 +260,7 @@ pub fn fig4(snapshot: &Snapshot) -> Artifact {
             .as_record(asn)
             .map(|r| r.prefixes.len())
             .unwrap_or(0);
-        let curve = engine.isolation_curve(asn);
+        let curve = hijacks.isolation_curve(asn);
         let points: Vec<(f64, f64)> = curve
             .iter()
             .take(160)
@@ -278,8 +278,8 @@ pub fn fig4(snapshot: &Snapshot) -> Artifact {
     }
 
     // The headline numbers from the paper's narrative.
-    let p95_hetzner = engine.prefixes_for_fraction(Asn(24940), 0.95);
-    let p95_amazon = engine.prefixes_for_fraction(Asn(16509), 0.95);
+    let p95_hetzner = hijacks.prefixes_for_fraction(Asn(24940), 0.95);
+    let p95_amazon = hijacks.prefixes_for_fraction(Asn(16509), 0.95);
     let notes = format!(
         "prefixes for 95% isolation — AS24940: {:?} (paper: ~15–40), AS16509: {:?} (paper: >140)\n",
         p95_hetzner, p95_amazon

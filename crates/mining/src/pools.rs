@@ -209,6 +209,19 @@ impl PoolCensus {
 
     /// Hash share isolated by hijacking the given ASes (the pools whose
     /// stratum servers sit behind them lose the corresponding weight).
+    ///
+    /// # Examples
+    ///
+    /// The Table IV implication: three ASes carry most of the hash rate.
+    ///
+    /// ```
+    /// use bp_mining::PoolCensus;
+    /// use bp_topology::Asn;
+    ///
+    /// let census = PoolCensus::paper_table_iv();
+    /// let alibaba_sphere = [Asn(45102), Asn(37963), Asn(58563)];
+    /// assert!(census.isolated_share(&alibaba_sphere) > 0.60);
+    /// ```
     pub fn isolated_share(&self, hijacked: &[Asn]) -> f64 {
         self.pools
             .iter()

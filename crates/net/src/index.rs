@@ -11,9 +11,9 @@
 //! Blocks are append-only, so each one also gets a small *dense index*
 //! (`0` = genesis, then insertion order). The simulator keys its hot
 //! per-node relay state by dense index — a `u32` probe into a
-//! [`crate::dense::DenseSet`] — instead of hashing 32-byte ids, and the
-//! per-height buckets make finalization pruning a range walk instead of
-//! a full-map scan.
+//! [`crate::dense::DenseSetPool`] row — instead of hashing 32-byte ids,
+//! and the per-height buckets make finalization pruning a range walk
+//! instead of a full-map scan.
 
 use crate::engine::SimTime;
 use crate::fxhash::FxHashMap;

@@ -38,7 +38,6 @@ pub mod keyed;
 pub mod sim;
 pub mod view;
 
-pub use dense::DenseSet;
 pub use engine::{EventQueue, HeapQueue, QueueStats, SimTime, WHEEL_SLOT_MS, WHEEL_SPAN_MS};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{BlockIndex, BlockMeta};

@@ -24,7 +24,7 @@ use crate::query::{
 };
 use crate::substrate::Substrate;
 use bp_attacks::countermeasures::blockaware_tradeoff_one;
-use bp_attacks::spatial::SpatialContext;
+use bp_attacks::spatial::eclipse_cascade;
 use bp_attacks::temporal::model::TemporalModel;
 use bp_bgp::{HijackIndex, HijackOutcome};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -318,9 +318,14 @@ impl QueryEngine {
                 let victim = bp_topology::Asn(target_as);
                 let outcome: HijackOutcome =
                     self.hijacks.hijack_top_prefixes(victim, prefixes as usize);
-                let ctx = SpatialContext::new(self.substrate.snapshot(), self.substrate.census());
                 let cascade = cascade.then(|| {
-                    ctx.eclipse_cascade(self.substrate.day_sim(), victim, prefixes as usize)
+                    eclipse_cascade(
+                        self.substrate.day_sim(),
+                        self.substrate.snapshot(),
+                        &self.hijacks,
+                        victim,
+                        prefixes as usize,
+                    )
                 });
                 Answer::Eclipse(EclipseAnswer {
                     prefixes_hijacked: outcome.prefixes_hijacked as u32,
@@ -378,6 +383,7 @@ fn default_key(query: &Query) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btcpart::experiments::temporal::run_crawl;
     use btcpart::Scenario;
     use std::collections::HashMap;
 
@@ -464,6 +470,51 @@ mod tests {
             a.hash_share.to_bits(),
             substrate.census().isolated_share(&[victim]).to_bits()
         );
+    }
+
+    #[test]
+    fn eclipse_matches_the_hijack_index_and_the_cascade() {
+        // A day-backed substrate (scale 0.02, one hour), so the cascade
+        // reads the peer graph the day crawl left behind.
+        let mut lab = Scenario::new().scale(0.02).build();
+        let crawl = run_crawl(&mut lab.sim, &lab.snapshot, 600, 3600, 60, None);
+        let substrate = Arc::new(Substrate::new(
+            (lab.snapshot, lab.census),
+            Some((crawl, lab.sim)),
+        ));
+        let engine = QueryEngine::new(Arc::clone(&substrate), EngineOptions::default());
+        let hijacks = HijackIndex::new(substrate.snapshot());
+        let victim = bp_topology::Asn(24940);
+        for prefixes in [0u32, 5, 15, 10_000] {
+            for cascade in [false, true] {
+                let response = engine.execute(&Query::Eclipse {
+                    target_as: victim.0,
+                    prefixes,
+                    cascade,
+                });
+                let Answer::Eclipse(a) = Answer::decode(&response).unwrap() else {
+                    panic!("wrong family");
+                };
+                let outcome = hijacks.hijack_top_prefixes(victim, prefixes as usize);
+                assert_eq!(a.prefixes_hijacked as usize, outcome.prefixes_hijacked);
+                assert_eq!(a.isolated as usize, outcome.isolated_nodes.len());
+                assert_eq!(a.fraction_of_as.to_bits(), outcome.fraction_of_as.to_bits());
+                assert_eq!(
+                    a.hash_share.to_bits(),
+                    substrate.census().isolated_share(&[victim]).to_bits()
+                );
+                let expected = cascade.then(|| {
+                    eclipse_cascade(
+                        substrate.day_sim(),
+                        substrate.snapshot(),
+                        &hijacks,
+                        victim,
+                        prefixes as usize,
+                    )
+                });
+                assert_eq!(a.cascade, expected, "prefixes={prefixes}");
+            }
+        }
     }
 
     #[test]

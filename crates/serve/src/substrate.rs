@@ -12,19 +12,19 @@ use bp_crawler::CrawlResult;
 use bp_mining::PoolCensus;
 use bp_net::Simulation;
 use bp_topology::Snapshot;
-use btcpart::Lab;
 
 /// The loaded substrate: static environment plus the day crawl.
 #[derive(Debug)]
 pub struct Substrate {
     static_env: (Snapshot, PoolCensus),
-    day: Option<(CrawlResult, Lab)>,
+    day: Option<(CrawlResult, Simulation)>,
 }
 
 impl Substrate {
     /// A substrate over the static environment (snapshot + census) and,
-    /// when given, the one-day, minute-sampled crawl and its lab.
-    pub fn new(static_env: (Snapshot, PoolCensus), day: Option<(CrawlResult, Lab)>) -> Self {
+    /// when given, the one-day, minute-sampled crawl and the simulation
+    /// it left behind, which must run over that same snapshot.
+    pub fn new(static_env: (Snapshot, PoolCensus), day: Option<(CrawlResult, Simulation)>) -> Self {
         Self { static_env, day }
     }
 
@@ -38,7 +38,7 @@ impl Substrate {
         &self.static_env.1
     }
 
-    fn day(&self) -> &(CrawlResult, Lab) {
+    fn day(&self) -> &(CrawlResult, Simulation) {
         self.day.as_ref().expect("query requires the day crawl")
     }
 
@@ -58,7 +58,7 @@ impl Substrate {
     ///
     /// Panics if the substrate was built without the day crawl.
     pub fn day_sim(&self) -> &Simulation {
-        &self.day().1.sim
+        &self.day().1
     }
 }
 

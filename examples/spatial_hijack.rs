@@ -8,8 +8,8 @@
 //! cargo run --release --example spatial_hijack
 //! ```
 
-use btcpart::attacks::spatial::{classical_attack_curve, eclipse_as, isolate_hash_power};
-use btcpart::bgp::HijackEngine;
+use btcpart::attacks::spatial::{classical_attack_curve, eclipse_as};
+use btcpart::bgp::HijackIndex;
 use btcpart::topology::{Asn, Country};
 use btcpart::Scenario;
 
@@ -18,10 +18,10 @@ fn main() {
     let victim = Asn(24940); // Hetzner Online
 
     // --- 1. Plan: how many prefixes must be hijacked? --------------------
-    let engine = HijackEngine::new(&lab.snapshot);
+    let hijacks = HijackIndex::new(&lab.snapshot);
     println!("== hijack planning against {victim} ==");
     for fraction in [0.5, 0.8, 0.95] {
-        match engine.prefixes_for_fraction(victim, fraction) {
+        match hijacks.prefixes_for_fraction(victim, fraction) {
             Some(k) => println!(
                 "isolate {:>3.0}% of its nodes: {k} prefixes",
                 fraction * 100.0
@@ -43,14 +43,7 @@ fn main() {
 
     // --- 2. Execute: impose the cut on the live network ------------------
     lab.sim.run_for_secs(2 * 600); // let the chain get going
-    let report = eclipse_as(
-        &mut lab.sim,
-        &lab.snapshot,
-        &lab.census,
-        victim,
-        15,
-        6 * 600,
-    );
+    let report = eclipse_as(&mut lab.sim, &hijacks, &lab.census, victim, 15, 6 * 600);
     println!("\n== executed eclipse: 15 prefix hijacks for one hour ==");
     println!("prefixes hijacked: {}", report.prefixes_hijacked);
     println!(
@@ -71,12 +64,12 @@ fn main() {
     let alibaba = [Asn(45102), Asn(37963), Asn(58563)];
     println!(
         "\nhijacking 3 ASes (AliBaba sphere) isolates {:.1}% of the hash rate",
-        isolate_hash_power(&lab.census, &alibaba) * 100.0
+        lab.census.isolated_share(&alibaba) * 100.0
     );
 
     // Nation-state variant: every Chinese AS cuts its Bitcoin traffic.
     let chinese_ases = lab.snapshot.registry.ases_in(Country::China);
-    let china_hash = isolate_hash_power(&lab.census, &chinese_ases);
+    let china_hash = lab.census.isolated_share(&chinese_ases);
     let china_nodes: usize = chinese_ases
         .iter()
         .map(|asn| lab.snapshot.nodes_in_as(*asn).len())

@@ -5,7 +5,7 @@
 //! integration suite rather than the unit tests.
 
 use btcpart::analysis::centralization::smallest_cover;
-use btcpart::bgp::HijackEngine;
+use btcpart::bgp::HijackIndex;
 use btcpart::mining::PoolCensus;
 use btcpart::topology::{Asn, ConnType, Snapshot, SnapshotConfig};
 
@@ -131,26 +131,26 @@ fn figure_3_centralization_shape() {
 #[test]
 fn figure_4_hijack_curves_shape() {
     let s = paper_snapshot();
-    let engine = HijackEngine::new(&s);
+    let hijacks = HijackIndex::new(&s);
     // "For 8 ASes, 80% nodes can be isolated by hijacking 20 BGP
     // prefixes" — at least for the concentrated hosts. The curve caps
     // slightly below 1.0 because ~4 % of each AS's nodes are IPv6
     // carve-outs with no covering prefix, so "95 % of prefix-covered
     // nodes" is the faithful criterion.
     for asn in [24940u32, 16276, 37963, 14061] {
-        let curve = engine.isolation_curve(Asn(asn));
+        let curve = hijacks.isolation_curve(Asn(asn));
         let reachable = curve.last().copied().unwrap_or(0.0);
-        let p80 = engine
+        let p80 = hijacks
             .prefixes_for_fraction(Asn(asn), 0.80)
             .unwrap_or(usize::MAX);
         assert!(p80 <= 25, "AS{asn} needs {p80} prefixes for 80%");
-        let p95 = engine
+        let p95 = hijacks
             .prefixes_for_fraction(Asn(asn), 0.95 * reachable)
             .unwrap_or(usize::MAX);
         assert!(p95 <= 40, "AS{asn} needs {p95} prefixes for 95%");
     }
     // "it takes more than 140 BGP prefixes to compromise AS16509".
-    let amazon95 = engine
+    let amazon95 = hijacks
         .prefixes_for_fraction(Asn(16509), 0.95)
         .unwrap_or(usize::MAX);
     assert!(
@@ -160,7 +160,7 @@ fn figure_4_hijack_curves_shape() {
     // AS24940 is "more costly with smaller advantage than AS16509" in
     // cost-per-node terms at full isolation: fewer nodes per prefix in
     // the tail. At 15 prefixes Hetzner yields ~95%:
-    let hetzner15 = engine.hijack_top_prefixes(Asn(24940), 15);
+    let hetzner15 = hijacks.hijack_top_prefixes(Asn(24940), 15);
     assert!(
         hetzner15.fraction_of_as > 0.80,
         "15 prefixes only isolate {:.2}",

@@ -5,6 +5,7 @@ use btcpart::attacks::logical::{exploit, NvdCensus};
 use btcpart::attacks::spatial::eclipse_as;
 use btcpart::attacks::spatiotemporal::{execute, plan};
 use btcpart::attacks::temporal::{run_temporal_attack, TemporalAttackConfig};
+use btcpart::bgp::HijackIndex;
 use btcpart::crawler::{Crawler, LagClass};
 use btcpart::net::NetConfig;
 use btcpart::topology::Asn;
@@ -32,7 +33,7 @@ fn spatial_pipeline_isolates_and_recovers() {
     let before_best = lab.sim.network_best();
     let report = eclipse_as(
         &mut lab.sim,
-        &lab.snapshot,
+        &HijackIndex::new(&lab.snapshot),
         &lab.census,
         Asn(24940),
         20,
